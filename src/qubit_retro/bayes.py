@@ -25,6 +25,7 @@ from .channels import (
     BlochState,
     ChannelRep,
     PauliChannel,
+    _readonly,
     adjoint,
     apply,
     apply_operator,
@@ -59,6 +60,7 @@ __all__ = [
     "adjoint_is_inverse",
     "analytic_inverse",
     "gamel_report",
+    "pauli_frame_decision",
     "solve_anticommutator",
     "bayesian_inverse",
     "kraus_from_choi",
@@ -68,12 +70,6 @@ _BOUNDARY_EPS = 1e-12
 _UNSCATHED_TOL = 1e-10
 
 _ID2 = np.eye(2, dtype=np.complex128)
-
-
-def _frozen_array(a) -> np.ndarray:
-    out = np.array(a)
-    out.flags.writeable = False
-    return out
 
 
 @dataclass(frozen=True)
@@ -95,7 +91,7 @@ class PseudoDensityMatrix:
             raise NotHermitianError("pseudo-density matrix must be Hermitian")
         if abs(m.trace().real - 1.0) > 1e-10:
             raise ValueError(f"pseudo-density matrix trace is {m.trace().real}, not 1")
-        object.__setattr__(self, "m", _frozen_array(m))
+        object.__setattr__(self, "m", _readonly(m))
 
     def min_eigenvalue(self) -> float:
         w, _ = herm_eig(self.m)
@@ -130,9 +126,9 @@ class FeasibilityReport:
     S: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "v", _frozen_array(np.asarray(self.v, dtype=np.float64)))
-        object.__setattr__(self, "R", _frozen_array(np.asarray(self.R, dtype=np.float64)))
-        object.__setattr__(self, "slack", _frozen_array(np.asarray(self.slack, dtype=np.float64)))
+        object.__setattr__(self, "v", _readonly(np.asarray(self.v, dtype=np.float64)))
+        object.__setattr__(self, "R", _readonly(np.asarray(self.R, dtype=np.float64)))
+        object.__setattr__(self, "slack", _readonly(np.asarray(self.slack, dtype=np.float64)))
 
 
 @dataclass(frozen=True)
@@ -156,9 +152,9 @@ class InverseRecord:
     residual: float = 0.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a", _frozen_array(np.asarray(self.a, dtype=np.float64)))
-        object.__setattr__(self, "choi", _frozen_array(np.asarray(self.choi, dtype=np.complex128)))
-        object.__setattr__(self, "kraus", tuple(_frozen_array(k) for k in self.kraus))
+        object.__setattr__(self, "a", _readonly(np.asarray(self.a, dtype=np.float64)))
+        object.__setattr__(self, "choi", _readonly(np.asarray(self.choi, dtype=np.complex128)))
+        object.__setattr__(self, "kraus", tuple(_readonly(k) for k in self.kraus))
 
 
 @dataclass(frozen=True)
@@ -219,24 +215,20 @@ def bayes_residual(e, s: BlochState, f) -> float:
 
 # === Unscathed classification ===
 
-def is_unscathed(p: PauliChannel, s: BlochState, tol: float = _UNSCATHED_TOL):
-    """Smallest index k with P(rho) = sigma_k rho sigma_k, or None.
-
-    Index 0 means the state passes through the channel untouched.
-    """
-    rho = s.matrix
-    out = p.apply_matrix(rho)
-    for k, sigma in enumerate(PAULIS):
-        if np.abs(out - sigma @ rho @ sigma).max() <= tol:
-            return k
-    return None
-
-
 def unscathed_residuals(p: PauliChannel, s: BlochState) -> np.ndarray:
     """Max-entry defect of P(rho) = sigma_k rho sigma_k for each k in 0..3."""
     rho = s.matrix
     out = p.apply_matrix(rho)
     return np.array([np.abs(out - sigma @ rho @ sigma).max() for sigma in PAULIS])
+
+
+def is_unscathed(p: PauliChannel, s: BlochState, tol: float = _UNSCATHED_TOL):
+    """Smallest index k with P(rho) = sigma_k rho sigma_k, or None.
+
+    Index 0 means the state passes through the channel untouched.
+    """
+    hits = np.flatnonzero(unscathed_residuals(p, s) <= tol)
+    return int(hits[0]) if hits.size else None
 
 
 def adjoint_is_inverse(p: PauliChannel, s: BlochState, tol: float = _UNSCATHED_TOL) -> bool:
@@ -332,19 +324,13 @@ def _candidate_coefficients(lam: np.ndarray, r: np.ndarray, s_scalar: float) -> 
     return a
 
 
-def analytic_inverse(
-    p: PauliChannel,
-    s: BlochState,
-    tol: float = 1e-9,
-    *,
-    build_kraus: bool = True,
-) -> InverseRecord:
+def analytic_inverse(p: PauliChannel, s: BlochState, tol: float = 1e-9) -> InverseRecord:
     """Closed-form candidate inverse for a strictly contracting Pauli channel.
 
     The defining identity is satisfied exactly by construction; the returned
-    report says whether the candidate is completely positive. Kraus
-    operators are extracted only for feasible candidates (and only when
-    ``build_kraus`` is set; region scans switch it off).
+    report says whether the candidate is completely positive. No Kraus
+    operators are extracted (``kraus`` is empty); :func:`bayesian_inverse`
+    builds them for the certified result.
 
     :raises EigenvalueOnBoundaryError: when some |lambda_i| >= 1 - 1e-12.
     :raises SingularSError: when S = sum lambda_i^2 r_i^2 >= 1 - 1e-12.
@@ -359,13 +345,9 @@ def analytic_inverse(
     if s_scalar >= 1.0 - _BOUNDARY_EPS:
         raise SingularSError(f"S = {s_scalar} is too close to 1")
     a = _candidate_coefficients(lam, r, s_scalar)
-    jam = pauli_reconstruct(a / 2.0)
-    choi = choi_from_jam(jam)
+    choi = choi_from_jam(pauli_reconstruct(a / 2.0))
     report = gamel_report(choi, s_scalar, tol)
-    kraus = tuple(kraus_from_choi(choi, tol)) if (build_kraus and report.feasible) else ()
-    return InverseRecord(
-        a=a, S=s_scalar, choi=choi, kraus=kraus, report=report, unique=True, residual=0.0
-    )
+    return InverseRecord(a=a, S=s_scalar, choi=choi, kraus=(), report=report)
 
 
 # === Linear-algebra route to the same operator ===
@@ -411,13 +393,39 @@ def solve_anticommutator(m: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 # === Full pipeline ===
 
+def pauli_frame_decision(p: PauliChannel, s: BlochState, tol: float = 1e-9):
+    """Decide whether a Pauli channel has a Bayesian inverse for a prior.
+
+    The one verdict behind single queries and region scans. A boundary
+    channel (some |lambda_i| = 1) has one exactly when the prior is
+    unscathed, and it is then the channel's adjoint, i.e. the channel itself.
+    Otherwise the closed-form candidate is tested for complete positivity.
+    Both branches score their coefficients as a -> Choi -> gamel_report.
+
+    :return: (a, S, report, unique) with a the a[0, 0]-normalized Pauli-frame
+        coefficients of the inverse, or a NoInverse explaining the obstruction.
+    """
+    lam = p.lam
+    if np.abs(lam).max() < 1.0 - _BOUNDARY_EPS:
+        rec = analytic_inverse(p, s, tol)
+        if not rec.report.feasible:
+            return NoInverse(reason="cp-infeasible", report=rec.report)
+        return rec.a, rec.S, rec.report, True
+    if is_unscathed(p, s) is None:
+        return NoInverse(reason="not-unscathed", residuals=unscathed_residuals(p, s))
+    a = np.diag(np.concatenate(([1.0], lam)))
+    s_scalar = float(np.sum(lam * lam * s.r * s.r))
+    report = gamel_report(choi_from_jam(pauli_reconstruct(a / 2.0)), s_scalar, tol)
+    return a, s_scalar, report, bool(s_scalar < 1.0 - _BOUNDARY_EPS)
+
+
 def bayesian_inverse(e, s: BlochState, tol: float = 1e-9):
     """Decide and construct the Bayesian inverse of a unital channel.
 
     Pipeline: factor the channel through a Pauli channel between two
-    unitaries, move the state into the Pauli frame, run either the
-    boundary (unscathed/adjoint) or interior (closed-form + positivity)
-    route, then rotate the result back to the original frame.
+    unitaries, move the state into the Pauli frame, decide there with
+    :func:`pauli_frame_decision`, then rotate the result back to the
+    original frame and certify it.
 
     :return: an InverseRecord, or a NoInverse explaining the obstruction.
     :raises NotUnitalError / NotCPTPError: if e is out of contract.
@@ -429,24 +437,11 @@ def bayesian_inverse(e, s: BlochState, tol: float = 1e-9):
         u, pch, v = unital_to_pauli(e, tol)
         s_frame = apply(ChannelRep.from_unitary(v), s)
 
-    lam = pch.lam
-    if np.abs(lam).max() >= 1.0 - _BOUNDARY_EPS:
-        if is_unscathed(pch, s_frame) is None:
-            return NoInverse(
-                reason="not-unscathed", residuals=unscathed_residuals(pch, s_frame)
-            )
-        f_frame = ChannelRep.from_pauli(pch)  # adjoint of a Pauli channel is itself
-        a = np.diag(np.concatenate(([1.0], lam)))
-        s_scalar = float(np.sum(lam * lam * s_frame.r * s_frame.r))
-        report = gamel_report(f_frame.choi, s_scalar, tol)
-        unique = bool(s_scalar < 1.0 - _BOUNDARY_EPS)
-    else:
-        rec = analytic_inverse(pch, s_frame, tol, build_kraus=False)
-        if not rec.report.feasible:
-            return NoInverse(reason="cp-infeasible", report=rec.report)
-        f_frame = ChannelRep.from_jam(pauli_reconstruct(rec.a / 2.0))
-        a, s_scalar, report, unique = rec.a, rec.S, rec.report, rec.unique
-
+    decision = pauli_frame_decision(pch, s_frame, tol)
+    if isinstance(decision, NoInverse):
+        return decision
+    a, s_scalar, report, unique = decision
+    f_frame = ChannelRep.from_jam(pauli_reconstruct(a / 2.0))
     final = f_frame if u is None else transport_inverse(u, v, f_frame)
     if not is_cptp(final, max(tol, 1e-9)):
         raise InternalCPViolationError("constructed inverse failed the CPTP check")

@@ -73,8 +73,9 @@ class BlochState:
         r = np.asarray(self.r, dtype=np.float64).reshape(-1)
         if r.shape != (3,):
             raise ValueError(f"Bloch vector must have 3 components, got {r.shape}")
-        if np.linalg.norm(r) > 1.0 + 1e-12:
-            raise ValueError(f"Bloch vector length {np.linalg.norm(r)} exceeds 1")
+        norm = np.linalg.norm(r)
+        if not norm <= 1.0 + 1e-12:
+            raise ValueError(f"Bloch vector must be finite with length <= 1, got length {norm}")
         object.__setattr__(self, "r", _readonly(r))
 
     @property
@@ -110,9 +111,9 @@ class PauliChannel:
         p = np.asarray(self.p, dtype=np.float64).reshape(-1)
         if p.shape != (4,):
             raise ValueError(f"probability vector must have 4 entries, got {p.shape}")
-        if p.min() < -1e-12:
-            raise ValueError(f"negative Pauli probability {p.min()}")
-        if abs(p.sum() - 1.0) > 1e-12:
+        if not p.min() >= -1e-12:
+            raise ValueError(f"Pauli probabilities must be finite and non-negative, got {p}")
+        if not abs(p.sum() - 1.0) <= 1e-12:
             raise ValueError(f"Pauli probabilities sum to {p.sum()}, not 1")
         object.__setattr__(self, "p", _readonly(np.clip(p, 0.0, None)))
 
@@ -174,11 +175,15 @@ class ChannelRep:
             ops = [np.asarray(k, dtype=np.complex128) for k in value]
             if not ops or any(k.shape != (2, 2) for k in ops):
                 raise ValueError("kraus must be a non-empty list of 2x2 operators")
+            if not all(np.isfinite(k).all() for k in ops):
+                raise ValueError("kraus operators must have finite entries")
             self._reps["kraus"] = tuple(_readonly(k) for k in ops)
         else:
             m = np.asarray(value, dtype=np.complex128 if name != "ptm" else np.float64)
             if m.shape != (4, 4):
                 raise ValueError(f"{name} must be a 4x4 matrix, got {m.shape}")
+            if not np.isfinite(m).all():
+                raise ValueError(f"{name} must have finite entries")
             self._reps[name] = _readonly(m)
 
     # --- constructors ---

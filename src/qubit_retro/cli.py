@@ -1,16 +1,12 @@
 """Command line front end: invert, verify, classify, and scan.
 
-Exit codes: 0 success, 1 malformed input or failed verification,
-2 no Bayesian inverse exists, 3 candidate channel is not CPTP.
-The environment variable QUBIT_RETRO_THREADS caps scan parallelism
-(default 1; cell results are assembled row-major either way, so output
-bytes do not depend on it).
+Exit codes: 0 success, 1 malformed input, usage error or failed
+verification, 2 no Bayesian inverse exists, 3 candidate channel is not CPTP.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -52,7 +48,7 @@ EXIT_NO_INVERSE = 2
 EXIT_NOT_CPTP = 3
 
 _COMMANDS = ("invert", "unscathed", "verify", "scan", "kraus", "three-entry")
-_FAMILIES = ("depolarizing", "bb84", "three-entry")
+_FAMILIES = ("depolarizing", "bb84")
 
 
 @dataclass
@@ -68,7 +64,6 @@ class RunConfig:
     tol: float | None = None
     seed: int = 0
     out: str | None = None
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if self.command not in _COMMANDS:
@@ -79,8 +74,6 @@ class RunConfig:
             raise ValueError(f"resolution must be >= 2, got {self.resolution}")
         if self.family is not None and self.family not in _FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
 
 def _g(x) -> str:
@@ -231,7 +224,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     return EXIT_OK if symmetric else EXIT_INPUT
 
 
-def _run_region_scan(cfg: RunConfig) -> int:
+def cmd_scan(cfg: RunConfig) -> int:
     if not cfg.out:
         print("error: scan needs --out DIR for its CSV/SVG files", file=sys.stderr)
         return EXIT_INPUT
@@ -239,10 +232,10 @@ def _run_region_scan(cfg: RunConfig) -> int:
     tol = 1e-9 if cfg.tol is None else cfg.tol
     if cfg.family == "bb84":
         grid = ScanGrid.uniform(resolution, direction=np.ones(3) / np.sqrt(3.0))
-        cells = scan_bb84(grid, tol, cfg.workers)
+        cells = scan_bb84(grid, tol)
     else:
         grid = ScanGrid.uniform(resolution)
-        cells = scan_depolarizing(grid, tol, cfg.workers)
+        cells = scan_depolarizing(grid, tol)
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     base = outdir / f"{cfg.family}_{resolution}"
@@ -294,12 +287,6 @@ def _run_three_entry(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_scan(cfg: RunConfig) -> int:
-    if cfg.family == "three-entry":
-        return _run_three_entry(cfg)
-    return _run_region_scan(cfg)
-
-
 def cmd_kraus(cfg: RunConfig) -> int:
     channel = load_channel(cfg.channel)
     rep = ChannelRep.from_pauli(channel) if isinstance(channel, PauliChannel) else channel
@@ -317,8 +304,16 @@ def cmd_kraus(cfg: RunConfig) -> int:
 
 # === Argument parsing ===
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors exit 1, as exit code 2 means "no inverse"."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qubit-retro",
         description="Bayesian inverses of unital qubit channels: decide, construct, verify, scan.",
     )
@@ -351,7 +346,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add("verify", "check two-time expectation symmetry of a candidate inverse",
         channel=True, state=True, inverse=True, out=True)
     add("scan", "sweep a channel family's feasibility region",
-        family=True, resolution=True, seed=True, out=True)
+        family=True, resolution=True, out=True)
     add("kraus", "extract Kraus operators from a channel file", channel=True, out=True)
     add("three-entry", "search three-entry channels for feasible non-central priors",
         resolution=True, seed=True, out=True)
@@ -371,23 +366,12 @@ _DISPATCH = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        workers = int(os.environ.get("QUBIT_RETRO_THREADS", "1"))
-    except ValueError:
-        workers = 1
-    try:
-        cfg = RunConfig(workers=max(1, workers), **vars(args))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
+        cfg = RunConfig(**vars(args))
         return _DISPATCH[cfg.command](cfg)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except NotPSDError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_CPTP
-    except QubitRetroError as exc:
+    except (ValueError, QubitRetroError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -1,9 +1,8 @@
 """Fixed-size complex matrix algebra for one- and two-qubit operators.
 
-Everything in this package lives in dimension 2 or 4, so the routines here
-trade generality for predictability: the eigensolver is a cyclic complex
-Jacobi iteration rather than a LAPACK call, and the Pauli transforms work
-with plain (4, 4) real coefficient arrays.
+Everything in this package lives in dimension 2 or 4, so the Pauli
+transforms work with plain (4, 4) real coefficient arrays, and the
+eigensolver is LAPACK's Hermitian routine behind a Hermiticity check.
 
 Conventions:
     - Pauli-pair coefficients are a[i, j] = Tr[M (sigma_i (x) sigma_j)] / 4,
@@ -96,70 +95,19 @@ def pauli_reconstruct(a: np.ndarray) -> np.ndarray:
     return np.tensordot(a.ravel(), _PAULI_PAIRS, axes=1)
 
 
-# === Cyclic Jacobi eigensolver ===
-
-def _jacobi_rotation(app: float, aqq: float, apq: complex) -> tuple[float, complex]:
-    """Cosine and complex sine zeroing the (p, q) entry of a Hermitian 2x2 block."""
-    mag = abs(apq)
-    phase = apq / mag
-    tau = (aqq - app) / (2.0 * mag)
-    if tau >= 0.0:
-        t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-    else:
-        t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-    c = 1.0 / np.sqrt(1.0 + t * t)
-    return c, t * c * phase
-
-
-def herm_eig(m: np.ndarray, *, off_tol: float = 1e-13, max_sweeps: int = 100):
-    """Eigendecomposition of a small Hermitian matrix by cyclic Jacobi rotations.
+def herm_eig(m: np.ndarray):
+    """Eigendecomposition of a small Hermitian matrix.
 
     :param m: Hermitian square matrix (2x2 or 4x4 in this package).
-    :param off_tol: relative off-diagonal magnitude at which to stop.
-    :param max_sweeps: hard cap on full sweeps; convergence is quadratic, so
-        hitting it means the input was out of contract.
     :return: (w, v) with eigenvalues w ascending and orthonormal columns v,
         such that m v[:, k] = w[k] v[:, k].
     :raises NotHermitianError: if max |m - m^dag| exceeds 1e-10.
     """
-    a = np.asarray(m, dtype=np.complex128).copy()
+    a = np.asarray(m, dtype=np.complex128)
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError(f"matrix must be square, got {a.shape}")
     if np.abs(a - a.conj().T).max() > _HERM_TOL:
         raise NotHermitianError("matrix is not Hermitian to 1e-10")
-
-    scale = max(1.0, np.abs(a).max())
-    stop = off_tol * scale
-    v = np.eye(n, dtype=np.complex128)
-
-    for _ in range(max_sweeps):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                off = max(off, abs(a[p, q]))
-        if off <= stop:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(a[p, q]) <= stop:
-                    continue
-                c, s = _jacobi_rotation(a[p, p].real, a[q, q].real, a[p, q])
-                # A <- G^dag A G with G the identity outside the (p, q) plane,
-                # G[p,p] = G[q,q] = c, G[p,q] = s, G[q,p] = -conj(s).
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - np.conj(s) * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = np.conj(s) * row_p + c * row_q
-                col_p = v[:, p].copy()
-                col_q = v[:, q].copy()
-                v[:, p] = c * col_p - np.conj(s) * col_q
-                v[:, q] = s * col_p + c * col_q
-
-    w = np.diag(a).real.copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
+    w, v = np.linalg.eigh(a)
+    return w, v

@@ -10,14 +10,13 @@ byte-identical CSV output.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .bayes import analytic_inverse, bayesian_inverse, gamel_report, is_unscathed, InverseRecord
-from .channels import BlochState, ChannelRep, PauliChannel
+from .bayes import InverseRecord, NoInverse, bayesian_inverse, pauli_frame_decision
+from .channels import BlochState, PauliChannel
 from .errors import MonotonicityWarning
 
 __all__ = [
@@ -36,14 +35,13 @@ __all__ = [
     "emit_svg",
 ]
 
-_BOUNDARY_EPS = 1e-12
 _SENTINEL_SLACK = np.array([-1.0, -1.0, -1.0])
 
 
 def _unit(direction) -> np.ndarray:
     d = np.asarray(direction, dtype=np.float64).reshape(3)
     norm = np.linalg.norm(d)
-    if abs(norm - 1.0) > 1e-12:
+    if not abs(norm - 1.0) <= 1e-12:
         raise ValueError(f"direction must be a unit vector, |d| = {norm}")
     return d
 
@@ -139,52 +137,40 @@ def bb84_channel(p: float) -> PauliChannel:
 
 def _evaluate(pch: PauliChannel, state: BlochState, tol: float):
     """(feasible, slack, witness) for one channel/state pair."""
-    lam = pch.lam
-    if np.abs(lam).max() >= 1.0 - _BOUNDARY_EPS:
-        if is_unscathed(pch, state) is None:
-            return False, _SENTINEL_SLACK, "not-unscathed"
-        s_scalar = float(np.sum(lam * lam * state.r * state.r))
-        report = gamel_report(ChannelRep.from_pauli(pch).choi, s_scalar, tol)
-        return True, report.slack, None
-    report = analytic_inverse(pch, state, tol, build_kraus=False).report
-    if report.feasible:
-        return True, report.slack, None
-    first_bad = int(np.argmax(report.slack < -tol))
-    return False, report.slack, f"slack-{first_bad + 1}"
+    out = pauli_frame_decision(pch, state, tol)
+    if not isinstance(out, NoInverse):
+        return True, out[2].slack, None
+    if out.report is None:
+        return False, _SENTINEL_SLACK, out.reason
+    first_bad = int(np.argmax(out.report.slack < -tol))
+    return False, out.report.slack, f"slack-{first_bad + 1}"
 
 
-def _scan_family(grid: ScanGrid, channel_of, tol: float, workers: int) -> list[RegionCell]:
-    def row(p: float) -> list[RegionCell]:
+def _scan_family(grid: ScanGrid, channel_of, tol: float) -> list[RegionCell]:
+    cells = []
+    for p in grid.p_axis:
         pch = channel_of(float(p))
-        cells = []
         for t in grid.t_axis:
             state = BlochState(np.sqrt(t) * grid.direction)
             feasible, slack, witness = _evaluate(pch, state, tol)
             cells.append(
                 RegionCell(p=float(p), t=float(t), feasible=feasible, slack=slack, witness=witness)
             )
-        return cells
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(row, grid.p_axis))
-    else:
-        rows = [row(p) for p in grid.p_axis]
-    return [cell for cells in rows for cell in cells]
+    return cells
 
 
-def scan_depolarizing(grid: ScanGrid, tol: float = 1e-9, workers: int = 1) -> list[RegionCell]:
+def scan_depolarizing(grid: ScanGrid, tol: float = 1e-9) -> list[RegionCell]:
     """Feasibility region of the depolarizing family over (p, t)."""
-    return _scan_family(grid, PauliChannel.depolarizing, tol, workers)
+    return _scan_family(grid, PauliChannel.depolarizing, tol)
 
 
-def scan_bb84(grid: ScanGrid, tol: float = 1e-9, workers: int = 1) -> list[RegionCell]:
+def scan_bb84(grid: ScanGrid, tol: float = 1e-9) -> list[RegionCell]:
     """Feasibility region of the intercept-resend family over (p, t).
 
     Feed a grid with direction (1, 1, 1)/sqrt(3) to reproduce the symmetric
     prior-ray picture.
     """
-    return _scan_family(grid, bb84_channel, tol, workers)
+    return _scan_family(grid, bb84_channel, tol)
 
 
 def boundary_chi(
@@ -193,13 +179,12 @@ def boundary_chi(
     *,
     family: str = "depolarizing",
     direction=None,
-    probe_points: int = 33,
 ) -> float:
     """Largest feasible t at fixed p, located by bisection.
 
-    Feasibility along t is checked for monotonicity on a probe grid first;
-    if it flips more than once a MonotonicityWarning is emitted and the
-    largest feasible probe value is returned instead.
+    Feasibility along t is checked for monotonicity on a 33-point probe
+    grid first; if it flips more than once a MonotonicityWarning is emitted
+    and the largest feasible probe value is returned instead.
     """
     if family == "depolarizing":
         pch = PauliChannel.depolarizing(p)
@@ -213,7 +198,7 @@ def boundary_chi(
     def feasible(t: float) -> bool:
         return _evaluate(pch, BlochState(np.sqrt(t) * d), 1e-9)[0]
 
-    probes = np.linspace(0.0, 1.0, probe_points)
+    probes = np.linspace(0.0, 1.0, 33)
     flags = [feasible(t) for t in probes]
     if not flags[0]:
         return 0.0

@@ -100,13 +100,17 @@ def state_from_json(doc: dict) -> BlochState:
     return BlochState(np.array([float(x) for x in r]))
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite number {name} is not allowed")
+
+
 def _load(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_constant=_reject_constant)
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ValueError(f"{path} is not valid JSON: {exc}") from None
 
 

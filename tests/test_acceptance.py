@@ -229,7 +229,7 @@ def test_g06_depolarizing_closed_forms():
             t = float(rng.uniform(0.0, 1.0))
             pc = PauliChannel.from_lambdas([lam, lam, lam])
             s = BlochState(np.array([np.sqrt(t), 0.0, 0.0]))
-            report = analytic_inverse(pc, s, build_kraus=False).report
+            report = analytic_inverse(pc, s).report
             q = depolarizing_quantities(lam, t)
             assert abs(q.norm_v2 - float(report.v @ report.v)) <= 1e-10
             assert abs(q.norm_R2 - float((report.R * report.R).sum())) <= 1e-10
@@ -247,7 +247,7 @@ def test_g07_feasibility_matches_choi_spectrum():
         for _ in range(10000):
             pc = random_pauli(rng, 1e-6)
             s = random_bloch(rng)
-            rec = analytic_inverse(pc, s, build_kraus=False)
+            rec = analytic_inverse(pc, s)
             min_eig = float(np.linalg.eigvalsh(rec.choi)[0])
             if abs(min_eig) <= 1e-8:
                 skipped += 1
@@ -317,7 +317,7 @@ def test_g10_solver_equals_analytic_operator():
         for _ in range(200):
             pc = random_pauli(rng, 1e-3)
             s = random_bloch(rng, rmax=0.95)
-            rec = analytic_inverse(pc, s, build_kraus=False)
+            rec = analytic_inverse(pc, s)
             mass = apply(pc, s).matrix
             rhs = anticommutator(tensor(eye, s.matrix), jamiolkowski(pc))
             x = solve_anticommutator(mass, rhs)

@@ -228,7 +228,7 @@ def test_analytic_inverse_boundary_raises():
 
 def test_analytic_inverse_skips_kraus_when_asked():
     pc = PauliChannel.depolarizing(0.2)
-    rec = analytic_inverse(pc, BlochState(np.array([0.3, 0.0, 0.0])), build_kraus=False)
+    rec = analytic_inverse(pc, BlochState(np.array([0.3, 0.0, 0.0])))
     assert rec.kraus == ()
 
 

@@ -147,6 +147,24 @@ def test_unscathed_exit_codes(files, tmp_path, capsys):
     ) == 1
 
 
+def test_invert_rejects_nan_prior(files, tmp_path, capsys):
+    nan_state = tmp_path / "nan.json"
+    nan_state.write_text('{"bloch": [NaN, 0, 0]}')
+    code = main(["invert", "--channel", str(files["channel"]), "--state", str(nan_state)])
+    assert code == 1
+    assert "NaN" in capsys.readouterr().err
+
+
+def test_usage_errors_exit_1_and_help_exits_0(files, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["invert", "--channel", str(files["channel"])])
+    assert exc.value.code == 1
+    assert "--state" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["invert", "--help"])
+    assert exc.value.code == 0
+
+
 def test_kraus_command(files, capsys):
     code = main(["kraus", "--channel", str(files["channel"]), "--out", str(files["out"])])
     assert code == 0
@@ -200,8 +218,8 @@ def test_three_entry_command(tmp_path, capsys):
 
 
 def test_scan_family_three_entry_alias(tmp_path, capsys):
-    code = main(
-        ["scan", "--family", "three-entry", "--resolution", "4", "--out", str(tmp_path)]
-    )
-    assert code == 0
-    assert (tmp_path / "three-entry_4.json").exists()
+    # The alias is gone; the three-entry search is its own command.
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--family", "three-entry", "--resolution", "4", "--out", str(tmp_path)])
+    assert exc.value.code == 1
+    assert not (tmp_path / "three-entry_4.json").exists()

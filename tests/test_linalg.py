@@ -1,4 +1,4 @@
-"""Pauli/tensor helpers and the Jacobi Hermitian eigensolver."""
+"""Pauli/tensor helpers and the Hermitian eigensolver."""
 
 import numpy as np
 import pytest

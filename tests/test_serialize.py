@@ -8,7 +8,9 @@ from conftest import random_pauli, random_unital
 
 from qubit_retro import (
     BlochState,
+    ChannelRep,
     PauliChannel,
+    ScanGrid,
     channel_from_json,
     channel_to_json,
     dump_json,
@@ -112,3 +114,33 @@ def test_load_errors_mention_the_path(tmp_path):
     with pytest.raises(ValueError) as err:
         load_state(bad)
     assert "bad.json" in str(err.value)
+
+
+def _json_file(tmp_path, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda tmp: BlochState(np.array([np.nan, 0.0, 0.0])),
+        lambda tmp: BlochState(np.array([np.inf, 0.0, 0.0])),
+        lambda tmp: PauliChannel(np.array([np.nan, 0.5, 0.25, 0.25])),
+        lambda tmp: ChannelRep.from_kraus([np.array([[np.nan, 0.0], [0.0, 1.0]])]),
+        lambda tmp: ChannelRep.from_ptm(np.diag([1.0, np.nan, 1.0, 1.0])),
+        lambda tmp: ChannelRep.from_choi(np.full((4, 4), np.inf)),
+        lambda tmp: ScanGrid.uniform(3, direction=[np.nan, 0.0, 0.0]),
+        lambda tmp: load_state(_json_file(tmp, '{"bloch": [NaN, 0, 0]}')),
+        lambda tmp: load_channel(_json_file(tmp, '{"kind": "pauli", "p": [Infinity, 0, 0, 0]}')),
+        lambda tmp: load_state(_json_file(tmp, '{"bloch": [1e999, 0, 0]}')),
+    ],
+    ids=[
+        "bloch-nan", "bloch-inf", "pauli-nan", "kraus", "ptm", "choi",
+        "scan-direction", "json-nan", "json-infinity", "json-overflow",
+    ],
+)
+def test_non_finite_input_is_rejected(build, tmp_path):
+    with pytest.raises(ValueError):
+        build(tmp_path)
