@@ -16,6 +16,7 @@ Pauli frame, inverted there, and rotated back.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -61,6 +62,8 @@ __all__ = [
     "analytic_inverse",
     "gamel_report",
     "pauli_frame_decision",
+    "pauli_frame_verdicts",
+    "WITNESSES",
     "solve_anticommutator",
     "bayesian_inverse",
     "kraus_from_choi",
@@ -68,6 +71,12 @@ __all__ = [
 
 _BOUNDARY_EPS = 1e-12
 _UNSCATHED_TOL = 1e-10
+
+#: Witness codes of :func:`pauli_frame_verdicts`: why a prior has no inverse.
+WITNESSES = (None, "slack-1", "slack-2", "slack-3", "not-unscathed")
+
+# The Choi matrix reads sigma_y^T = -sigma_y on its first factor.
+_CHOI_ROW_SIGNS = np.array([1.0, -1.0, 1.0])
 
 _ID2 = np.eye(2, dtype=np.complex128)
 
@@ -238,8 +247,9 @@ def adjoint_is_inverse(p: PauliChannel, s: BlochState, tol: float = _UNSCATHED_T
 
 # === Feasibility of the interior candidate ===
 
-def _det3(m: np.ndarray) -> float:
-    return float(
+def _det3(m: np.ndarray):
+    """Determinant of a (3, 3, ...) stack, elementwise over the trailing axes."""
+    return (
         m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
         - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
         + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
@@ -247,7 +257,8 @@ def _det3(m: np.ndarray) -> float:
 
 
 def _adj3(m: np.ndarray) -> np.ndarray:
-    out = np.empty((3, 3))
+    """Adjugate of a (3, 3, ...) stack, elementwise over the trailing axes."""
+    out = np.empty(m.shape)
     out[0, 0] = m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1]
     out[0, 1] = -(m[0, 1] * m[2, 2] - m[0, 2] * m[2, 1])
     out[0, 2] = m[0, 1] * m[1, 2] - m[0, 2] * m[1, 1]
@@ -283,7 +294,7 @@ def gamel_report(choi: np.ndarray, S: float, tol: float = 1e-9) -> FeasibilityRe
     v = w[0, 1:]
     r_block = w[1:, 1:]
     eta = float(v @ v + (r_block * r_block).sum())
-    det_r = _det3(r_block)
+    det_r = float(_det3(r_block))
     rv = r_block @ v
     norm_rv2 = float(rv @ rv)
     adj = _adj3(r_block)
@@ -417,6 +428,92 @@ def pauli_frame_decision(p: PauliChannel, s: BlochState, tol: float = 1e-9):
     s_scalar = float(np.sum(lam * lam * s.r * s.r))
     report = gamel_report(choi_from_jam(pauli_reconstruct(a / 2.0)), s_scalar, tol)
     return a, s_scalar, report, bool(s_scalar < 1.0 - _BOUNDARY_EPS)
+
+
+def _sum_of_squares(m: np.ndarray) -> np.ndarray:
+    """Sum of m[k]**2 over the leading axes, added in a fixed order per element."""
+    flat = m.reshape(math.prod(m.shape[:-1]), m.shape[-1])
+    total = flat[0] * flat[0]
+    for row in flat[1:]:
+        total = total + row * row
+    return total
+
+
+def pauli_frame_verdicts(p: PauliChannel, r, tol: float = 1e-9):
+    """The verdict of :func:`pauli_frame_decision` for one channel and many priors.
+
+    An interior channel (every |lambda_i| < 1) is scored from the closed
+    form of its candidate inverse, v = r (1 - lambda^2) / (1 - S) and
+    R = diag(lambda) - (lambda r) v^T, with the sigma_y row of R negated as
+    it is read from the Choi matrix (sigma_y^T = -sigma_y). Every operation
+    is elementwise per prior, so a row's result does not depend on the
+    batch it comes in. A boundary channel goes through
+    :func:`pauli_frame_decision` one prior at a time.
+
+    :param r: (N, 3) Bloch vectors of the priors in the Pauli frame.
+    :return: (feasible, slack, witness), read-only arrays of shapes (N,),
+        (N, 3) and (N,). witness indexes :data:`WITNESSES`; a prior that is
+        not unscathed gets slack (-1, -1, -1).
+    :raises ValueError: if some prior is not a finite point of the Bloch ball.
+    :raises SingularSError: when S = sum lambda_i^2 r_i^2 >= 1 - 1e-12.
+    """
+    r = np.asarray(r, dtype=np.float64)
+    if r.ndim != 2 or r.shape[1] != 3:
+        raise ValueError(f"priors must have shape (N, 3), got {r.shape}")
+    x, y, z = r.T
+    if not (np.sqrt(x * x + y * y + z * z) <= 1.0 + 1e-12).all():
+        raise ValueError("every prior must be a finite Bloch vector with length <= 1")
+    lam = p.lam
+    if np.abs(lam).max() >= 1.0 - _BOUNDARY_EPS:
+        feasible, slack, witness = _boundary_verdicts(p, r, tol)
+    else:
+        feasible, slack, witness = _interior_verdicts(lam, r.T, tol)
+    return _readonly(feasible), _readonly(slack), _readonly(witness)
+
+
+def _boundary_verdicts(p: PauliChannel, r: np.ndarray, tol: float):
+    n = len(r)
+    feasible = np.zeros(n, dtype=bool)
+    slack = np.empty((n, 3))
+    witness = np.zeros(n, dtype=np.int8)
+    for k, row in enumerate(r):
+        out = pauli_frame_decision(p, BlochState(row), tol)
+        if isinstance(out, NoInverse):  # on the boundary, always "not-unscathed"
+            slack[k] = -1.0
+            witness[k] = WITNESSES.index(out.reason)
+        else:
+            feasible[k] = True
+            slack[k] = out[2].slack
+    return feasible, slack, witness
+
+
+def _interior_verdicts(lam: np.ndarray, r: np.ndarray, tol: float):
+    """Slacks of the closed-form candidates for priors given as columns r (3, N)."""
+    l2 = lam * lam
+    s_scalar = l2[0] * r[0] * r[0] + l2[1] * r[1] * r[1] + l2[2] * r[2] * r[2]
+    if r.shape[1] and s_scalar.max() >= 1.0 - _BOUNDARY_EPS:
+        raise SingularSError(f"S = {s_scalar.max()} is too close to 1")
+    v = r * (1.0 - l2)[:, None] / (1.0 - s_scalar)
+    lam_choi = lam * _CHOI_ROW_SIGNS
+    r_choi = (-lam_choi[:, None] * r)[:, None, :] * v  # (3, 3, N): -lam_i r_i v_j
+    r_choi[range(3), range(3)] += lam_choi[:, None]
+    eta = _sum_of_squares(v) + _sum_of_squares(r_choi)
+    det_r = _det3(r_choi)
+    rv = r_choi[:, 0] * v[0] + r_choi[:, 1] * v[1] + r_choi[:, 2] * v[2]
+    norm_rv2 = _sum_of_squares(rv)
+    norm_adj2 = _sum_of_squares(_adj3(r_choi))
+    slack = np.stack(
+        [
+            3.0 - eta,
+            1.0 - 2.0 * det_r - eta,
+            (eta - 1.0) ** 2 - 8.0 * det_r - 4.0 * (norm_rv2 + norm_adj2),
+        ],
+        axis=1,
+    )
+    bad = slack < -tol
+    feasible = ~bad.any(axis=1)
+    witness = np.where(feasible, 0, 1 + np.argmax(bad, axis=1)).astype(np.int8)
+    return feasible, slack, witness
 
 
 def bayesian_inverse(e, s: BlochState, tol: float = 1e-9):

@@ -1,12 +1,14 @@
 """Command line front end: invert, verify, classify, and scan.
 
 Exit codes: 0 success, 1 malformed input, usage error or failed
-verification, 2 no Bayesian inverse exists, 3 candidate channel is not CPTP.
+verification, 2 no Bayesian inverse exists, 3 a supplied channel (a
+candidate inverse, or the channel file given to kraus) is not CPTP.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -241,9 +243,9 @@ def cmd_scan(cfg: RunConfig) -> int:
     base = outdir / f"{cfg.family}_{resolution}"
     base.with_suffix(".csv").write_bytes(emit_csv(cells))
     base.with_suffix(".svg").write_bytes(emit_svg(cells, title=cfg.family))
-    fraction = sum(c.feasible for c in cells) / len(cells)
+    count = int(cells.feasible.sum())
     print(f"family {cfg.family}, resolution {resolution}")
-    print(f"feasible cells: {sum(c.feasible for c in cells)}/{len(cells)} ({fraction:.6f})")
+    print(f"feasible cells: {count}/{len(cells)} ({count / len(cells):.6f})")
     print(f"wrote {base.with_suffix('.csv')} and {base.with_suffix('.svg')}")
     if cfg.family == "depolarizing":
         print("largest feasible t by bisection:")
@@ -290,7 +292,17 @@ def _run_three_entry(cfg: RunConfig) -> int:
 def cmd_kraus(cfg: RunConfig) -> int:
     channel = load_channel(cfg.channel)
     rep = ChannelRep.from_pauli(channel) if isinstance(channel, PauliChannel) else channel
-    ops = rep.kraus  # raises NotPSDError for a non-CP map
+    tol = 1e-9 if cfg.tol is None else cfg.tol
+    if not is_cptp(rep, max(tol, 1e-9)):
+        min_eig = np.linalg.eigvalsh(rep.choi)[0]
+        defect = np.abs(rep.ptm[0] - [1.0, 0.0, 0.0, 0.0]).max()
+        print(
+            f"error: channel is not CPTP (smallest Choi eigenvalue {min_eig:.3e}, "
+            f"trace-preservation defect {defect:.3e})",
+            file=sys.stderr,
+        )
+        return EXIT_NOT_CPTP
+    ops = rep.kraus
     print(f"kraus operators ({len(ops)}):")
     for k in ops:
         _print_complex_matrix(k)
@@ -312,6 +324,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
+# Built once per process: building the parser costs about twenty parses, and
+# a query calls main twice (invert, then verify).
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="qubit-retro",

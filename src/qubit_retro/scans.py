@@ -3,8 +3,13 @@
 Each scan walks a (p, t) grid, where p parametrizes a Pauli-channel family
 and t = |r|^2 is the squared Bloch length of the prior state along a fixed
 direction, and records whether the Bayesian inverse exists in each cell.
-Cells are emitted row-major (p outer, t inner) so repeated runs produce
-byte-identical CSV output.
+Every channel is tested against all its priors in one call of
+:func:`~qubit_retro.bayes.pauli_frame_verdicts`: a grid row (one p, every
+t), a three-entry channel against its Bloch samples, or the probes of
+:func:`boundary_chi`. A scan returns a columnar :class:`ScanResult`, whose
+cells are row-major (p outer, t inner) so repeated runs produce
+byte-identical CSV output; :class:`RegionCell` objects are made only when
+a cell is read.
 """
 
 from __future__ import annotations
@@ -15,13 +20,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bayes import InverseRecord, NoInverse, bayesian_inverse, pauli_frame_decision
-from .channels import BlochState, PauliChannel
+from .bayes import WITNESSES, InverseRecord, bayesian_inverse, pauli_frame_verdicts
+from .channels import BlochState, PauliChannel, _readonly
 from .errors import MonotonicityWarning
 
 __all__ = [
     "ScanGrid",
     "RegionCell",
+    "ScanResult",
     "DepolarizingQuantities",
     "ThreeEntrySummary",
     "depolarizing_lambda",
@@ -34,8 +40,6 @@ __all__ = [
     "emit_csv",
     "emit_svg",
 ]
-
-_SENTINEL_SLACK = np.array([-1.0, -1.0, -1.0])
 
 
 def _unit(direction) -> np.ndarray:
@@ -93,6 +97,56 @@ class RegionCell:
         object.__setattr__(self, "slack", s)
 
 
+@dataclass(frozen=True)
+class ScanResult:
+    """Verdicts of a region scan as columns, one entry per cell, row-major.
+
+    Cell k sits at p = grid.p_axis[k // len(grid.t_axis)] and
+    t = grid.t_axis[k % len(grid.t_axis)]. Indexing, slicing and iterating
+    give :class:`RegionCell` views made on demand.
+    """
+
+    grid: ScanGrid
+    feasible: np.ndarray
+    slack: np.ndarray
+    witness: np.ndarray
+
+    def __post_init__(self) -> None:
+        n = len(self.grid.p_axis) * len(self.grid.t_axis)
+        for name, dtype, shape in (
+            ("feasible", bool, (n,)),
+            ("slack", np.float64, (n, 3)),
+            ("witness", np.int8, (n,)),
+        ):
+            col = np.asarray(getattr(self, name), dtype=dtype)
+            if col.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {col.shape}")
+            object.__setattr__(self, name, _readonly(col))
+        if not np.isfinite(self.slack).all():
+            raise ValueError("slack must be finite")
+
+    def __len__(self) -> int:
+        return len(self.feasible)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return [self._cell(k) for k in range(len(self))[key]]
+        return self._cell(range(len(self))[key])
+
+    def __iter__(self):
+        return map(self._cell, range(len(self)))
+
+    def _cell(self, k: int) -> RegionCell:
+        i, j = divmod(k, len(self.grid.t_axis))
+        return RegionCell(
+            p=float(self.grid.p_axis[i]),
+            t=float(self.grid.t_axis[j]),
+            feasible=bool(self.feasible[k]),
+            slack=self.slack[k],
+            witness=WITNESSES[self.witness[k]],
+        )
+
+
 class DepolarizingQuantities(NamedTuple):
     """The five closed-form scalars entering the depolarizing feasibility test."""
 
@@ -133,38 +187,28 @@ def bb84_channel(p: float) -> PauliChannel:
     return PauliChannel(vec / vec.sum())
 
 
-# === Cell evaluation ===
+# === Region scans ===
 
-def _evaluate(pch: PauliChannel, state: BlochState, tol: float):
-    """(feasible, slack, witness) for one channel/state pair."""
-    out = pauli_frame_decision(pch, state, tol)
-    if not isinstance(out, NoInverse):
-        return True, out[2].slack, None
-    if out.report is None:
-        return False, _SENTINEL_SLACK, out.reason
-    first_bad = int(np.argmax(out.report.slack < -tol))
-    return False, out.report.slack, f"slack-{first_bad + 1}"
-
-
-def _scan_family(grid: ScanGrid, channel_of, tol: float) -> list[RegionCell]:
-    cells = []
-    for p in grid.p_axis:
-        pch = channel_of(float(p))
-        for t in grid.t_axis:
-            state = BlochState(np.sqrt(t) * grid.direction)
-            feasible, slack, witness = _evaluate(pch, state, tol)
-            cells.append(
-                RegionCell(p=float(p), t=float(t), feasible=feasible, slack=slack, witness=witness)
-            )
-    return cells
+def _scan_family(grid: ScanGrid, channel_of, tol: float) -> ScanResult:
+    n_t = len(grid.t_axis)
+    priors = np.sqrt(grid.t_axis)[:, None] * grid.direction
+    feasible = np.empty(len(grid.p_axis) * n_t, dtype=bool)
+    slack = np.empty((len(feasible), 3))
+    witness = np.empty(len(feasible), dtype=np.int8)
+    for i, p in enumerate(grid.p_axis):
+        row = slice(i * n_t, (i + 1) * n_t)
+        feasible[row], slack[row], witness[row] = pauli_frame_verdicts(
+            channel_of(float(p)), priors, tol
+        )
+    return ScanResult(grid, feasible, slack, witness)
 
 
-def scan_depolarizing(grid: ScanGrid, tol: float = 1e-9) -> list[RegionCell]:
+def scan_depolarizing(grid: ScanGrid, tol: float = 1e-9) -> ScanResult:
     """Feasibility region of the depolarizing family over (p, t)."""
     return _scan_family(grid, PauliChannel.depolarizing, tol)
 
 
-def scan_bb84(grid: ScanGrid, tol: float = 1e-9) -> list[RegionCell]:
+def scan_bb84(grid: ScanGrid, tol: float = 1e-9) -> ScanResult:
     """Feasibility region of the intercept-resend family over (p, t).
 
     Feed a grid with direction (1, 1, 1)/sqrt(3) to reproduce the symmetric
@@ -195,11 +239,11 @@ def boundary_chi(
     else:
         raise ValueError(f"unknown family {family!r}")
 
-    def feasible(t: float) -> bool:
-        return _evaluate(pch, BlochState(np.sqrt(t) * d), 1e-9)[0]
+    def feasible(t) -> np.ndarray:
+        return pauli_frame_verdicts(pch, np.sqrt(np.atleast_1d(t))[:, None] * d, 1e-9)[0]
 
     probes = np.linspace(0.0, 1.0, 33)
-    flags = [feasible(t) for t in probes]
+    flags = feasible(probes).tolist()
     if not flags[0]:
         return 0.0
     if all(flags):
@@ -213,7 +257,7 @@ def boundary_chi(
     lo, hi = float(probes[first_false - 1]), float(probes[first_false])
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if feasible(mid):
+        if feasible(mid)[0]:
             lo = mid
         else:
             hi = mid
@@ -274,21 +318,18 @@ def scan_three_entry(
                 vec[list(support)] = np.array([i, j, k]) / resolution
                 channels.append(PauliChannel(vec))
 
-    mu = BlochState.maximally_mixed()
-    mu_feasible = hits = confirmed = queries = 0
+    # Row 0 is the maximally mixed prior, tested in the same batch.
+    priors = np.vstack([np.zeros((1, 3)), points])
+    off_center = np.linalg.norm(points, axis=1) > 1e-6
+    mu_feasible = hits = confirmed = 0
     examples: list[tuple] = []
     for pch in channels:
-        if _evaluate(pch, mu, tol)[0]:
-            mu_feasible += 1
-        for r in points:
-            queries += 1
-            if np.linalg.norm(r) <= 1e-6:
-                continue
-            state = BlochState(r)
-            if not _evaluate(pch, state, tol)[0]:
-                continue
+        feasible = pauli_frame_verdicts(pch, priors, tol)[0]
+        mu_feasible += bool(feasible[0])
+        for k in np.flatnonzero(feasible[1:] & off_center):
             hits += 1
-            out = bayesian_inverse(pch, state, tol)
+            r = points[k]
+            out = bayesian_inverse(pch, BlochState(r), tol)
             if isinstance(out, InverseRecord) and out.residual <= tol:
                 confirmed += 1
                 if len(examples) < 5:
@@ -298,7 +339,7 @@ def scan_three_entry(
         seed=seed,
         channels=len(channels),
         samples_per_channel=samples,
-        queries=queries,
+        queries=len(channels) * samples,
         mu_feasible=mu_feasible,
         hits=hits,
         hits_confirmed=confirmed,
@@ -312,27 +353,26 @@ def _g17(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def emit_csv(cells: list[RegionCell]) -> bytes:
-    """Render cells as CSV with 17-significant-digit floats (byte stable)."""
-    lines = ["p,t,feasible,slack1,slack2,slack3"]
-    for c in cells:
-        lines.append(
-            f"{_g17(c.p)},{_g17(c.t)},{int(c.feasible)},"
-            f"{_g17(c.slack[0])},{_g17(c.slack[1])},{_g17(c.slack[2])}"
-        )
-    return ("\n".join(lines) + "\n").encode("ascii")
+def emit_csv(scan: ScanResult) -> bytes:
+    """Render a scan as CSV with 17-significant-digit floats (byte stable)."""
+    n_p, n_t = len(scan.grid.p_axis), len(scan.grid.t_axis)
+    # One row per cell: p, t, feasible, slack1..3, formatted in a single pass.
+    rows = np.empty((n_p, n_t, 6), dtype=object)
+    rows[:, :, 0] = np.array([_g17(p) for p in scan.grid.p_axis], dtype=object)[:, None]
+    rows[:, :, 1] = np.array([_g17(t) for t in scan.grid.t_axis], dtype=object)
+    rows[:, :, 2] = scan.feasible.reshape(n_p, n_t)
+    rows[:, :, 3:] = scan.slack.reshape(n_p, n_t, 3)
+    body = ("%s,%s,%d,%.17g,%.17g,%.17g\n" * len(scan)) % tuple(rows.ravel().tolist())
+    return ("p,t,feasible,slack1,slack2,slack3\n" + body).encode("ascii")
 
 
-def emit_svg(cells: list[RegionCell], title: str = "") -> bytes:
+def emit_svg(scan: ScanResult, title: str = "") -> bytes:
     """Flat raster of the feasibility region as a standalone SVG document."""
-    p_vals = sorted({c.p for c in cells})
-    t_vals = sorted({c.t for c in cells})
+    n_p, n_t = len(scan.grid.p_axis), len(scan.grid.t_axis)
     plot_w = plot_h = 500.0
     ml, mt, mr, mb = 70.0, 30.0, 20.0, 60.0
     width, height = ml + plot_w + mr, mt + plot_h + mb
-    cw, ch = plot_w / len(p_vals), plot_h / len(t_vals)
-    p_index = {p: k for k, p in enumerate(p_vals)}
-    t_index = {t: k for k, t in enumerate(t_vals)}
+    cw, ch = plot_w / n_p, plot_h / n_t
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -345,13 +385,14 @@ def emit_svg(cells: list[RegionCell], title: str = "") -> bytes:
             f'<text x="{ml + plot_w / 2:.1f}" y="{mt - 10:.1f}" font-size="16" '
             f'text-anchor="middle">{title}</text>'
         )
-    for c in cells:
-        x = ml + p_index[c.p] * cw
-        y = mt + plot_h - (t_index[c.t] + 1) * ch
-        fill = "#7b52a8" if c.feasible else "#efecf4"
-        parts.append(
-            f'<rect x="{x:.2f}" y="{y:.2f}" width="{cw:.2f}" height="{ch:.2f}" fill="{fill}"/>'
-        )
+    size = f'width="{cw:.2f}" height="{ch:.2f}"'
+    y_keys = [f'y="{mt + plot_h - (j + 1) * ch:.2f}" {size}' for j in range(n_t)]
+    fills = ('fill="#efecf4"/>', 'fill="#7b52a8"/>')
+    flags = scan.feasible.tolist()
+    for i in range(n_p):
+        x_key = f'<rect x="{ml + i * cw:.2f}" '
+        row = flags[i * n_t : (i + 1) * n_t]
+        parts.extend(f"{x_key}{y_key} {fills[f]}" for y_key, f in zip(y_keys, row))
     ax = (
         f'<path d="M {ml:.1f} {mt:.1f} L {ml:.1f} {mt + plot_h:.1f} '
         f'L {ml + plot_w:.1f} {mt + plot_h:.1f}" fill="none" stroke="black" stroke-width="1.5"/>'

@@ -3,7 +3,7 @@ terminal summary that prints one line per acceptance guarantee."""
 
 import numpy as np
 
-from qubit_retro import BlochState, ChannelRep, PauliChannel, compose
+from qubit_retro import BlochState, ChannelRep, NoInverse, PauliChannel, compose, pauli_frame_decision
 
 ACCEPTANCE_RESULTS: list = []
 
@@ -56,3 +56,18 @@ def random_unital(rng: np.random.Generator, margin: float = 1e-3):
 def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
     z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return (z + z.conj().T) / 2.0
+
+
+def scalar_verdict(pc: PauliChannel, s: BlochState, tol: float = 1e-9):
+    """(feasible, slack, witness) of one pair by the scalar decision route.
+
+    The oracle for the batched kernel: an infeasible interior pair names its
+    first failed slack, a boundary pair that is not unscathed gets slack
+    (-1, -1, -1).
+    """
+    out = pauli_frame_decision(pc, s, tol)
+    if not isinstance(out, NoInverse):
+        return True, out[2].slack, None
+    if out.report is None:
+        return False, np.full(3, -1.0), out.reason
+    return False, out.report.slack, f"slack-{int(np.argmax(out.report.slack < -tol)) + 1}"

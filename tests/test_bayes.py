@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import random_bloch, random_pauli, random_unital
+from conftest import random_bloch, random_pauli, random_unital, scalar_verdict
 
 from qubit_retro import (
     BlochState,
@@ -10,6 +10,7 @@ from qubit_retro import (
     NoInverse,
     PauliChannel,
     PseudoDensityMatrix,
+    WITNESSES,
     adjoint_is_inverse,
     analytic_inverse,
     anticommutator,
@@ -20,6 +21,7 @@ from qubit_retro import (
     is_cptp,
     is_unscathed,
     jamiolkowski,
+    pauli_frame_verdicts,
     pauli_reconstruct,
     solve_anticommutator,
     star_product,
@@ -230,6 +232,52 @@ def test_analytic_inverse_skips_kraus_when_asked():
     pc = PauliChannel.depolarizing(0.2)
     rec = analytic_inverse(pc, BlochState(np.array([0.3, 0.0, 0.0])))
     assert rec.kraus == ()
+
+
+# === Batched verdicts ===
+
+def test_verdicts_match_scalar_decision_on_g07_pairs():
+    # The 10k seeded pairs of acceptance guarantee G07, one kernel call each.
+    rng = np.random.default_rng(107)
+    for _ in range(10000):
+        pc = random_pauli(rng, 1e-6)
+        s = random_bloch(rng)
+        feasible, slack, witness = pauli_frame_verdicts(pc, s.r[None, :])
+        ref_feasible, ref_slack, ref_witness = scalar_verdict(pc, s)
+        assert (bool(feasible[0]), WITNESSES[witness[0]]) == (ref_feasible, ref_witness), pc.p
+        assert np.abs(slack[0] - ref_slack).max() <= 1e-12, (pc.p, s.r)
+
+
+def test_verdicts_do_not_depend_on_batch_size():
+    rng = np.random.default_rng(SEED)
+    priors = np.array([random_bloch(rng).r for _ in range(120)])
+    priors[:20] = np.outer(np.linspace(-1.0, 1.0, 20), [1.0, 0.0, 0.0])
+    channels = [random_pauli(rng, 1e-3) for _ in range(4)]
+    channels.append(PauliChannel(np.array([0.25, 0.75, 0.0, 0.0])))  # boundary
+    for pc in channels:
+        whole = pauli_frame_verdicts(pc, priors)
+        for size in (1, 7, 64):
+            parts = [pauli_frame_verdicts(pc, priors[k : k + size]) for k in range(0, 120, size)]
+            for column, pieces in zip(whole, zip(*parts)):
+                assert np.concatenate(pieces).tobytes() == column.tobytes(), (pc.p, size)
+
+
+def test_verdicts_contract():
+    pc = PauliChannel.depolarizing(0.3)
+    feasible, slack, witness = pauli_frame_verdicts(pc, np.zeros((4, 3)))
+    assert feasible.shape == (4,) and feasible.dtype == bool and feasible.all()
+    assert slack.shape == (4, 3) and witness.dtype == np.int8
+    assert not any(col.flags.writeable for col in (feasible, slack, witness))
+    assert [len(col) for col in pauli_frame_verdicts(pc, np.zeros((0, 3)))] == [0, 0, 0]
+    for bad in (np.zeros(3), np.zeros((2, 2)), [[1.1, 0.0, 0.0]], [[np.nan, 0.0, 0.0]]):
+        with pytest.raises(ValueError):
+            pauli_frame_verdicts(pc, bad)
+    # A boundary channel: on its axis the prior is unscathed, off it there is no inverse.
+    boundary = PauliChannel(np.array([0.25, 0.75, 0.0, 0.0]))
+    feasible, slack, witness = pauli_frame_verdicts(boundary, [[0.5, 0.0, 0.0], [0.0, 0.5, 0.0]])
+    assert feasible.tolist() == [True, False]
+    assert [WITNESSES[w] for w in witness] == [None, "not-unscathed"]
+    assert slack[1].tolist() == [-1.0, -1.0, -1.0]
 
 
 # === Anticommutator solver ===

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from qubit_retro import dump_json
+from qubit_retro import cli, dump_json
 from qubit_retro.cli import RunConfig, main
 
 
@@ -180,6 +180,16 @@ def test_kraus_rejects_noncp_channel(files, capsys):
     assert "eigenvalue" in capsys.readouterr().err
 
 
+def test_kraus_rejects_non_trace_preserving_kraus_file(files, tmp_path, capsys):
+    doubled = tmp_path / "doubled.json"
+    dump_json(doubled, {"kind": "kraus", "ops": [[[[2, 0], [0, 0]], [[0, 0], [2, 0]]]]})
+    assert main(["kraus", "--channel", str(doubled), "--out", str(files["out"])]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "not CPTP" in captured.err
+    assert "kraus operators" not in captured.out
+    assert not (files["out"] / "kraus.json").exists()
+
+
 def test_scan_requires_out_directory(capsys):
     assert main(["scan", "--family", "depolarizing", "--resolution", "11"]) == 1
     assert "--out" in capsys.readouterr().err
@@ -223,3 +233,20 @@ def test_scan_family_three_entry_alias(tmp_path, capsys):
         main(["scan", "--family", "three-entry", "--resolution", "4", "--out", str(tmp_path)])
     assert exc.value.code == 1
     assert not (tmp_path / "three-entry_4.json").exists()
+
+
+def test_main_calls_share_one_parser(files, capsys):
+    cli._build_parser.cache_clear()
+    for _ in range(2):
+        assert main(["kraus", "--channel", str(files["channel"])]) == 0
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    # The shared parser still turns usage errors into exit 1 after a clean run.
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--family", "bell", "--out", str(files["out"])])
+    assert exc.value.code == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["invert", "--channel", str(files["channel"])])
+    assert exc.value.code == 1
+    assert "--state" in capsys.readouterr().err
+    assert main(["kraus", "--channel", str(files["channel"])]) == 0

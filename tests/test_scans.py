@@ -5,11 +5,13 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from conftest import scalar_verdict
 
 from qubit_retro import (
     BlochState,
     PauliChannel,
     ScanGrid,
+    ScanResult,
     analytic_inverse,
     bb84_channel,
     boundary_chi,
@@ -120,6 +122,56 @@ def test_bb84_scan_mirror_symmetry():
         mirror = grid[(round(1.0 - c.p, 10), round(c.t, 10))]
         assert c.feasible == mirror.feasible
         assert np.abs(c.slack - mirror.slack).max() < 1e-9
+
+
+def test_scans_match_scalar_decision_cell_by_cell():
+    # Resolution 21 includes the boundary rows p = 0 (both families) and p = 1 (bb84).
+    families = (
+        (scan_depolarizing, PauliChannel.depolarizing, (1.0, 0.0, 0.0)),
+        (scan_bb84, bb84_channel, np.ones(3) / np.sqrt(3.0)),
+    )
+    for scan, channel_of, direction in families:
+        grid = ScanGrid.uniform(21, direction=direction)
+        for cell in scan(grid):
+            state = BlochState(np.sqrt(cell.t) * grid.direction)
+            feasible, slack, witness = scalar_verdict(channel_of(cell.p), state)
+            assert (cell.feasible, cell.witness) == (feasible, witness), (cell.p, cell.t)
+            assert np.abs(cell.slack - slack).max() <= 1e-12, (cell.p, cell.t)
+
+
+def _cell_key(c):
+    return c.p, c.t, c.feasible, c.slack.tobytes(), c.witness
+
+
+def test_scan_result_views_agree():
+    grid = ScanGrid.uniform(7, direction=np.ones(3) / np.sqrt(3.0))
+    result = scan_bb84(grid)
+    cells = list(result)
+    assert len(result) == len(cells) == 49
+    keys = [_cell_key(c) for c in cells]
+    assert [_cell_key(result[k]) for k in range(49)] == keys
+    assert [_cell_key(c) for c in result[7:14]] == keys[7:14]
+    assert [_cell_key(c) for c in result[::-5]] == keys[::-5]
+    assert _cell_key(result[-1]) == keys[-1]
+    with pytest.raises(IndexError):
+        result[49]
+    # Cell k is (p_axis[k // 7], t_axis[k % 7]), with the columns' entries.
+    assert (cells[9].p, cells[9].t) == (grid.p_axis[1], grid.t_axis[2])
+    assert [c.feasible for c in cells] == result.feasible.tolist()
+    assert np.array_equal(np.array([c.slack for c in cells]), result.slack)
+
+
+def test_scan_result_rejects_non_finite_slack_and_bad_shapes():
+    grid = ScanGrid.uniform(3)
+    good = scan_depolarizing(grid)
+    assert not good.slack.flags.writeable
+    for value in (np.nan, np.inf):
+        slack = good.slack.copy()
+        slack[4, 1] = value
+        with pytest.raises(ValueError):
+            ScanResult(grid, good.feasible, slack, good.witness)
+    with pytest.raises(ValueError):
+        ScanResult(grid, good.feasible[:-1], good.slack, good.witness)
 
 
 # === Boundary location ===
