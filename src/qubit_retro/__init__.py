@@ -11,9 +11,7 @@ from .bayes import (
     FeasibilityReport,
     InverseRecord,
     NoInverse,
-    PseudoDensityMatrix,
     WITNESSES,
-    adjoint_is_inverse,
     analytic_inverse,
     bayes_residual,
     bayesian_inverse,
@@ -21,9 +19,6 @@ from .bayes import (
     is_unscathed,
     pauli_frame_decision,
     pauli_frame_verdicts,
-    solve_anticommutator,
-    star_product,
-    two_time_expectation,
     two_time_projector,
     unscathed_residuals,
 )
@@ -36,12 +31,9 @@ from .channels import (
     apply_operator,
     choi_from_jam,
     compose,
-    fujiwara_algoet,
     is_cptp,
-    jam_from_choi,
     jamiolkowski,
     kraus_from_choi,
-    rotation_from_su2,
     transport_inverse,
     unital_to_pauli,
 )
@@ -49,13 +41,11 @@ from .errors import (
     EigenvalueOnBoundaryError,
     InternalCPViolationError,
     MonotonicityWarning,
-    NonUniqueSolutionWarning,
     NotCPTPError,
     NotHermitianError,
     NotPSDError,
     NotUnitalError,
     QubitRetroError,
-    RankDeficientError,
     SingularSError,
 )
 from .linalg import (
@@ -65,10 +55,10 @@ from .linalg import (
     partial_transpose,
     pauli_expand,
     pauli_reconstruct,
-    swap_matrix,
     tensor,
 )
 from .scans import (
+    DepolarizingQuantities,
     RegionCell,
     ScanGrid,
     ScanResult,
@@ -105,40 +95,33 @@ __all__ = [
     "ChannelRep",
     "jamiolkowski",
     "choi_from_jam",
-    "jam_from_choi",
     "kraus_from_choi",
     "apply",
     "apply_operator",
     "adjoint",
     "compose",
     "is_cptp",
-    "fujiwara_algoet",
-    "rotation_from_su2",
     "unital_to_pauli",
     "transport_inverse",
     # bayes
-    "PseudoDensityMatrix",
     "FeasibilityReport",
     "InverseRecord",
     "NoInverse",
-    "star_product",
-    "two_time_expectation",
     "two_time_projector",
     "bayes_residual",
     "is_unscathed",
     "unscathed_residuals",
-    "adjoint_is_inverse",
     "gamel_report",
     "analytic_inverse",
     "pauli_frame_decision",
     "pauli_frame_verdicts",
     "WITNESSES",
-    "solve_anticommutator",
     "bayesian_inverse",
     # scans
     "ScanGrid",
     "RegionCell",
     "ScanResult",
+    "DepolarizingQuantities",
     "ThreeEntrySummary",
     "depolarizing_lambda",
     "depolarizing_quantities",
@@ -153,7 +136,6 @@ __all__ = [
     "PAULIS",
     "tensor",
     "anticommutator",
-    "swap_matrix",
     "partial_transpose",
     "pauli_expand",
     "pauli_reconstruct",
@@ -177,7 +159,5 @@ __all__ = [
     "InternalCPViolationError",
     "SingularSError",
     "EigenvalueOnBoundaryError",
-    "RankDeficientError",
-    "NonUniqueSolutionWarning",
     "MonotonicityWarning",
 ]

@@ -12,12 +12,17 @@ Boundary channels (some |lambda_i| = 1) are handled by the unscathed test:
 the adjoint map works exactly when some Pauli sigma satisfies
 E(rho) = sigma rho sigma. General unital channels are rotated into the
 Pauli frame, inverted there, and rotated back.
+
+Channel action here (E(rho), the residuals, the unscathed test) goes
+through channels.apply_operator, the one transfer-matrix path shared by
+Pauli channels and general channels. The independent routes that check
+this module (the pseudo-density matrix, the anticommutator solver) live
+with the tests, in tests/oracles.py.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,33 +45,25 @@ from .channels import (
 from .errors import (
     EigenvalueOnBoundaryError,
     InternalCPViolationError,
-    NonUniqueSolutionWarning,
     NotHermitianError,
-    NotPSDError,
-    RankDeficientError,
     SingularSError,
 )
-from .linalg import PAULIS, anticommutator, herm_eig, pauli_expand, pauli_reconstruct, tensor
+from .linalg import PAULIS, anticommutator, pauli_expand, pauli_reconstruct, tensor
 
 __all__ = [
-    "PseudoDensityMatrix",
     "FeasibilityReport",
     "InverseRecord",
     "NoInverse",
-    "star_product",
-    "two_time_expectation",
     "two_time_projector",
     "bayes_residual",
+    "unscathed_residuals",
     "is_unscathed",
-    "adjoint_is_inverse",
     "analytic_inverse",
     "gamel_report",
     "pauli_frame_decision",
     "pauli_frame_verdicts",
     "WITNESSES",
-    "solve_anticommutator",
     "bayesian_inverse",
-    "kraus_from_choi",
 ]
 
 _BOUNDARY_EPS = 1e-12
@@ -79,32 +76,6 @@ WITNESSES = (None, "slack-1", "slack-2", "slack-3", "not-unscathed")
 _CHOI_ROW_SIGNS = np.array([1.0, -1.0, 1.0])
 
 _ID2 = np.eye(2, dtype=np.complex128)
-
-
-@dataclass(frozen=True)
-class PseudoDensityMatrix:
-    """Two-time correlation operator {omega (x) I, J[N]} / 2.
-
-    Hermitian with unit trace, but not positive in general; a negative
-    eigenvalue is the signature of temporal (rather than spatial)
-    correlations.
-    """
-
-    m: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.m, dtype=np.complex128)
-        if m.shape != (4, 4):
-            raise ValueError(f"expected a 4x4 operator, got {m.shape}")
-        if np.abs(m - m.conj().T).max() > 1e-10:
-            raise NotHermitianError("pseudo-density matrix must be Hermitian")
-        if abs(m.trace().real - 1.0) > 1e-10:
-            raise ValueError(f"pseudo-density matrix trace is {m.trace().real}, not 1")
-        object.__setattr__(self, "m", _readonly(m))
-
-    def min_eigenvalue(self) -> float:
-        w, _ = herm_eig(self.m)
-        return float(w[0])
 
 
 @dataclass(frozen=True)
@@ -183,19 +154,6 @@ class NoInverse:
 
 # === Two-time objects ===
 
-def star_product(e, s: BlochState) -> PseudoDensityMatrix:
-    """{rho (x) I, J[E]} / 2 for the channel E and input state rho."""
-    j = jamiolkowski(e)
-    return PseudoDensityMatrix(anticommutator(tensor(s.matrix, _ID2), j) / 2.0)
-
-
-def two_time_expectation(pdm: PseudoDensityMatrix, i: int, j: int) -> float:
-    """<sigma_i, sigma_j> read from a pseudo-density matrix; i, j in {1, 2, 3}."""
-    if i not in (1, 2, 3) or j not in (1, 2, 3):
-        raise ValueError(f"observable indices must be in 1..3, got ({i}, {j})")
-    return float(np.trace(pdm.m @ tensor(PAULIS[i], PAULIS[j])).real)
-
-
 def two_time_projector(e, s: BlochState, i: int, j: int) -> float:
     """Two-time expectation from the projective-measurement formula.
 
@@ -227,7 +185,7 @@ def bayes_residual(e, s: BlochState, f) -> float:
 def unscathed_residuals(p: PauliChannel, s: BlochState) -> np.ndarray:
     """Max-entry defect of P(rho) = sigma_k rho sigma_k for each k in 0..3."""
     rho = s.matrix
-    out = p.apply_matrix(rho)
+    out = apply_operator(p, rho)
     return np.array([np.abs(out - sigma @ rho @ sigma).max() for sigma in PAULIS])
 
 
@@ -238,11 +196,6 @@ def is_unscathed(p: PauliChannel, s: BlochState, tol: float = _UNSCATHED_TOL):
     """
     hits = np.flatnonzero(unscathed_residuals(p, s) <= tol)
     return int(hits[0]) if hits.size else None
-
-
-def adjoint_is_inverse(p: PauliChannel, s: BlochState, tol: float = _UNSCATHED_TOL) -> bool:
-    """Whether the adjoint map is itself a Bayesian inverse for (p, s)."""
-    return is_unscathed(p, s, tol) is not None
 
 
 # === Feasibility of the interior candidate ===
@@ -359,47 +312,6 @@ def analytic_inverse(p: PauliChannel, s: BlochState, tol: float = 1e-9) -> Inver
     choi = choi_from_jam(pauli_reconstruct(a / 2.0))
     report = gamel_report(choi, s_scalar, tol)
     return InverseRecord(a=a, S=s_scalar, choi=choi, kraus=(), report=report)
-
-
-# === Linear-algebra route to the same operator ===
-
-def solve_anticommutator(m: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve {m (x) I, x} = b for x, with m a 2x2 Hermitian PSD matrix.
-
-    Works in m's eigenbasis, where each 2x2 block of x is the matching block
-    of b divided by an eigenvalue-pair sum. A vanishing pair sum makes the
-    equation rank deficient: if the corresponding b block is nonzero there
-    is no solution; if it is zero, the minimal-norm (zero) block is chosen
-    and a NonUniqueSolutionWarning is emitted.
-    """
-    m = np.asarray(m, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    if m.shape != (2, 2) or b.shape != (4, 4):
-        raise ValueError("expected m of shape (2, 2) and b of shape (4, 4)")
-    w, vec = herm_eig(m)
-    if w[0] < -1e-10:
-        raise NotPSDError(f"m has eigenvalue {w[0]:.3e} < 0")
-    basis = tensor(vec, _ID2)
-    bt = basis.conj().T @ b @ basis
-    xt = np.zeros((4, 4), dtype=np.complex128)
-    zero_tol = 1e-10 * max(1.0, np.abs(b).max())
-    for k in range(2):
-        for l in range(2):
-            denom = w[k] + w[l]
-            block = bt[2 * k : 2 * k + 2, 2 * l : 2 * l + 2]
-            if denom <= _BOUNDARY_EPS:
-                if np.abs(block).max() > zero_tol:
-                    raise RankDeficientError(
-                        f"eigenvalue pair ({k}, {l}) sums to {denom} against a nonzero block"
-                    )
-                warnings.warn(
-                    "anticommutator equation is rank deficient; minimal-norm block chosen",
-                    NonUniqueSolutionWarning,
-                    stacklevel=2,
-                )
-                continue
-            xt[2 * k : 2 * k + 2, 2 * l : 2 * l + 2] = block / denom
-    return basis @ xt @ basis.conj().T
 
 
 # === Full pipeline ===

@@ -9,12 +9,15 @@ A channel is held as exactly one of four interconvertible forms:
 
 The Pauli channel sum_i p_i sigma_i w sigma_i gets its own value type since
 most of the inversion machinery works directly with its probability vector
-and signed eigenvalues lambda_i = p_0 + p_i - p_j - p_k.
+and signed eigenvalues lambda_i = p_0 + p_i - p_j - p_k. It has the same
+read-only ptm (diag(1, lambda)), jam and choi as ChannelRep, so the structure
+maps below read either type through those attributes, with no type dispatch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,6 +29,7 @@ from .errors import (
     NotUnitalError,
 )
 from .linalg import PAULIS, herm_eig, partial_transpose, pauli_expand, pauli_reconstruct
+from .linalg import _pauli_matrix, _pauli_vector
 
 __all__ = [
     "BlochState",
@@ -33,17 +37,14 @@ __all__ = [
     "ChannelRep",
     "jamiolkowski",
     "choi_from_jam",
-    "jam_from_choi",
     "kraus_from_choi",
     "apply",
     "apply_operator",
     "adjoint",
     "compose",
     "is_cptp",
-    "fujiwara_algoet",
     "unital_to_pauli",
     "transport_inverse",
-    "rotation_from_su2",
 ]
 
 # Maps lambda = L @ p and back; rows/columns follow the index convention
@@ -81,10 +82,7 @@ class BlochState:
     @property
     def matrix(self) -> np.ndarray:
         """Density matrix of the state."""
-        m = 0.5 * PAULIS[0].copy()
-        for i in range(3):
-            m += 0.5 * self.r[i] * PAULIS[i + 1]
-        return m
+        return _pauli_matrix(np.concatenate(([1.0], self.r)) / 2.0)
 
     @classmethod
     def from_matrix(cls, rho: np.ndarray) -> "BlochState":
@@ -93,8 +91,7 @@ class BlochState:
             raise NotHermitianError("density matrix is not Hermitian to 1e-10")
         if abs(rho.trace().real - 1.0) > 1e-10:
             raise ValueError("density matrix trace differs from 1 beyond 1e-10")
-        r = np.array([np.trace(rho @ PAULIS[i + 1]).real for i in range(3)])
-        return cls(r)
+        return cls(2.0 * _pauli_vector(rho)[1:].real)
 
     @classmethod
     def maximally_mixed(cls) -> "BlochState":
@@ -146,11 +143,20 @@ class PauliChannel:
         q = strength / 3.0
         return cls(np.array([1.0 - strength, q, q, q]))
 
-    def apply_matrix(self, m: np.ndarray) -> np.ndarray:
-        out = np.zeros((2, 2), dtype=np.complex128)
-        for w, s in zip(self.p, PAULIS):
-            out += w * (s @ m @ s)
-        return out
+    @cached_property
+    def ptm(self) -> np.ndarray:
+        """Pauli transfer matrix diag(1, lambda)."""
+        return _readonly(np.diag(np.concatenate(([1.0], self.lam))))
+
+    @cached_property
+    def jam(self) -> np.ndarray:
+        """(1/2)(I (x) I + sum_i lambda_i sigma_i (x) sigma_i)."""
+        return _readonly(pauli_reconstruct(self.ptm.T / 2.0))
+
+    @cached_property
+    def choi(self) -> np.ndarray:
+        """Choi matrix, the partial transpose of jam on the first factor."""
+        return _readonly(partial_transpose(self.jam, 0))
 
 
 class ChannelRep:
@@ -248,20 +254,10 @@ class ChannelRep:
     @property
     def ptm(self) -> np.ndarray:
         if "ptm" not in self._reps:
-            if "kraus" in self._reps:
-                t = np.empty((4, 4))
-                for j in range(4):
-                    out = np.zeros((2, 2), dtype=np.complex128)
-                    for k in self._reps["kraus"]:
-                        out += k @ PAULIS[j] @ k.conj().T
-                    for i in range(4):
-                        t[i, j] = np.trace(PAULIS[i] @ out).real / 2.0
-                self._reps["ptm"] = _readonly(t)
-            else:
-                self._reps["ptm"] = _readonly(2.0 * pauli_expand(self.jam).T)
+            self._reps["ptm"] = _readonly(2.0 * pauli_expand(self.jam).T)
         return self._reps["ptm"]
 
-    # --- predicates and action ---
+    # --- predicates ---
 
     def is_trace_preserving(self, tol: float = 1e-10) -> bool:
         return bool(np.abs(self.ptm[0] - np.array([1.0, 0.0, 0.0, 0.0])).max() <= tol)
@@ -269,26 +265,8 @@ class ChannelRep:
     def is_unital(self, tol: float = 1e-10) -> bool:
         return bool(np.abs(self.ptm[:, 0] - np.array([1.0, 0.0, 0.0, 0.0])).max() <= tol)
 
-    def apply_matrix(self, m: np.ndarray) -> np.ndarray:
-        """Action on an arbitrary 2x2 operator via the transfer matrix."""
-        m = np.asarray(m, dtype=np.complex128)
-        coeff = np.array([np.trace(m @ s) / 2.0 for s in PAULIS])
-        out_coeff = self.ptm @ coeff
-        out = np.zeros((2, 2), dtype=np.complex128)
-        for c, s in zip(out_coeff, PAULIS):
-            out += c * s
-        return out
-
     def __repr__(self) -> str:
         return f"ChannelRep(stored={sorted(self._reps)})"
-
-
-def _as_rep(e) -> ChannelRep:
-    if isinstance(e, ChannelRep):
-        return e
-    if isinstance(e, PauliChannel):
-        return ChannelRep.from_pauli(e)
-    raise TypeError(f"expected ChannelRep or PauliChannel, got {type(e).__name__}")
 
 
 def jamiolkowski(e) -> np.ndarray:
@@ -297,24 +275,12 @@ def jamiolkowski(e) -> np.ndarray:
     For a Pauli channel this equals
     (1/2)(I (x) I + sum_i lambda_i sigma_i (x) sigma_i).
     """
-    if isinstance(e, PauliChannel):
-        a = np.zeros((4, 4))
-        a[0, 0] = 0.5
-        lam = e.lam
-        for i in range(3):
-            a[i + 1, i + 1] = 0.5 * lam[i]
-        return pauli_reconstruct(a)
-    return _as_rep(e).jam
+    return e.jam
 
 
 def choi_from_jam(j: np.ndarray) -> np.ndarray:
     """Partial transpose on the first factor, mapping (id (x) N)(SWAP) to the Choi matrix."""
     return partial_transpose(j, 0)
-
-
-def jam_from_choi(c: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`choi_from_jam` (the map is an involution)."""
-    return partial_transpose(c, 0)
 
 
 def kraus_from_choi(choi: np.ndarray, tol: float = 1e-9) -> list[np.ndarray]:
@@ -350,10 +316,7 @@ def apply(e, s: BlochState) -> BlochState:
     :raises InternalCPViolationError: if the output leaves the Bloch ball by
         more than 1e-10 (the channel object is broken, not the caller).
     """
-    if isinstance(e, PauliChannel):
-        return BlochState(e.lam * s.r)
-    rep = _as_rep(e)
-    out = rep.ptm @ np.concatenate(([1.0], s.r))
+    out = e.ptm @ np.concatenate(([1.0], s.r))
     if abs(out[0] - 1.0) > 1e-10:
         raise InternalCPViolationError(f"channel scaled the trace to {out[0]}")
     r = out[1:]
@@ -366,10 +329,8 @@ def apply(e, s: BlochState) -> BlochState:
 
 
 def apply_operator(e, m: np.ndarray) -> np.ndarray:
-    """Channel action on an arbitrary 2x2 operator (not necessarily a state)."""
-    if isinstance(e, PauliChannel):
-        return e.apply_matrix(m)
-    return _as_rep(e).apply_matrix(m)
+    """Channel action on an arbitrary 2x2 operator, through the transfer matrix."""
+    return _pauli_matrix(e.ptm @ _pauli_vector(m))
 
 
 def adjoint(e):
@@ -380,52 +341,26 @@ def adjoint(e):
     """
     if isinstance(e, PauliChannel):
         return e
-    return ChannelRep.from_ptm(_as_rep(e).ptm.T)
+    return ChannelRep.from_ptm(e.ptm.T)
 
 
 def compose(f, g) -> ChannelRep:
     """The channel "f after g"; transfer matrices multiply in the same order."""
-    return ChannelRep.from_ptm(_as_rep(f).ptm @ _as_rep(g).ptm)
+    return ChannelRep.from_ptm(f.ptm @ g.ptm)
 
 
 def is_cptp(e, tol: float = 1e-9) -> bool:
     """Completely positive and trace preserving, via the Choi spectrum."""
-    rep = _as_rep(e)
-    if not rep.is_trace_preserving(tol):
+    if not np.abs(e.ptm[0] - np.array([1.0, 0.0, 0.0, 0.0])).max() <= tol:
         return False
-    choi = rep.choi
+    choi = e.choi
     if np.abs(choi - choi.conj().T).max() > 1e-10:
         return False
     w, _ = herm_eig(choi)
     return bool(w[0] >= -tol)
 
 
-def fujiwara_algoet(lam) -> bool:
-    """Complete-positivity test for the map sigma_i -> lambda_i sigma_i.
-
-    Checks s1 l1 + s2 l2 <= 1 + s1 s2 l3 over all four sign combinations,
-    which is the unfolding of |l1 +- l2| <= |1 +- l3| with matched signs.
-    """
-    l1, l2, l3 = (float(x) for x in np.asarray(lam).reshape(3))
-    for s1 in (1.0, -1.0):
-        for s2 in (1.0, -1.0):
-            if s1 * l1 + s2 * l2 > 1.0 + s1 * s2 * l3:
-                return False
-    return True
-
-
 # === Rotation factor extraction ===
-
-def rotation_from_su2(u: np.ndarray) -> np.ndarray:
-    """The SO(3) Bloch rotation R[i, j] = Tr[sigma_i u sigma_j u^dag] / 2."""
-    u = np.asarray(u, dtype=np.complex128)
-    r = np.empty((3, 3))
-    for j in range(3):
-        m = u @ PAULIS[j + 1] @ u.conj().T
-        for i in range(3):
-            r[i, j] = np.trace(PAULIS[i + 1] @ m).real / 2.0
-    return r
-
 
 def _su2_from_rotation(r: np.ndarray) -> np.ndarray:
     """Lift a proper rotation to SU(2) with non-negative trace.
@@ -476,14 +411,13 @@ def unital_to_pauli(e, tol: float = 1e-9):
     :raises NotUnitalError: if the transfer matrix's first column is not (1,0,0,0).
     :raises NotCPTPError: if the channel fails the Choi positivity check.
     """
-    rep = _as_rep(e)
-    t = rep.ptm
+    t = e.ptm
     if np.abs(t[1:, 0]).max() > 1e-10 or abs(t[0, 0] - 1.0) > 1e-10:
         col = ", ".join(format(x, ".6g") for x in t[:, 0])
         raise NotUnitalError(
             f"transfer matrix first column is ({col}), expected (1, 0, 0, 0)"
         )
-    if not is_cptp(rep, tol):
+    if not is_cptp(e, tol):
         raise NotCPTPError("channel fails the Choi positivity test")
     o1, sv, o2t = np.linalg.svd(t[1:, 1:])
     lam = sv.copy()
@@ -511,4 +445,4 @@ def transport_inverse(u: np.ndarray, v: np.ndarray, f) -> ChannelRep:
     v = np.asarray(v, dtype=np.complex128)
     left = ChannelRep.from_unitary(v.conj().T)
     right = ChannelRep.from_unitary(u.conj().T)
-    return compose(left, compose(_as_rep(f), right))
+    return compose(left, compose(f, right))

@@ -27,6 +27,7 @@ from .channels import ChannelRep, PauliChannel, apply, is_cptp
 from .errors import NotCPTPError, NotPSDError, NotUnitalError, QubitRetroError
 from .scans import (
     ScanGrid,
+    _g17,
     boundary_chi,
     emit_csv,
     emit_svg,
@@ -78,17 +79,13 @@ class RunConfig:
             raise ValueError(f"unknown family {self.family!r}")
 
 
-def _g(x) -> str:
-    return format(float(x), ".17g")
-
-
 def _vec(v) -> str:
-    return "[" + ", ".join(_g(x) for x in v) + "]"
+    return "[" + ", ".join(_g17(x) for x in v) + "]"
 
 
 def _print_real_matrix(m) -> None:
     for row in np.asarray(m, dtype=float):
-        print("  " + "  ".join(_g(x) for x in row))
+        print("  " + "  ".join(_g17(x) for x in row))
 
 
 def _print_complex_matrix(m) -> None:
@@ -141,12 +138,12 @@ def cmd_invert(cfg: RunConfig) -> int:
 
     rec: InverseRecord = outcome
     print("verdict: inverse exists")
-    print(f"S = {_g(rec.S)}   unique: {rec.unique}   residual: {_g(rec.residual)}")
+    print(f"S = {_g17(rec.S)}   unique: {rec.unique}   residual: {_g17(rec.residual)}")
     print("coefficients a (a00-normalized, Pauli frame):")
     _print_real_matrix(rec.a)
     print(
         f"feasibility slacks: {_vec(rec.report.slack)}   "
-        f"eta = {_g(rec.report.eta)}   detR = {_g(rec.report.detR)}"
+        f"eta = {_g17(rec.report.eta)}   detR = {_g17(rec.report.detR)}"
     )
     print(f"kraus operators ({len(rec.kraus)}):")
     for k in rec.kraus:
@@ -208,7 +205,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     _print_real_matrix(forward)
     print("time-reversed two-time expectations (transposed for comparison):")
     _print_real_matrix(reverse.T)
-    print(f"max discrepancy: {_g(discrepancy)}   tol: {_g(tol)}")
+    print(f"max discrepancy: {_g17(discrepancy)}   tol: {_g17(tol)}")
     symmetric = discrepancy <= tol
     print(f"verdict: {'symmetric' if symmetric else 'NOT symmetric'}")
     if cfg.out:

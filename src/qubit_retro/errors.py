@@ -1,5 +1,17 @@
 """Exception and warning types shared across the package."""
 
+__all__ = [
+    "QubitRetroError",
+    "NotHermitianError",
+    "NotPSDError",
+    "NotUnitalError",
+    "NotCPTPError",
+    "InternalCPViolationError",
+    "SingularSError",
+    "EigenvalueOnBoundaryError",
+    "MonotonicityWarning",
+]
+
 
 class QubitRetroError(Exception):
     """Base class for all errors raised by this package."""
@@ -31,14 +43,6 @@ class SingularSError(QubitRetroError):
 
 class EigenvalueOnBoundaryError(QubitRetroError):
     """Some |lambda_i| is too close to 1 for the interior construction."""
-
-
-class RankDeficientError(QubitRetroError):
-    """Anticommutator equation has no solution on a null eigenvalue pair."""
-
-
-class NonUniqueSolutionWarning(UserWarning):
-    """The linear system is solvable but not uniquely; a minimal-norm choice was made."""
 
 
 class MonotonicityWarning(UserWarning):

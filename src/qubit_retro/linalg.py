@@ -5,6 +5,8 @@ transforms work with plain (4, 4) real coefficient arrays, and the
 eigensolver is LAPACK's Hermitian routine behind a Hermiticity check.
 
 Conventions:
+    - Single-qubit coefficients are c[k] = Tr[M sigma_k] / 2, so that
+      M = sum_k c[k] sigma_k.
     - Pauli-pair coefficients are a[i, j] = Tr[M (sigma_i (x) sigma_j)] / 4,
       so that M = sum_ij a[i, j] sigma_i (x) sigma_j.
     - Tensor indices order the first factor as the slow index: entry
@@ -21,7 +23,6 @@ __all__ = [
     "PAULIS",
     "tensor",
     "anticommutator",
-    "swap_matrix",
     "partial_transpose",
     "pauli_expand",
     "pauli_reconstruct",
@@ -35,6 +36,10 @@ _SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 
 #: The four Pauli matrices, indexed 0..3.
 PAULIS = (_SIGMA_0, _SIGMA_X, _SIGMA_Y, _SIGMA_Z)
+
+# Row k is sigma_k flattened, so a (4,) coefficient vector c rebuilds
+# sum_k c[k] sigma_k as (c @ _PAULI_ROWS).reshape(2, 2).
+_PAULI_ROWS = np.stack(PAULIS).reshape(4, 4)
 
 # All sixteen sigma_i (x) sigma_j products, flat index k = 4*i + j.
 _PAULI_PAIRS = np.stack([np.kron(a, b) for a in PAULIS for b in PAULIS])
@@ -52,15 +57,6 @@ def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b + b @ a
 
 
-def swap_matrix() -> np.ndarray:
-    """The two-qubit SWAP operator, equal to (1/2) sum_i sigma_i (x) sigma_i."""
-    m = np.zeros((4, 4), dtype=np.complex128)
-    for i in range(2):
-        for j in range(2):
-            m[2 * i + j, 2 * j + i] = 1.0
-    return m
-
-
 def partial_transpose(m: np.ndarray, subsystem: int) -> np.ndarray:
     """Transpose one tensor factor of a two-qubit operator.
 
@@ -75,6 +71,19 @@ def partial_transpose(m: np.ndarray, subsystem: int) -> np.ndarray:
     else:
         t = t.transpose(0, 3, 2, 1)
     return t.reshape(4, 4)
+
+
+def _pauli_vector(m: np.ndarray) -> np.ndarray:
+    """Coefficients c[k] = Tr[m sigma_k] / 2 of a 2x2 operator, so m = sum_k c[k] sigma_k.
+
+    Complex for a non-Hermitian m; the inverse of :func:`_pauli_matrix`.
+    """
+    return _PAULI_ROWS @ np.asarray(m, dtype=np.complex128).T.ravel() / 2.0
+
+
+def _pauli_matrix(c: np.ndarray) -> np.ndarray:
+    """Rebuild the 2x2 operator sum_k c[k] sigma_k from four coefficients."""
+    return (np.asarray(c) @ _PAULI_ROWS).reshape(2, 2)
 
 
 def pauli_expand(m: np.ndarray) -> np.ndarray:

