@@ -13,11 +13,12 @@ the adjoint map works exactly when some Pauli sigma satisfies
 E(rho) = sigma rho sigma. General unital channels are rotated into the
 Pauli frame, inverted there, and rotated back.
 
-Channel action here (E(rho), the residuals, the unscathed test) goes
-through channels.apply_operator, the one transfer-matrix path shared by
-Pauli channels and general channels. The independent routes that check
-this module (the pseudo-density matrix, the anticommutator solver) live
-with the tests, in tests/oracles.py.
+Every Pauli-frame verdict, for one prior or a batch, reads three closed
+forms of (lambda, r): the candidate inverse, its positivity slacks and the
+unscathed residuals. Other channel action goes through
+channels.apply_operator. The independent routes that check this module
+(matrix conjugation residuals, the pseudo-density matrix, the
+anticommutator solver) live with the tests, in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -74,6 +75,11 @@ WITNESSES = (None, "slack-1", "slack-2", "slack-3", "not-unscathed")
 
 # The Choi matrix reads sigma_y^T = -sigma_y on its first factor.
 _CHOI_ROW_SIGNS = np.array([1.0, -1.0, 1.0])
+
+# Conjugation by sigma_k sends the Bloch vector r to _CONJUGATION_SIGNS[k] * r.
+_CONJUGATION_SIGNS = np.array(
+    [[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]]
+)
 
 _ID2 = np.eye(2, dtype=np.complex128)
 
@@ -182,11 +188,20 @@ def bayes_residual(e, s: BlochState, f) -> float:
 
 # === Unscathed classification ===
 
+def _unscathed_residuals(lam: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Max-entry defect of P(rho) - sigma_k rho sigma_k for k in 0..3.
+
+    The defect is (d . sigma) / 2 with d = (lambda - signs_k) r, so its
+    largest entry is max(|d_3|, |d_1 + i d_2|) / 2. r is one prior (3,) or
+    a batch of columns (3, N); the result is (4,) or (4, N).
+    """
+    d = (lam - _CONJUGATION_SIGNS).reshape((4, 3) + (1,) * (np.ndim(r) - 1)) * r
+    return np.maximum(np.abs(d[:, 2]), np.hypot(d[:, 0], d[:, 1])) / 2.0
+
+
 def unscathed_residuals(p: PauliChannel, s: BlochState) -> np.ndarray:
     """Max-entry defect of P(rho) = sigma_k rho sigma_k for each k in 0..3."""
-    rho = s.matrix
-    out = apply_operator(p, rho)
-    return np.array([np.abs(out - sigma @ rho @ sigma).max() for sigma in PAULIS])
+    return _unscathed_residuals(p.lam, s.r)
 
 
 def is_unscathed(p: PauliChannel, s: BlochState, tol: float = _UNSCATHED_TOL):
@@ -194,7 +209,7 @@ def is_unscathed(p: PauliChannel, s: BlochState, tol: float = _UNSCATHED_TOL):
 
     Index 0 means the state passes through the channel untouched.
     """
-    hits = np.flatnonzero(unscathed_residuals(p, s) <= tol)
+    hits = np.flatnonzero(_unscathed_residuals(p.lam, s.r) <= tol)
     return int(hits[0]) if hits.size else None
 
 
@@ -224,6 +239,41 @@ def _adj3(m: np.ndarray) -> np.ndarray:
     return out
 
 
+def _sum_of_squares(m: np.ndarray, axes: int):
+    """Sum of squares over the leading axes of m, added in a fixed order per element."""
+    flat = m.reshape((math.prod(m.shape[:axes]),) + m.shape[axes:])
+    total = flat[0] * flat[0]
+    for row in flat[1:]:
+        total = total + row * row
+    return total
+
+
+def _slacks(v: np.ndarray, R: np.ndarray):
+    """Positivity slacks of the coefficient block [[1, v^T], [0, R]].
+
+    v and R are (3,) and (3, 3) for one candidate, or stacks (3, N) and
+    (3, 3, N); every sum runs in one fixed order, so a candidate's slacks do
+    not depend on the batch it comes in.
+
+    :return: (eta, det R, |R v|^2, |adj R|^2, slack), with slack of shape
+        (3,) or (N, 3).
+    """
+    eta = _sum_of_squares(v, 1) + _sum_of_squares(R, 2)
+    det_r = _det3(R)
+    rv = R[:, 0] * v[0] + R[:, 1] * v[1] + R[:, 2] * v[2]
+    norm_rv2 = _sum_of_squares(rv, 1)
+    norm_adj2 = _sum_of_squares(_adj3(R), 2)
+    slack = np.stack(
+        [
+            3.0 - eta,
+            1.0 - 2.0 * det_r - eta,
+            (eta - 1.0) ** 2 - 8.0 * det_r - 4.0 * (norm_rv2 + norm_adj2),
+        ],
+        axis=-1,
+    )
+    return eta, det_r, norm_rv2, norm_adj2, slack
+
+
 def gamel_report(choi: np.ndarray, S: float, tol: float = 1e-9) -> FeasibilityReport:
     """Positivity test for a trace-preserving candidate's Choi matrix.
 
@@ -246,26 +296,14 @@ def gamel_report(choi: np.ndarray, S: float, tol: float = 1e-9) -> FeasibilityRe
         raise ValueError("candidate is not trace preserving (first coefficient column nonzero)")
     v = w[0, 1:]
     r_block = w[1:, 1:]
-    eta = float(v @ v + (r_block * r_block).sum())
-    det_r = float(_det3(r_block))
-    rv = r_block @ v
-    norm_rv2 = float(rv @ rv)
-    adj = _adj3(r_block)
-    norm_adj2 = float((adj * adj).sum())
-    slack = np.array(
-        [
-            3.0 - eta,
-            1.0 - 2.0 * det_r - eta,
-            (eta - 1.0) ** 2 - 8.0 * det_r - 4.0 * (norm_rv2 + norm_adj2),
-        ]
-    )
+    eta, det_r, norm_rv2, norm_adj2, slack = _slacks(v, r_block)
     return FeasibilityReport(
         v=v,
         R=r_block,
-        eta=eta,
-        detR=det_r,
-        normRv2=norm_rv2,
-        normAdjR2=norm_adj2,
+        eta=float(eta),
+        detR=float(det_r),
+        normRv2=float(norm_rv2),
+        normAdjR2=float(norm_adj2),
         slack=slack,
         feasible=bool((slack >= -tol).all()),
         S=float(S),
@@ -274,18 +312,26 @@ def gamel_report(choi: np.ndarray, S: float, tol: float = 1e-9) -> FeasibilityRe
 
 # === The interior (analytic) inverse ===
 
-def _candidate_coefficients(lam: np.ndarray, r: np.ndarray, s_scalar: float) -> np.ndarray:
-    """Pauli-frame coefficients of the candidate inverse, a[0,0]-normalized to 1."""
-    a = np.zeros((4, 4))
-    a[0, 0] = 1.0
-    denom = 1.0 - s_scalar
-    for j in range(3):
-        a[0, j + 1] = r[j] * (1.0 - lam[j] ** 2) / denom
-    for i in range(3):
-        for j in range(3):
-            a[i + 1, j + 1] = -lam[i] * r[i] * a[0, j + 1]
-        a[i + 1, i + 1] += lam[i]
-    return a
+def _candidate(lam: np.ndarray, r: np.ndarray):
+    """Closed-form candidate inverse of the Pauli channel lambda at the prior r.
+
+    Its a[0, 0]-normalized Pauli-frame coefficients are [[1, v^T], [0, R]]
+    with v = r (1 - lambda^2) / (1 - S), R = diag(lambda) - (lambda r) v^T
+    and S = sum lambda_i^2 r_i^2. r is one prior (3,) or a batch of columns
+    (3, N); R is then (3, 3) or (3, 3, N).
+
+    :return: (S, v, R).
+    :raises SingularSError: when some S >= 1 - 1e-12.
+    """
+    l2 = lam * lam
+    s_scalar = l2[0] * r[0] * r[0] + l2[1] * r[1] * r[1] + l2[2] * r[2] * r[2]
+    if np.any(s_scalar >= 1.0 - _BOUNDARY_EPS):
+        raise SingularSError(f"S = {np.max(s_scalar)} is too close to 1")
+    col = (slice(None),) + (None,) * (np.ndim(r) - 1)
+    v = r * (1.0 - l2)[col] / (1.0 - s_scalar)
+    R = (-lam[col] * r)[:, None] * v  # R[i, j] = -lambda_i r_i v_j
+    R[range(3), range(3)] += lam[col]
+    return s_scalar, v, R
 
 
 def analytic_inverse(p: PauliChannel, s: BlochState, tol: float = 1e-9) -> InverseRecord:
@@ -304,14 +350,14 @@ def analytic_inverse(p: PauliChannel, s: BlochState, tol: float = 1e-9) -> Inver
         raise EigenvalueOnBoundaryError(
             f"|lambda| = {np.abs(lam).max()}; use the unscathed/adjoint route"
         )
-    r = s.r
-    s_scalar = float(np.sum(lam * lam * r * r))
-    if s_scalar >= 1.0 - _BOUNDARY_EPS:
-        raise SingularSError(f"S = {s_scalar} is too close to 1")
-    a = _candidate_coefficients(lam, r, s_scalar)
+    s_scalar, v, R = _candidate(lam, s.r)
+    a = np.zeros((4, 4))
+    a[0, 0] = 1.0
+    a[0, 1:] = v
+    a[1:, 1:] = R
     choi = choi_from_jam(pauli_reconstruct(a / 2.0))
     report = gamel_report(choi, s_scalar, tol)
-    return InverseRecord(a=a, S=s_scalar, choi=choi, kraus=(), report=report)
+    return InverseRecord(a=a, S=float(s_scalar), choi=choi, kraus=(), report=report)
 
 
 # === Full pipeline ===
@@ -323,7 +369,8 @@ def pauli_frame_decision(p: PauliChannel, s: BlochState, tol: float = 1e-9):
     channel (some |lambda_i| = 1) has one exactly when the prior is
     unscathed, and it is then the channel's adjoint, i.e. the channel itself.
     Otherwise the closed-form candidate is tested for complete positivity.
-    Both branches score their coefficients as a -> Choi -> gamel_report.
+    Both branches score a Choi matrix with gamel_report: the candidate's, or
+    on the boundary the channel's own.
 
     :return: (a, S, report, unique) with a the a[0, 0]-normalized Pauli-frame
         coefficients of the inverse, or a NoInverse explaining the obstruction.
@@ -334,33 +381,23 @@ def pauli_frame_decision(p: PauliChannel, s: BlochState, tol: float = 1e-9):
         if not rec.report.feasible:
             return NoInverse(reason="cp-infeasible", report=rec.report)
         return rec.a, rec.S, rec.report, True
-    if is_unscathed(p, s) is None:
-        return NoInverse(reason="not-unscathed", residuals=unscathed_residuals(p, s))
-    a = np.diag(np.concatenate(([1.0], lam)))
+    residuals = _unscathed_residuals(lam, s.r)
+    if not (residuals <= _UNSCATHED_TOL).any():
+        return NoInverse(reason="not-unscathed", residuals=residuals)
     s_scalar = float(np.sum(lam * lam * s.r * s.r))
-    report = gamel_report(choi_from_jam(pauli_reconstruct(a / 2.0)), s_scalar, tol)
-    return a, s_scalar, report, bool(s_scalar < 1.0 - _BOUNDARY_EPS)
-
-
-def _sum_of_squares(m: np.ndarray) -> np.ndarray:
-    """Sum of m[k]**2 over the leading axes, added in a fixed order per element."""
-    flat = m.reshape(math.prod(m.shape[:-1]), m.shape[-1])
-    total = flat[0] * flat[0]
-    for row in flat[1:]:
-        total = total + row * row
-    return total
+    report = gamel_report(p.choi, s_scalar, tol)
+    return p.ptm, s_scalar, report, bool(s_scalar < 1.0 - _BOUNDARY_EPS)
 
 
 def pauli_frame_verdicts(p: PauliChannel, r, tol: float = 1e-9):
     """The verdict of :func:`pauli_frame_decision` for one channel and many priors.
 
-    An interior channel (every |lambda_i| < 1) is scored from the closed
-    form of its candidate inverse, v = r (1 - lambda^2) / (1 - S) and
-    R = diag(lambda) - (lambda r) v^T, with the sigma_y row of R negated as
-    it is read from the Choi matrix (sigma_y^T = -sigma_y). Every operation
-    is elementwise per prior, so a row's result does not depend on the
-    batch it comes in. A boundary channel goes through
-    :func:`pauli_frame_decision` one prior at a time.
+    The same closed forms on arrays, with no per-prior loop. Interior
+    candidates are built from lambda with its sigma_y entry negated, which
+    reads R as the Choi matrix does (sigma_y^T = -sigma_y) and leaves v and
+    S alone (lambda enters them squared). On a boundary channel an unscathed
+    prior takes the slacks of the channel's own Choi matrix. Every operation
+    is elementwise per prior, so a row's result does not depend on its batch.
 
     :param r: (N, 3) Bloch vectors of the priors in the Pauli frame.
     :return: (feasible, slack, witness), read-only arrays of shapes (N,),
@@ -377,55 +414,16 @@ def pauli_frame_verdicts(p: PauliChannel, r, tol: float = 1e-9):
         raise ValueError("every prior must be a finite Bloch vector with length <= 1")
     lam = p.lam
     if np.abs(lam).max() >= 1.0 - _BOUNDARY_EPS:
-        feasible, slack, witness = _boundary_verdicts(p, r, tol)
+        feasible = (_unscathed_residuals(lam, r.T) <= _UNSCATHED_TOL).any(axis=0)
+        # The channel's own slacks; S only rides along in the report.
+        slack = np.where(feasible[:, None], gamel_report(p.choi, 0.0, tol).slack, -1.0)
+        witness = np.where(feasible, 0, WITNESSES.index("not-unscathed"))
     else:
-        feasible, slack, witness = _interior_verdicts(lam, r.T, tol)
-    return _readonly(feasible), _readonly(slack), _readonly(witness)
-
-
-def _boundary_verdicts(p: PauliChannel, r: np.ndarray, tol: float):
-    n = len(r)
-    feasible = np.zeros(n, dtype=bool)
-    slack = np.empty((n, 3))
-    witness = np.zeros(n, dtype=np.int8)
-    for k, row in enumerate(r):
-        out = pauli_frame_decision(p, BlochState(row), tol)
-        if isinstance(out, NoInverse):  # on the boundary, always "not-unscathed"
-            slack[k] = -1.0
-            witness[k] = WITNESSES.index(out.reason)
-        else:
-            feasible[k] = True
-            slack[k] = out[2].slack
-    return feasible, slack, witness
-
-
-def _interior_verdicts(lam: np.ndarray, r: np.ndarray, tol: float):
-    """Slacks of the closed-form candidates for priors given as columns r (3, N)."""
-    l2 = lam * lam
-    s_scalar = l2[0] * r[0] * r[0] + l2[1] * r[1] * r[1] + l2[2] * r[2] * r[2]
-    if r.shape[1] and s_scalar.max() >= 1.0 - _BOUNDARY_EPS:
-        raise SingularSError(f"S = {s_scalar.max()} is too close to 1")
-    v = r * (1.0 - l2)[:, None] / (1.0 - s_scalar)
-    lam_choi = lam * _CHOI_ROW_SIGNS
-    r_choi = (-lam_choi[:, None] * r)[:, None, :] * v  # (3, 3, N): -lam_i r_i v_j
-    r_choi[range(3), range(3)] += lam_choi[:, None]
-    eta = _sum_of_squares(v) + _sum_of_squares(r_choi)
-    det_r = _det3(r_choi)
-    rv = r_choi[:, 0] * v[0] + r_choi[:, 1] * v[1] + r_choi[:, 2] * v[2]
-    norm_rv2 = _sum_of_squares(rv)
-    norm_adj2 = _sum_of_squares(_adj3(r_choi))
-    slack = np.stack(
-        [
-            3.0 - eta,
-            1.0 - 2.0 * det_r - eta,
-            (eta - 1.0) ** 2 - 8.0 * det_r - 4.0 * (norm_rv2 + norm_adj2),
-        ],
-        axis=1,
-    )
-    bad = slack < -tol
-    feasible = ~bad.any(axis=1)
-    witness = np.where(feasible, 0, 1 + np.argmax(bad, axis=1)).astype(np.int8)
-    return feasible, slack, witness
+        slack = _slacks(*_candidate(lam * _CHOI_ROW_SIGNS, r.T)[1:])[-1]
+        bad = slack < -tol
+        feasible = ~bad.any(axis=1)
+        witness = np.where(feasible, 0, 1 + np.argmax(bad, axis=1))
+    return _readonly(feasible), _readonly(slack), _readonly(witness.astype(np.int8))
 
 
 def bayesian_inverse(e, s: BlochState, tol: float = 1e-9):

@@ -19,7 +19,6 @@ from .bayes import (
     InverseRecord,
     NoInverse,
     bayesian_inverse,
-    is_unscathed,
     two_time_projector,
     unscathed_residuals,
 )
@@ -64,14 +63,14 @@ class RunConfig:
     inverse: str | None = None
     family: str | None = None
     resolution: int | None = None
-    tol: float | None = None
+    tol: float = 1e-9
     seed: int = 0
     out: str | None = None
 
     def __post_init__(self) -> None:
         if self.command not in _COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
-        if self.tol is not None and not self.tol > 0.0:
+        if not self.tol > 0.0:
             raise ValueError(f"tolerance must be positive, got {self.tol}")
         if self.resolution is not None and self.resolution < 2:
             raise ValueError(f"resolution must be >= 2, got {self.resolution}")
@@ -112,9 +111,8 @@ def _report_doc(report) -> dict:
 def cmd_invert(cfg: RunConfig) -> int:
     channel = load_channel(cfg.channel)
     state = load_state(cfg.state)
-    tol = 1e-9 if cfg.tol is None else cfg.tol
     try:
-        outcome = bayesian_inverse(channel, state, tol)
+        outcome = bayesian_inverse(channel, state, cfg.tol)
     except (NotUnitalError, NotCPTPError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -122,7 +120,7 @@ def cmd_invert(cfg: RunConfig) -> int:
     if isinstance(outcome, NoInverse):
         print("verdict: no Bayesian inverse exists")
         print(f"reason: {outcome.reason}")
-        doc = {"verdict": "no-inverse", "reason": outcome.reason, "tol": tol}
+        doc = {"verdict": "no-inverse", "reason": outcome.reason, "tol": cfg.tol}
         if outcome.report is not None:
             print(f"feasibility slacks: {_vec(outcome.report.slack)}")
             doc["report"] = _report_doc(outcome.report)
@@ -155,7 +153,7 @@ def cmd_invert(cfg: RunConfig) -> int:
         dump_json(outdir / "inverse.json", inverse_doc)
         doc = {
             "verdict": "inverse",
-            "tol": tol,
+            "tol": cfg.tol,
             "a": [[float(x) for x in row] for row in rec.a],
             "S": float(rec.S),
             "unique": bool(rec.unique),
@@ -174,14 +172,13 @@ def cmd_unscathed(cfg: RunConfig) -> int:
         print("error: the unscathed test needs a pauli-kind channel file", file=sys.stderr)
         return EXIT_INPUT
     state = load_state(cfg.state)
-    tol = 1e-10 if cfg.tol is None else cfg.tol
     residuals = unscathed_residuals(channel, state)
-    index = is_unscathed(channel, state, tol)
+    hits = np.flatnonzero(residuals <= cfg.tol)
     print(f"conjugation residuals (sigma_0..sigma_3): {_vec(residuals)}")
-    if index is None:
+    if not hits.size:
         print("verdict: state is not unscathed (adjoint is not an inverse here)")
         return EXIT_NO_INVERSE
-    print(f"verdict: unscathed with sigma_{index}; the adjoint map is a Bayesian inverse")
+    print(f"verdict: unscathed with sigma_{hits[0]}; the adjoint map is a Bayesian inverse")
     return EXIT_OK
 
 
@@ -189,8 +186,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     channel = load_channel(cfg.channel)
     state = load_state(cfg.state)
     candidate = load_channel(cfg.inverse)
-    tol = 1e-9 if cfg.tol is None else cfg.tol
-    if not is_cptp(candidate, max(tol, 1e-9)):
+    if not is_cptp(candidate, max(cfg.tol, 1e-9)):
         print("error: candidate inverse is not CPTP", file=sys.stderr)
         return EXIT_NOT_CPTP
     forward = np.array(
@@ -205,8 +201,8 @@ def cmd_verify(cfg: RunConfig) -> int:
     _print_real_matrix(forward)
     print("time-reversed two-time expectations (transposed for comparison):")
     _print_real_matrix(reverse.T)
-    print(f"max discrepancy: {_g17(discrepancy)}   tol: {_g17(tol)}")
-    symmetric = discrepancy <= tol
+    print(f"max discrepancy: {_g17(discrepancy)}   tol: {_g17(cfg.tol)}")
+    symmetric = discrepancy <= cfg.tol
     print(f"verdict: {'symmetric' if symmetric else 'NOT symmetric'}")
     if cfg.out:
         outdir = Path(cfg.out)
@@ -215,7 +211,7 @@ def cmd_verify(cfg: RunConfig) -> int:
             "forward": [[float(x) for x in row] for row in forward],
             "reversed": [[float(x) for x in row] for row in reverse],
             "discrepancy": discrepancy,
-            "tol": tol,
+            "tol": cfg.tol,
             "symmetric": bool(symmetric),
         }
         dump_json(outdir / "verify_report.json", doc)
@@ -228,13 +224,12 @@ def cmd_scan(cfg: RunConfig) -> int:
         print("error: scan needs --out DIR for its CSV/SVG files", file=sys.stderr)
         return EXIT_INPUT
     resolution = 201 if cfg.resolution is None else cfg.resolution
-    tol = 1e-9 if cfg.tol is None else cfg.tol
     if cfg.family == "bb84":
         grid = ScanGrid.uniform(resolution, direction=np.ones(3) / np.sqrt(3.0))
-        cells = scan_bb84(grid, tol)
+        cells = scan_bb84(grid, cfg.tol)
     else:
         grid = ScanGrid.uniform(resolution)
-        cells = scan_depolarizing(grid, tol)
+        cells = scan_depolarizing(grid, cfg.tol)
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     base = outdir / f"{cfg.family}_{resolution}"
@@ -253,8 +248,7 @@ def cmd_scan(cfg: RunConfig) -> int:
 
 def _run_three_entry(cfg: RunConfig) -> int:
     resolution = 8 if cfg.resolution is None else cfg.resolution
-    tol = 1e-9 if cfg.tol is None else cfg.tol
-    summary = scan_three_entry(resolution, samples=1000, seed=cfg.seed, tol=tol)
+    summary = scan_three_entry(resolution, samples=1000, seed=cfg.seed, tol=cfg.tol)
     print(f"three-entry channels scanned: {summary.channels} (simplex resolution {resolution})")
     print(f"bloch samples per channel: {summary.samples_per_channel} (seed {summary.seed})")
     print(f"maximally mixed prior feasible: {summary.mu_feasible}/{summary.channels}")
@@ -289,8 +283,7 @@ def _run_three_entry(cfg: RunConfig) -> int:
 def cmd_kraus(cfg: RunConfig) -> int:
     channel = load_channel(cfg.channel)
     rep = ChannelRep.from_pauli(channel) if isinstance(channel, PauliChannel) else channel
-    tol = 1e-9 if cfg.tol is None else cfg.tol
-    if not is_cptp(rep, max(tol, 1e-9)):
+    if not is_cptp(rep, max(cfg.tol, 1e-9)):
         min_eig = np.linalg.eigvalsh(rep.choi)[0]
         defect = np.abs(rep.ptm[0] - [1.0, 0.0, 0.0, 0.0]).max()
         print(
@@ -332,7 +325,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, help_text, *, channel=False, state=False, inverse=False, family=False,
-            resolution=False, seed=False, out=False):
+            resolution=False, seed=False, out=False, tol=1e-9):
         sp = sub.add_parser(name, help=help_text)
         if channel:
             sp.add_argument("--channel", required=True, help="channel JSON file")
@@ -346,7 +339,7 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--resolution", type=int, default=None)
         if seed:
             sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--tol", type=float, default=None)
+        sp.add_argument("--tol", type=float, default=tol)
         if out:
             sp.add_argument("--out", default=None, help="output directory")
         return sp
@@ -354,7 +347,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add("invert", "construct the Bayesian inverse for (channel, state)",
         channel=True, state=True, out=True)
     add("unscathed", "test whether some sigma_k conjugation reproduces the channel output",
-        channel=True, state=True)
+        channel=True, state=True, tol=1e-10)
     add("verify", "check two-time expectation symmetry of a candidate inverse",
         channel=True, state=True, inverse=True, out=True)
     add("scan", "sweep a channel family's feasibility region",

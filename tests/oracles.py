@@ -3,7 +3,8 @@
 Each function here computes something the package also computes, by a
 different route (a pseudo-density matrix instead of the projector formula,
 an eigenbasis solve instead of the closed form, a per-Pauli Kraus sum
-instead of the Choi route), so the tests can cross-check the two.
+instead of the Choi route, matrix conjugations instead of the closed-form
+unscathed residuals), so the tests can cross-check the two.
 """
 
 import warnings
@@ -16,6 +17,7 @@ from qubit_retro import (
     BlochState,
     PauliChannel,
     anticommutator,
+    apply_operator,
     herm_eig,
     is_unscathed,
     jamiolkowski,
@@ -130,6 +132,13 @@ def two_time_expectation(pdm: PseudoDensityMatrix, i: int, j: int) -> float:
     if i not in (1, 2, 3) or j not in (1, 2, 3):
         raise ValueError(f"observable indices must be in 1..3, got ({i}, {j})")
     return float(np.trace(pdm.m @ tensor(PAULIS[i], PAULIS[j])).real)
+
+
+def unscathed_residuals_by_conjugation(p: PauliChannel, s: BlochState) -> np.ndarray:
+    """Max-entry defect of P(rho) = sigma_k rho sigma_k for each k, by 2x2 matrices."""
+    rho = s.matrix
+    out = apply_operator(p, rho)
+    return np.array([np.abs(out - sigma @ rho @ sigma).max() for sigma in PAULIS])
 
 
 def adjoint_is_inverse(p: PauliChannel, s: BlochState, tol: float = 1e-10) -> bool:

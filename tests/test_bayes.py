@@ -12,6 +12,7 @@ from oracles import (
     star_product,
     swap_matrix,
     two_time_expectation,
+    unscathed_residuals_by_conjugation,
 )
 
 from qubit_retro import (
@@ -23,6 +24,7 @@ from qubit_retro import (
     analytic_inverse,
     anticommutator,
     apply,
+    bayes,
     bayes_residual,
     bayesian_inverse,
     gamel_report,
@@ -148,6 +150,33 @@ def test_three_entry_channel_only_mixed_state():
         assert is_unscathed(pc, BlochState(r)) is None
 
 
+def test_closed_form_residuals_match_matrix_conjugation():
+    rng = np.random.default_rng(SEED + 11)
+    channels = [PauliChannel(np.eye(4)[k]) for k in range(4)]  # one entry
+    for i in range(4):  # two entries: boundary channels
+        for j in range(i + 1, 4):
+            for a in (0.2, 0.5, 0.9):
+                p = np.zeros(4)
+                p[i], p[j] = a, 1.0 - a
+                channels.append(PauliChannel(p))
+    channels += [random_pauli(rng) for _ in range(10)]  # four entries
+    checked = 0
+    for pc in channels:
+        for k in range(250):
+            if k < 60:  # on an axis
+                r = np.zeros(3)
+                r[k % 3] = rng.uniform(-1.0, 1.0)
+                s = BlochState(r)
+            else:
+                s = random_bloch(rng)
+            closed = unscathed_residuals(pc, s)
+            oracle = unscathed_residuals_by_conjugation(pc, s)
+            assert np.abs(closed - oracle).max() <= 1e-15, (pc.p, s.r)
+            assert ((closed <= 1e-10) == (oracle <= 1e-10)).all(), (pc.p, s.r)
+            checked += 1
+    assert checked >= 5000
+
+
 def test_adjoint_is_inverse_matches_direct_residual():
     rng = np.random.default_rng(SEED + 5)
     for _ in range(50):
@@ -255,7 +284,12 @@ def test_verdicts_do_not_depend_on_batch_size():
     priors = np.array([random_bloch(rng).r for _ in range(120)])
     priors[:20] = np.outer(np.linspace(-1.0, 1.0, 20), [1.0, 0.0, 0.0])
     channels = [random_pauli(rng, 1e-3) for _ in range(4)]
-    channels.append(PauliChannel(np.array([0.25, 0.75, 0.0, 0.0])))  # boundary
+    channels += [PauliChannel(np.eye(4)[k]) for k in range(4)]  # identity and sigma_k flips
+    channels += [  # two-entry boundary channels
+        PauliChannel(np.array([0.25, 0.75, 0.0, 0.0])),
+        PauliChannel(np.array([0.0, 0.4, 0.0, 0.6])),
+        PauliChannel(np.array([0.5, 0.0, 0.5, 0.0])),
+    ]
     for pc in channels:
         whole = pauli_frame_verdicts(pc, priors)
         for size in (1, 7, 64):
@@ -280,6 +314,18 @@ def test_verdicts_contract():
     assert feasible.tolist() == [True, False]
     assert [WITNESSES[w] for w in witness] == [None, "not-unscathed"]
     assert slack[1].tolist() == [-1.0, -1.0, -1.0]
+
+
+def test_boundary_verdicts_do_not_go_through_the_scalar_decision(monkeypatch):
+    def scalar(*args, **kwargs):
+        raise AssertionError("scalar decision called")
+
+    monkeypatch.setattr(bayes, "pauli_frame_decision", scalar)
+    boundary = PauliChannel(np.array([0.25, 0.75, 0.0, 0.0]))
+    priors = np.outer(np.linspace(0.0, 1.0, 11), [1.0, 1.0, 0.0]) / np.sqrt(2.0)
+    feasible, _, witness = pauli_frame_verdicts(boundary, priors)
+    assert feasible.tolist() == [True] + [False] * 10
+    assert set(witness[1:].tolist()) == {WITNESSES.index("not-unscathed")}
 
 
 # === Anticommutator solver ===
