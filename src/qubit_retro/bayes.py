@@ -10,8 +10,9 @@ candidate has closed-form Pauli-pair coefficients; whether that candidate is
 an actual channel reduces to three scalar inequalities on its Choi matrix.
 Boundary channels (some |lambda_i| = 1) are handled by the unscathed test:
 the adjoint map works exactly when some Pauli sigma satisfies
-E(rho) = sigma rho sigma. General unital channels are rotated into the
-Pauli frame, inverted there, and rotated back.
+E(rho) = sigma rho sigma. General unital channels are moved into the
+Pauli frame by the two Bloch rotations of their transfer matrix, inverted
+there, and rotated back.
 
 Every Pauli-frame verdict, for one prior or a batch, reads three closed
 forms of (lambda, r): the candidate inverse, its positivity slacks and the
@@ -33,20 +34,18 @@ from .channels import (
     ChannelRep,
     PauliChannel,
     _readonly,
+    _rotation_frame,
     adjoint,
-    apply,
     apply_operator,
     choi_from_jam,
-    is_cptp,
     jamiolkowski,
     kraus_from_choi,
-    transport_inverse,
-    unital_to_pauli,
 )
 from .errors import (
     EigenvalueOnBoundaryError,
     InternalCPViolationError,
     NotHermitianError,
+    NotPSDError,
     SingularSError,
 )
 from .linalg import PAULIS, anticommutator, pauli_expand, pauli_reconstruct, tensor
@@ -82,6 +81,7 @@ _CONJUGATION_SIGNS = np.array(
 )
 
 _ID2 = np.eye(2, dtype=np.complex128)
+_ID3 = np.eye(3)
 
 
 @dataclass(frozen=True)
@@ -429,37 +429,40 @@ def pauli_frame_verdicts(p: PauliChannel, r, tol: float = 1e-9):
 def bayesian_inverse(e, s: BlochState, tol: float = 1e-9):
     """Decide and construct the Bayesian inverse of a unital channel.
 
-    Pipeline: factor the channel through a Pauli channel between two
-    unitaries, move the state into the Pauli frame, decide there with
-    :func:`pauli_frame_decision`, then rotate the result back to the
-    original frame and certify it.
+    Pipeline: factor the transfer matrix as B1 . diag(1, lambda) . B2 with
+    B = diag(1, o) for Bloch rotations o1, o2t (identities for a Pauli
+    channel), decide at the prior o2t . r with :func:`pauli_frame_decision`,
+    carry the inverse back as B2^T . a^T . B1^T and certify it. One
+    decomposition of its Choi matrix is both the CP check and the Kraus
+    extraction.
 
     :return: an InverseRecord, or a NoInverse explaining the obstruction.
     :raises NotUnitalError / NotCPTPError: if e is out of contract.
+    :raises InternalCPViolationError: if the constructed inverse fails its
+        certification (Choi positivity or the defining identity).
     """
-    if isinstance(e, PauliChannel):
-        u = v = None
-        pch, s_frame = e, s
-    else:
-        u, pch, v = unital_to_pauli(e, tol)
-        s_frame = apply(ChannelRep.from_unitary(v), s)
-
-    decision = pauli_frame_decision(pch, s_frame, tol)
+    o1, pch, o2t = (_ID3, e, _ID3) if isinstance(e, PauliChannel) else _rotation_frame(e, tol)
+    decision = pauli_frame_decision(pch, BlochState(o2t @ s.r), tol)
     if isinstance(decision, NoInverse):
         return decision
     a, s_scalar, report, unique = decision
-    f_frame = ChannelRep.from_jam(pauli_reconstruct(a / 2.0))
-    final = f_frame if u is None else transport_inverse(u, v, f_frame)
-    if not is_cptp(final, max(tol, 1e-9)):
-        raise InternalCPViolationError("constructed inverse failed the CPTP check")
+    t = a.T.copy()  # the frame inverse's transfer matrix, then B2^T t B1^T
+    t[1:] = o2t.T @ t[1:]
+    t[:, 1:] = t[:, 1:] @ o1.T
+    final = ChannelRep.from_ptm(t)
+    cert_tol = max(tol, 1e-9)
+    try:
+        kraus = kraus_from_choi(final.choi, cert_tol)
+    except NotPSDError as exc:
+        raise InternalCPViolationError(f"constructed inverse is not CP: {exc}") from exc
     residual = bayes_residual(e, s, final)
-    if residual > max(tol, 1e-9):
+    if residual > cert_tol:
         raise InternalCPViolationError(f"constructed inverse has residual {residual:.3e}")
     return InverseRecord(
         a=a,
         S=s_scalar,
         choi=final.choi,
-        kraus=tuple(kraus_from_choi(final.choi, tol)),
+        kraus=tuple(kraus),
         report=report,
         unique=unique,
         residual=residual,

@@ -1,17 +1,19 @@
 """Single-qubit channel representations and structure maps.
 
-A channel is held as exactly one of four interconvertible forms:
+Every channel is held as its Pauli transfer matrix and reads the other
+forms back from it:
 
-    kraus   list of 2x2 operators K_k, action w -> sum_k K_k w K_k^dag
-    choi    (id (x) N) acting on 2|Phi+><Phi+|, trace 2 for trace-preserving N
-    jam     (id (x) N)(SWAP); the partial transpose of choi on the first factor
-    ptm     Pauli transfer matrix T[i, j] = Tr[sigma_i N(sigma_j)] / 2
+    ptm     T[i, j] = Tr[sigma_i N(sigma_j)] / 2
+    jam     (id (x) N)(SWAP) = (1/2) sum_ij T[j, i] sigma_i (x) sigma_j
+    choi    (id (x) N) acting on 2|Phi+><Phi+|, the partial transpose of jam
+            on the first factor; trace 2 for trace-preserving N
+    kraus   operators K_k of the action w -> sum_k K_k w K_k^dag
 
 The Pauli channel sum_i p_i sigma_i w sigma_i gets its own value type since
 most of the inversion machinery works directly with its probability vector
-and signed eigenvalues lambda_i = p_0 + p_i - p_j - p_k. It has the same
-read-only ptm (diag(1, lambda)), jam and choi as ChannelRep, so the structure
-maps below read either type through those attributes, with no type dispatch.
+and signed eigenvalues lambda_i = p_0 + p_i - p_j - p_k; its ptm is
+diag(1, lambda). Both types read jam and choi through the same cached
+properties, so the structure maps below take either, with no type dispatch.
 """
 
 from __future__ import annotations
@@ -98,8 +100,22 @@ class BlochState:
         return cls(np.zeros(3))
 
 
+class _TransferReadings:
+    """jam and choi, read from a read-only transfer matrix ``ptm``."""
+
+    @cached_property
+    def jam(self) -> np.ndarray:
+        """(id (x) N)(SWAP), rebuilt from the transfer matrix."""
+        return _readonly(pauli_reconstruct(self.ptm.T / 2.0))
+
+    @cached_property
+    def choi(self) -> np.ndarray:
+        """Choi matrix, the partial transpose of jam on the first factor."""
+        return _readonly(partial_transpose(self.jam, 0))
+
+
 @dataclass(frozen=True)
-class PauliChannel:
+class PauliChannel(_TransferReadings):
     """Random-Pauli channel w -> sum_i p_i sigma_i w sigma_i."""
 
     p: np.ndarray
@@ -148,49 +164,39 @@ class PauliChannel:
         """Pauli transfer matrix diag(1, lambda)."""
         return _readonly(np.diag(np.concatenate(([1.0], self.lam))))
 
-    @cached_property
-    def jam(self) -> np.ndarray:
-        """(1/2)(I (x) I + sum_i lambda_i sigma_i (x) sigma_i)."""
-        return _readonly(pauli_reconstruct(self.ptm.T / 2.0))
 
-    @cached_property
-    def choi(self) -> np.ndarray:
-        """Choi matrix, the partial transpose of jam on the first factor."""
-        return _readonly(partial_transpose(self.jam, 0))
+class ChannelRep(_TransferReadings):
+    """A qubit channel held as its Pauli transfer matrix.
 
-
-class ChannelRep:
-    """A qubit channel in one of the four representations, converted lazily.
-
-    Exactly one representation is supplied at construction; the others are
-    derived on demand and cached. All conversions round-trip to 1e-10.
+    Exactly one of kraus/choi/jam/ptm is supplied and converted to ``ptm``
+    at construction; ``jam`` and ``choi`` are read back from it. Supplied
+    Kraus operators are kept as given, others are extracted on first use.
     """
 
     def __init__(self, *, kraus=None, choi=None, jam=None, ptm=None):
-        given = {
-            name: value
-            for name, value in
-            (("kraus", kraus), ("choi", choi), ("jam", jam), ("ptm", ptm))
-            if value is not None
-        }
+        forms = {"kraus": kraus, "choi": choi, "jam": jam, "ptm": ptm}
+        given = [(name, value) for name, value in forms.items() if value is not None]
         if len(given) != 1:
             raise ValueError("supply exactly one of kraus/choi/jam/ptm")
-        name, value = next(iter(given.items()))
-        self._reps: dict[str, object] = {}
+        name, value = given[0]
         if name == "kraus":
             ops = [np.asarray(k, dtype=np.complex128) for k in value]
             if not ops or any(k.shape != (2, 2) for k in ops):
                 raise ValueError("kraus must be a non-empty list of 2x2 operators")
             if not all(np.isfinite(k).all() for k in ops):
                 raise ValueError("kraus operators must have finite entries")
-            self._reps["kraus"] = tuple(_readonly(k) for k in ops)
-        else:
-            m = np.asarray(value, dtype=np.complex128 if name != "ptm" else np.float64)
-            if m.shape != (4, 4):
-                raise ValueError(f"{name} must be a 4x4 matrix, got {m.shape}")
-            if not np.isfinite(m).all():
-                raise ValueError(f"{name} must have finite entries")
-            self._reps[name] = _readonly(m)
+            self.kraus = tuple(_readonly(k) for k in ops)
+            name, value = "choi", sum(np.outer(k.T.ravel(), k.T.ravel().conj()) for k in ops)
+        m = np.asarray(value, dtype=np.float64 if name == "ptm" else np.complex128)
+        if m.shape != (4, 4):
+            raise ValueError(f"{name} must be a 4x4 matrix, got {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValueError(f"{name} must have finite entries")
+        if name != "ptm":
+            if np.abs(m - m.conj().T).max() > 1e-10:
+                raise NotHermitianError(f"{name} matrix is not Hermitian to 1e-10")
+            m = 2.0 * pauli_expand(partial_transpose(m, 0) if name == "choi" else m).T
+        self.ptm = _readonly(m)
 
     # --- constructors ---
 
@@ -221,41 +227,9 @@ class ChannelRep:
             raise ValueError("matrix is not unitary to 1e-10")
         return cls(kraus=[u])
 
-    # --- representations ---
-
-    @property
+    @cached_property
     def kraus(self) -> tuple:
-        if "kraus" not in self._reps:
-            self._reps["kraus"] = tuple(_readonly(k) for k in kraus_from_choi(self.choi))
-        return self._reps["kraus"]
-
-    @property
-    def choi(self) -> np.ndarray:
-        if "choi" not in self._reps:
-            if "kraus" in self._reps:
-                c = np.zeros((4, 4), dtype=np.complex128)
-                for k in self._reps["kraus"]:
-                    v = k.T.ravel()
-                    c += np.outer(v, v.conj())
-                self._reps["choi"] = _readonly(c)
-            else:
-                self._reps["choi"] = _readonly(partial_transpose(self.jam, 0))
-        return self._reps["choi"]
-
-    @property
-    def jam(self) -> np.ndarray:
-        if "jam" not in self._reps:
-            if "choi" in self._reps or "kraus" in self._reps:
-                self._reps["jam"] = _readonly(partial_transpose(self.choi, 0))
-            else:
-                self._reps["jam"] = _readonly(pauli_reconstruct(self._reps["ptm"].T / 2.0))
-        return self._reps["jam"]
-
-    @property
-    def ptm(self) -> np.ndarray:
-        if "ptm" not in self._reps:
-            self._reps["ptm"] = _readonly(2.0 * pauli_expand(self.jam).T)
-        return self._reps["ptm"]
+        return tuple(_readonly(k) for k in kraus_from_choi(self.choi))
 
     # --- predicates ---
 
@@ -266,7 +240,7 @@ class ChannelRep:
         return bool(np.abs(self.ptm[:, 0] - np.array([1.0, 0.0, 0.0, 0.0])).max() <= tol)
 
     def __repr__(self) -> str:
-        return f"ChannelRep(stored={sorted(self._reps)})"
+        return f"ChannelRep(ptm={self.ptm.tolist()})"
 
 
 def jamiolkowski(e) -> np.ndarray:
@@ -353,10 +327,7 @@ def is_cptp(e, tol: float = 1e-9) -> bool:
     """Completely positive and trace preserving, via the Choi spectrum."""
     if not np.abs(e.ptm[0] - np.array([1.0, 0.0, 0.0, 0.0])).max() <= tol:
         return False
-    choi = e.choi
-    if np.abs(choi - choi.conj().T).max() > 1e-10:
-        return False
-    w, _ = herm_eig(choi)
+    w, _ = herm_eig(e.choi)
     return bool(w[0] >= -tol)
 
 
@@ -399,15 +370,15 @@ def _su2_from_rotation(r: np.ndarray) -> np.ndarray:
     )
 
 
-def unital_to_pauli(e, tol: float = 1e-9):
-    """Factor a unital channel as U . P . V with P a Pauli channel.
+def _rotation_frame(e, tol: float = 1e-9):
+    """Factor a unital channel's transfer matrix as B1 . diag(1, lambda) . B2.
 
     The 3x3 Bloch block is split by SVD; reflection signs are folded into
-    the diagonal so both orthogonal factors are proper rotations, which then
-    lift to the SU(2) conjugations U and V.
+    the diagonal so both orthogonal factors are proper rotations, and
+    B = diag(1, O) for each.
 
-    :return: (u, p, v) with u, v 2x2 unitaries and p a PauliChannel, such
-        that the input equals conj-by-u . p . conj-by-v.
+    :return: (o1, p, o2t) with o1, o2t 3x3 rotations and p a PauliChannel,
+        such that the Bloch block equals o1 . diag(p.lam) . o2t.
     :raises NotUnitalError: if the transfer matrix's first column is not (1,0,0,0).
     :raises NotCPTPError: if the channel fails the Choi positivity check.
     """
@@ -429,9 +400,20 @@ def unital_to_pauli(e, tol: float = 1e-9):
         o2t = o2t.copy()
         o2t[2, :] *= -1.0
         lam[2] *= -1.0
-    u = _su2_from_rotation(o1)
-    v = _su2_from_rotation(o2t)
-    return u, PauliChannel.from_lambdas(lam, tol=tol), v
+    return o1, PauliChannel.from_lambdas(lam, tol=tol), o2t
+
+
+def unital_to_pauli(e, tol: float = 1e-9):
+    """Factor a unital channel as U . P . V with P a Pauli channel.
+
+    The rotations of :func:`_rotation_frame` lifted to SU(2). Queries use the
+    rotations; this unitary form is the reference they are tested against.
+
+    :return: (u, p, v) with u, v 2x2 unitaries and p a PauliChannel, such
+        that the input equals conj-by-u . p . conj-by-v.
+    """
+    o1, pc, o2t = _rotation_frame(e, tol)
+    return _su2_from_rotation(o1), pc, _su2_from_rotation(o2t)
 
 
 def transport_inverse(u: np.ndarray, v: np.ndarray, f) -> ChannelRep:

@@ -70,8 +70,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.command not in _COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
-        if not self.tol > 0.0:
-            raise ValueError(f"tolerance must be positive, got {self.tol}")
+        if not 0.0 < self.tol < np.inf:
+            raise ValueError(f"tolerance must be positive and finite, got {self.tol}")
         if self.resolution is not None and self.resolution < 2:
             raise ValueError(f"resolution must be >= 2, got {self.resolution}")
         if self.family is not None and self.family not in _FAMILIES:

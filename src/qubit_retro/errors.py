@@ -34,7 +34,7 @@ class NotCPTPError(QubitRetroError):
 
 
 class InternalCPViolationError(QubitRetroError):
-    """A channel produced output outside the Bloch ball; indicates a broken channel object."""
+    """A channel left the Bloch ball, or a constructed inverse failed its certification: a bug."""
 
 
 class SingularSError(QubitRetroError):

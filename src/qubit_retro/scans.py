@@ -229,7 +229,11 @@ def boundary_chi(
     Feasibility along t is checked for monotonicity on a 33-point probe
     grid first; if it flips more than once a MonotonicityWarning is emitted
     and the largest feasible probe value is returned instead.
+
+    :raises ValueError: unless 0 < tol < inf.
     """
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"bisection tolerance must be positive and finite, got {tol}")
     if family == "depolarizing":
         pch = PauliChannel.depolarizing(p)
         d = _unit((1.0, 0.0, 0.0) if direction is None else direction)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from conftest import random_bloch, random_pauli, random_unital, scalar_verdict
 from oracles import (
     NonUniqueSolutionWarning,
@@ -27,6 +29,7 @@ from qubit_retro import (
     bayes,
     bayes_residual,
     bayesian_inverse,
+    channels,
     gamel_report,
     is_cptp,
     is_unscathed,
@@ -34,11 +37,14 @@ from qubit_retro import (
     pauli_frame_verdicts,
     pauli_reconstruct,
     tensor,
+    transport_inverse,
     two_time_projector,
+    unital_to_pauli,
     unscathed_residuals,
 )
 from qubit_retro.errors import (
     EigenvalueOnBoundaryError,
+    InternalCPViolationError,
     NotHermitianError,
     NotPSDError,
 )
@@ -451,3 +457,104 @@ def test_bayesian_inverse_at_maximally_mixed_is_adjoint():
         # At the maximally mixed prior the inverse is the channel itself
         # (Pauli channels are self-adjoint).
         assert np.abs(out.choi - ChannelRep.from_pauli(pc).choi).max() < 1e-10
+
+
+def test_rotation_path_matches_unitary_transport():
+    # bayesian_inverse carries the Pauli-frame inverse back by the SVD's
+    # rotations; the SU(2) route of unital_to_pauli and transport_inverse
+    # must give the same channel.
+    rng = np.random.default_rng(SEED + 16)
+    done = 0
+    while done < 200:
+        rep, _, _, _ = random_unital(rng)
+        s = random_bloch(rng)
+        rec = bayesian_inverse(rep, s)
+        if isinstance(rec, NoInverse):
+            continue
+        done += 1
+        u, _, v = unital_to_pauli(rep)
+        reference = transport_inverse(u, v, ChannelRep.from_ptm(rec.a.T))
+        assert np.abs(rec.choi - reference.choi).max() < 1e-12
+
+
+def test_queries_use_rotations_and_decompose_once(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("unitary route called by a query")
+
+    rep = ChannelRep.from_ptm(random_unital(np.random.default_rng(SEED + 17))[0].ptm)
+    monkeypatch.setattr(ChannelRep, "from_unitary", classmethod(forbidden))
+    for module in (channels, bayes):
+        for name in ("compose", "transport_inverse"):
+            monkeypatch.setattr(module, name, forbidden, raising=False)
+    assert not isinstance(bayesian_inverse(rep, BlochState(np.array([0.1, -0.2, 0.1]))), NoInverse)
+
+    calls = []
+    herm_eig = channels.herm_eig
+
+    def counting(m):
+        calls.append(m)
+        return herm_eig(m)
+
+    monkeypatch.setattr(channels, "herm_eig", counting)
+    pc = PauliChannel(np.array([0.8, 0.1, 0.06, 0.04]))
+    rec = bayesian_inverse(pc, BlochState((0.3, 0.2, -0.4)))
+    assert not isinstance(rec, NoInverse)
+    assert len(calls) == 1
+    assert np.abs(calls[0] - rec.choi).max() < 1e-15
+
+
+def test_certification_failure_raises_internal_error(monkeypatch):
+    # A decision whose inverse is not CP (the transpose-like map) must fail
+    # certification loudly, whatever the caller's tol.
+    def decision(p, s, tol):
+        return np.diag([1.0, 0.9, 0.9, -0.9]), 0.0, None, True
+
+    monkeypatch.setattr(bayes, "pauli_frame_decision", decision)
+    for tol in (1e-12, 1e-9, 1e-3):
+        with pytest.raises(InternalCPViolationError, match="not CP"):
+            bayesian_inverse(PauliChannel.depolarizing(0.1), BlochState.maximally_mixed(), tol)
+
+
+def _rotation(axis, angle: float) -> np.ndarray:
+    """Rodrigues' rotation by angle about the unit vector along axis."""
+    n = np.asarray(axis) / np.linalg.norm(axis)
+    k = np.array([[0.0, -n[2], n[1]], [n[2], 0.0, -n[0]], [-n[1], n[0], 0.0]])
+    return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
+
+
+def _margin(out) -> float:
+    """Smallest |slack| of a verdict, or 0 when it carries no slacks."""
+    return 0.0 if out.report is None else float(np.abs(out.report.slack).min())
+
+
+_weights = st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4).filter(lambda w: sum(w) > 0.1)
+_vectors = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(_weights, _vectors.filter(lambda a: np.linalg.norm(a) > 0.1), st.floats(0.0, 2 * np.pi),
+       _vectors)
+def test_rotation_covariance(weights, axis, angle, r):
+    # Conjugating a Pauli channel by a rotation and rotating the prior with
+    # it changes neither the verdict nor the slacks, and the inverse is the
+    # Pauli channel's inverse conjugated by the same rotation.
+    p = PauliChannel(np.array(weights) / sum(weights))
+    r = np.array(r) / max(1.0, np.linalg.norm(r))
+    o = _rotation(axis, angle)
+    b = np.eye(4)
+    b[1:, 1:] = o
+    rotated = ChannelRep.from_ptm(b @ p.ptm @ b.T)
+    ref = bayesian_inverse(p, BlochState(r))
+    out = bayesian_inverse(rotated, BlochState(o @ r))
+    if np.abs(p.lam).max() < 1.0 - 1e-12:
+        assume(_margin(ref) > 1e-9)
+    else:
+        # The unscathed test decides; keep clear of its 1e-10 threshold.
+        assume(np.abs(unscathed_residuals(p, BlochState(r)) - 1e-10).min() > 1e-11)
+    assert type(out) is type(ref)
+    if isinstance(ref, NoInverse):
+        assert out.reason == ref.reason
+    else:
+        assert np.abs(ChannelRep.from_choi(out.choi).ptm - b @ ref.a.T @ b.T).max() < 1e-9
+    if _margin(ref) > 1e-9:
+        assert np.abs(out.report.slack - ref.report.slack).max() < 1e-12

@@ -22,7 +22,7 @@ from qubit_retro import (
     transport_inverse,
     unital_to_pauli,
 )
-from qubit_retro.errors import NotCPTPError, NotPSDError, NotUnitalError
+from qubit_retro.errors import NotCPTPError, NotHermitianError, NotPSDError, NotUnitalError
 
 SEED = 20260825
 
@@ -109,6 +109,16 @@ def test_rep_requires_exactly_one_form():
         ChannelRep()
     with pytest.raises(ValueError):
         ChannelRep(choi=np.eye(4), ptm=np.eye(4))
+
+
+def test_rep_rejects_non_hermitian_choi_and_jam():
+    rng = np.random.default_rng(SEED + 23)
+    rep = ChannelRep.from_pauli(random_pauli(rng))
+    skew = np.zeros((4, 4), dtype=np.complex128)
+    skew[0, 1] = 1e-6
+    for name in ("choi", "jam"):
+        with pytest.raises(NotHermitianError):
+            ChannelRep(**{name: getattr(rep, name) + skew})
 
 
 def test_conversion_roundtrips():

@@ -48,6 +48,30 @@ def test_run_config_validation():
         RunConfig(command="scan", family="bell")
 
 
+def test_non_finite_tol_is_rejected(tmp_path, capsys):
+    # At the default tol this prior has no inverse (slack3 < 0); an infinite
+    # tol would accept the candidate and call any inverse symmetric.
+    channel, state, wrong = tmp_path / "c.json", tmp_path / "s.json", tmp_path / "w.json"
+    dump_json(channel, {"kind": "pauli", "p": [0.4, 0.3, 0.2, 0.1]})
+    dump_json(state, {"bloch": [0.9, 0.3, -0.2]})
+    dump_json(wrong, {"kind": "pauli", "p": [0.7, 0.1, 0.1, 0.1]})
+    invert = ["invert", "--channel", str(channel), "--state", str(state)]
+    assert main(invert) == 2
+    capsys.readouterr()
+    out = tmp_path / "out"
+    for args in (
+        invert,
+        ["verify", "--channel", str(channel), "--state", str(state), "--inverse", str(wrong)],
+        ["scan", "--family", "depolarizing", "--resolution", "5", "--out", str(out)],
+    ):
+        for tol in ("inf", "nan", "0"):
+            assert main(args + ["--tol", tol]) == 1, (args[0], tol)
+            captured = capsys.readouterr()
+            assert "tolerance must be positive and finite" in captured.err
+            assert "verdict" not in captured.out
+    assert not out.exists()
+
+
 def test_invert_writes_inverse_and_report(files, capsys):
     code = main(
         ["invert", "--channel", str(files["channel"]), "--state", str(files["state"]),

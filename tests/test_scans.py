@@ -181,6 +181,13 @@ def test_boundary_chi_edge_cases():
     assert boundary_chi(0.75) == 1.0
 
 
+def test_boundary_chi_rejects_non_positive_or_non_finite_tol():
+    # Checked before the first verdict: a tol <= 0 would never end the bisection.
+    for tol in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="tolerance"):
+            boundary_chi(0.5, tol)
+
+
 def test_boundary_chi_matches_closed_form_root():
     # The binding constraint for the depolarizing family is the third slack;
     # chi is its root in t, cross-checked here by direct slack evaluation.
