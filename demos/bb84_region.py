@@ -46,9 +46,9 @@ print()
 
 # The boundary curve inherits the mirror symmetry.
 print("p      chi(p)     chi(1-p)")
-for p in np.linspace(0.0, 0.5, 6):
-    chi_lo = boundary_chi(float(p), family="bb84", direction=direction)
-    chi_hi = boundary_chi(float(1.0 - p), family="bb84", direction=direction)
+p_values = np.linspace(0.0, 0.5, 6)
+chi = boundary_chi(np.concatenate([p_values, 1.0 - p_values]), family="bb84", direction=direction)
+for p, chi_lo, chi_hi in zip(p_values, chi[:6], chi[6:]):
     print(f"{p:.2f}   {chi_lo:.6f}   {chi_hi:.6f}")
 print()
 

@@ -38,8 +38,8 @@ print()
 
 # The boundary chi(p): largest prior length the channel can still undo.
 print("p      lambda     chi(p)")
-for p in np.linspace(0.0, 1.0, 11):
-    chi = boundary_chi(float(p))
+p_values = np.linspace(0.0, 1.0, 11)
+for p, chi in zip(p_values, boundary_chi(p_values)):
     print(f"{p:.2f}   {depolarizing_lambda(float(p)):+.4f}   {chi:.6f}")
 print()
 

@@ -312,25 +312,31 @@ def gamel_report(choi: np.ndarray, S: float, tol: float = 1e-9) -> FeasibilityRe
 
 # === The interior (analytic) inverse ===
 
+def _on_boundary(lam: np.ndarray):
+    """Whether some |lambda_i| = 1, for one channel (3,) or per row of (M, 3)."""
+    return np.abs(lam).max(axis=-1) >= 1.0 - _BOUNDARY_EPS
+
+
 def _candidate(lam: np.ndarray, r: np.ndarray):
     """Closed-form candidate inverse of the Pauli channel lambda at the prior r.
 
     Its a[0, 0]-normalized Pauli-frame coefficients are [[1, v^T], [0, R]]
     with v = r (1 - lambda^2) / (1 - S), R = diag(lambda) - (lambda r) v^T
     and S = sum lambda_i^2 r_i^2. r is one prior (3,) or a batch of columns
-    (3, N); R is then (3, 3) or (3, 3, N).
+    (3, N); lambda is (3,) for one channel, or (3, N) with one channel per
+    column of r. R is then (3, 3) or (3, 3, N).
 
     :return: (S, v, R).
     :raises SingularSError: when some S >= 1 - 1e-12.
     """
+    lam = lam.reshape(lam.shape + (1,) * (np.ndim(r) - lam.ndim))
     l2 = lam * lam
     s_scalar = l2[0] * r[0] * r[0] + l2[1] * r[1] * r[1] + l2[2] * r[2] * r[2]
     if np.any(s_scalar >= 1.0 - _BOUNDARY_EPS):
         raise SingularSError(f"S = {np.max(s_scalar)} is too close to 1")
-    col = (slice(None),) + (None,) * (np.ndim(r) - 1)
-    v = r * (1.0 - l2)[col] / (1.0 - s_scalar)
-    R = (-lam[col] * r)[:, None] * v  # R[i, j] = -lambda_i r_i v_j
-    R[range(3), range(3)] += lam[col]
+    v = r * (1.0 - l2) / (1.0 - s_scalar)
+    R = (-lam * r)[:, None] * v  # R[i, j] = -lambda_i r_i v_j
+    R[range(3), range(3)] += lam
     return s_scalar, v, R
 
 
@@ -346,7 +352,7 @@ def analytic_inverse(p: PauliChannel, s: BlochState, tol: float = 1e-9) -> Inver
     :raises SingularSError: when S = sum lambda_i^2 r_i^2 >= 1 - 1e-12.
     """
     lam = p.lam
-    if np.abs(lam).max() >= 1.0 - _BOUNDARY_EPS:
+    if _on_boundary(lam):
         raise EigenvalueOnBoundaryError(
             f"|lambda| = {np.abs(lam).max()}; use the unscathed/adjoint route"
         )
@@ -376,7 +382,7 @@ def pauli_frame_decision(p: PauliChannel, s: BlochState, tol: float = 1e-9):
         coefficients of the inverse, or a NoInverse explaining the obstruction.
     """
     lam = p.lam
-    if np.abs(lam).max() < 1.0 - _BOUNDARY_EPS:
+    if not _on_boundary(lam):
         rec = analytic_inverse(p, s, tol)
         if not rec.report.feasible:
             return NoInverse(reason="cp-infeasible", report=rec.report)
@@ -389,15 +395,32 @@ def pauli_frame_decision(p: PauliChannel, s: BlochState, tol: float = 1e-9):
     return p.ptm, s_scalar, report, bool(s_scalar < 1.0 - _BOUNDARY_EPS)
 
 
+def _interior_verdicts(lam: np.ndarray, r: np.ndarray, tol: float):
+    """Verdicts of strictly contracting Pauli channels at their priors.
+
+    The interior branch of :func:`pauli_frame_verdicts`, pair by pair: lambda
+    is (3, N), one channel per column of the priors r (3, N), or (3, 1) for
+    one channel against all of them. The candidate is built from lambda with
+    its sigma_y entry negated, which reads R as the Choi matrix does
+    (sigma_y^T = -sigma_y) and leaves v and S alone (lambda enters them
+    squared). Every operation is elementwise per pair.
+
+    :return: (feasible, slack, witness) as in :func:`pauli_frame_verdicts`.
+    """
+    slack = _slacks(*_candidate(lam * _CHOI_ROW_SIGNS[:, None], r)[1:])[-1]
+    bad = slack < -tol
+    feasible = ~bad.any(axis=1)
+    witness = np.where(feasible, 0, 1 + np.argmax(bad, axis=1))
+    return _readonly(feasible), _readonly(slack), _readonly(witness.astype(np.int8))
+
+
 def pauli_frame_verdicts(p: PauliChannel, r, tol: float = 1e-9):
     """The verdict of :func:`pauli_frame_decision` for one channel and many priors.
 
-    The same closed forms on arrays, with no per-prior loop. Interior
-    candidates are built from lambda with its sigma_y entry negated, which
-    reads R as the Choi matrix does (sigma_y^T = -sigma_y) and leaves v and
-    S alone (lambda enters them squared). On a boundary channel an unscathed
-    prior takes the slacks of the channel's own Choi matrix. Every operation
-    is elementwise per prior, so a row's result does not depend on its batch.
+    The same closed forms on arrays, with no per-prior loop. On a boundary
+    channel an unscathed prior takes the slacks of the channel's own Choi
+    matrix. Every operation is elementwise per prior, so a row's result does
+    not depend on its batch.
 
     :param r: (N, 3) Bloch vectors of the priors in the Pauli frame.
     :return: (feasible, slack, witness), read-only arrays of shapes (N,),
@@ -413,16 +436,12 @@ def pauli_frame_verdicts(p: PauliChannel, r, tol: float = 1e-9):
     if not (np.sqrt(x * x + y * y + z * z) <= 1.0 + 1e-12).all():
         raise ValueError("every prior must be a finite Bloch vector with length <= 1")
     lam = p.lam
-    if np.abs(lam).max() >= 1.0 - _BOUNDARY_EPS:
-        feasible = (_unscathed_residuals(lam, r.T) <= _UNSCATHED_TOL).any(axis=0)
-        # The channel's own slacks; S only rides along in the report.
-        slack = np.where(feasible[:, None], gamel_report(p.choi, 0.0, tol).slack, -1.0)
-        witness = np.where(feasible, 0, WITNESSES.index("not-unscathed"))
-    else:
-        slack = _slacks(*_candidate(lam * _CHOI_ROW_SIGNS, r.T)[1:])[-1]
-        bad = slack < -tol
-        feasible = ~bad.any(axis=1)
-        witness = np.where(feasible, 0, 1 + np.argmax(bad, axis=1))
+    if not _on_boundary(lam):
+        return _interior_verdicts(lam[:, None], r.T, tol)
+    feasible = (_unscathed_residuals(lam, r.T) <= _UNSCATHED_TOL).any(axis=0)
+    # The channel's own slacks; S only rides along in the report.
+    slack = np.where(feasible[:, None], gamel_report(p.choi, 0.0, tol).slack, -1.0)
+    witness = np.where(feasible, 0, WITNESSES.index("not-unscathed"))
     return _readonly(feasible), _readonly(slack), _readonly(witness.astype(np.int8))
 
 

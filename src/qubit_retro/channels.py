@@ -187,7 +187,12 @@ class ChannelRep(_TransferReadings):
                 raise ValueError("kraus operators must have finite entries")
             self.kraus = tuple(_readonly(k) for k in ops)
             name, value = "choi", sum(np.outer(k.T.ravel(), k.T.ravel().conj()) for k in ops)
-        m = np.asarray(value, dtype=np.float64 if name == "ptm" else np.complex128)
+        m = np.asarray(value)
+        if name == "ptm" and np.iscomplexobj(m):
+            if (m.imag != 0.0).any():
+                raise ValueError("ptm must be a real matrix")
+            m = m.real
+        m = m.astype(np.float64 if name == "ptm" else np.complex128)
         if m.shape != (4, 4):
             raise ValueError(f"{name} must be a 4x4 matrix, got {m.shape}")
         if not np.isfinite(m).all():

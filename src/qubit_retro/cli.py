@@ -241,8 +241,9 @@ def cmd_scan(cfg: RunConfig) -> int:
     print(f"wrote {base.with_suffix('.csv')} and {base.with_suffix('.svg')}")
     if cfg.family == "depolarizing":
         print("largest feasible t by bisection:")
-        for p in np.linspace(0.0, 1.0, 11):
-            print(f"  p = {p:.2f}   chi = {boundary_chi(float(p), 1e-6):.8f}")
+        p_axis = np.linspace(0.0, 1.0, 11)
+        for p, chi in zip(p_axis, boundary_chi(p_axis, 1e-6)):
+            print(f"  p = {p:.2f}   chi = {chi:.8f}")
     return EXIT_OK
 
 

@@ -3,13 +3,16 @@
 Each scan walks a (p, t) grid, where p parametrizes a Pauli-channel family
 and t = |r|^2 is the squared Bloch length of the prior state along a fixed
 direction, and records whether the Bayesian inverse exists in each cell.
-Every channel is tested against all its priors in one call of
-:func:`~qubit_retro.bayes.pauli_frame_verdicts`: a grid row (one p, every
-t), a three-entry channel against its Bloch samples, or the probes of
-:func:`boundary_chi`. A scan returns a columnar :class:`ScanResult`, whose
-cells are row-major (p outer, t inner) so repeated runs produce
-byte-identical CSV output; :class:`RegionCell` objects are made only when
-a cell is read.
+Region scans and the probes and bisection steps of :func:`boundary_chi`
+are scored in blocks of (channel, prior) pairs: the interior rows of a
+grid go through the closed forms of
+:func:`~qubit_retro.bayes.pauli_frame_verdicts` together, a few whole rows
+per block, and a boundary row through that function itself. The verdicts
+are bit-identical to one call per row. A three-entry channel is tested
+against its Bloch samples in one call. A scan returns a columnar
+:class:`ScanResult`, whose cells are row-major (p outer, t inner) so
+repeated runs produce byte-identical CSV output; :class:`RegionCell`
+objects are made only when a cell is read.
 """
 
 from __future__ import annotations
@@ -20,7 +23,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bayes import WITNESSES, InverseRecord, bayesian_inverse, pauli_frame_verdicts
+from .bayes import (
+    WITNESSES,
+    InverseRecord,
+    _interior_verdicts,
+    _on_boundary,
+    bayesian_inverse,
+    pauli_frame_verdicts,
+)
 from .channels import BlochState, PauliChannel, _readonly
 from .errors import MonotonicityWarning
 
@@ -189,18 +199,52 @@ def bb84_channel(p: float) -> PauliChannel:
 
 # === Region scans ===
 
+# Interior pairs are scored in blocks of whole rows with at most this many
+# pairs. The largest temporary, the (3, 3, N) candidate stack R, takes 72 N
+# bytes, so a block stays under glibc's default 128 KiB mmap threshold and
+# its temporaries are reused from the heap instead of being mapped afresh.
+# One block of all 40,401 cells of a 201 x 201 scan raised the peak RSS of
+# 12 repeated CLI scans from 50.0 to 50.5 MB (2-CPU Xeon VM, NumPy 2.4).
+_PAIR_BLOCK = 1536
+
+
+def _row_verdicts(channels, r: np.ndarray, tol: float):
+    """Verdicts of channel i at the priors r[:, i] for every row i.
+
+    :param channels: M Pauli channels, one per row.
+    :param r: (3, M, n) prior columns, or (3, 1, n) for the same n priors
+        in every row.
+    :return: (feasible, slack, witness) of shapes (M, n), (M, n, 3) and
+        (M, n), as :func:`~qubit_retro.bayes.pauli_frame_verdicts` gives
+        them row by row. Boundary rows go through that function; interior
+        rows are scored together in blocks of whole rows.
+    """
+    n_rows, n = len(channels), r.shape[-1]
+    r = np.broadcast_to(r, (3, n_rows, n))
+    feasible = np.empty((n_rows, n), dtype=bool)
+    slack = np.empty((n_rows, n, 3))
+    witness = np.empty((n_rows, n), dtype=np.int8)
+    lam = np.array([c.lam for c in channels]).reshape(n_rows, 3)
+    boundary = _on_boundary(lam)
+    for i in np.flatnonzero(boundary):
+        feasible[i], slack[i], witness[i] = pauli_frame_verdicts(channels[i], r[:, i].T, tol)
+    interior = np.flatnonzero(~boundary)
+    step = max(1, _PAIR_BLOCK // n)
+    for start in range(0, len(interior), step):
+        rows = interior[start : start + step]
+        lam_cols = np.repeat(lam[rows].T, n, axis=1)
+        f, s, w = _interior_verdicts(lam_cols, r[:, rows].reshape(3, -1), tol)
+        feasible[rows] = f.reshape(len(rows), n)
+        slack[rows] = s.reshape(len(rows), n, 3)
+        witness[rows] = w.reshape(len(rows), n)
+    return feasible, slack, witness
+
+
 def _scan_family(grid: ScanGrid, channel_of, tol: float) -> ScanResult:
-    n_t = len(grid.t_axis)
-    priors = np.sqrt(grid.t_axis)[:, None] * grid.direction
-    feasible = np.empty(len(grid.p_axis) * n_t, dtype=bool)
-    slack = np.empty((len(feasible), 3))
-    witness = np.empty(len(feasible), dtype=np.int8)
-    for i, p in enumerate(grid.p_axis):
-        row = slice(i * n_t, (i + 1) * n_t)
-        feasible[row], slack[row], witness[row] = pauli_frame_verdicts(
-            channel_of(float(p)), priors, tol
-        )
-    return ScanResult(grid, feasible, slack, witness)
+    channels = [channel_of(float(p)) for p in grid.p_axis]
+    r = (grid.direction[:, None] * np.sqrt(grid.t_axis))[:, None]
+    feasible, slack, witness = _row_verdicts(channels, r, tol)
+    return ScanResult(grid, feasible.ravel(), slack.reshape(-1, 3), witness.ravel())
 
 
 def scan_depolarizing(grid: ScanGrid, tol: float = 1e-9) -> ScanResult:
@@ -218,54 +262,70 @@ def scan_bb84(grid: ScanGrid, tol: float = 1e-9) -> ScanResult:
 
 
 def boundary_chi(
-    p: float,
+    p,
     tol: float = 1e-6,
     *,
     family: str = "depolarizing",
     direction=None,
-) -> float:
+) -> float | list[float]:
     """Largest feasible t at fixed p, located by bisection.
 
     Feasibility along t is checked for monotonicity on a 33-point probe
     grid first; if it flips more than once a MonotonicityWarning is emitted
     and the largest feasible probe value is returned instead.
 
+    p is one value, which returns a float, or a 1-D sequence, which returns
+    a list with the float that each value alone would give. The probes of
+    every p are scored together, and each bisection step scores the
+    midpoints of every p still open together.
+
     :raises ValueError: unless 0 < tol < inf.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError(f"bisection tolerance must be positive and finite, got {tol}")
     if family == "depolarizing":
-        pch = PauliChannel.depolarizing(p)
+        channel_of = PauliChannel.depolarizing
         d = _unit((1.0, 0.0, 0.0) if direction is None else direction)
     elif family == "bb84":
-        pch = bb84_channel(p)
+        channel_of = bb84_channel
         d = _unit(np.ones(3) / np.sqrt(3.0) if direction is None else direction)
     else:
         raise ValueError(f"unknown family {family!r}")
+    if np.ndim(p) > 1:
+        raise ValueError(f"p must be one value or a 1-D sequence, got shape {np.shape(p)}")
+    ps = [float(q) for q in np.atleast_1d(p)]
+    channels = [channel_of(q) for q in ps]
 
-    def feasible(t) -> np.ndarray:
-        return pauli_frame_verdicts(pch, np.sqrt(np.atleast_1d(t))[:, None] * d, 1e-9)[0]
+    def feasible(rows, t) -> np.ndarray:
+        r = d[:, None, None] * np.sqrt(t)
+        return _row_verdicts([channels[i] for i in rows], r, 1e-9)[0]
 
     probes = np.linspace(0.0, 1.0, 33)
-    flags = feasible(probes).tolist()
-    if not flags[0]:
-        return 0.0
-    if all(flags):
-        return 1.0
-    first_false = flags.index(False)
-    if any(flags[first_false:]):
-        warnings.warn(
-            f"feasibility is not monotone in t at p = {p}", MonotonicityWarning, stacklevel=2
-        )
-        return float(probes[max(k for k, f in enumerate(flags) if f)])
-    lo, hi = float(probes[first_false - 1]), float(probes[first_false])
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid)[0]:
-            lo = mid
+    chi = np.empty(len(ps))
+    lo, hi = np.zeros(len(ps)), np.zeros(len(ps))
+    bisect = []
+    for i, flags in enumerate(feasible(range(len(ps)), probes[None]).tolist()):
+        if not flags[0]:
+            chi[i] = 0.0
+        elif all(flags):
+            chi[i] = 1.0
+        elif any(flags[flags.index(False) :]):
+            warnings.warn(
+                f"feasibility is not monotone in t at p = {ps[i]}",
+                MonotonicityWarning,
+                stacklevel=2,
+            )
+            chi[i] = probes[max(k for k, f in enumerate(flags) if f)]
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            lo[i], hi[i] = probes[flags.index(False) - 1], probes[flags.index(False)]
+            bisect.append(i)
+    rows = np.array(bisect, dtype=int)
+    while (rows := rows[hi[rows] - lo[rows] > tol]).size:
+        mid = 0.5 * (lo[rows] + hi[rows])
+        ok = feasible(rows, mid[:, None])[:, 0]
+        lo[rows[ok]], hi[rows[~ok]] = mid[ok], mid[~ok]
+    chi[bisect] = 0.5 * (lo[bisect] + hi[bisect])
+    return float(chi[0]) if np.ndim(p) == 0 else chi.tolist()
 
 
 # === Three-entry search ===

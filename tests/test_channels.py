@@ -121,6 +121,17 @@ def test_rep_rejects_non_hermitian_choi_and_jam():
             ChannelRep(**{name: getattr(rep, name) + skew})
 
 
+def test_rep_rejects_complex_ptm():
+    m = np.eye(4, dtype=np.complex128)
+    m[1, 1] = 0.5 + 0.3j
+    with pytest.raises(ValueError, match="real"):
+        ChannelRep.from_ptm(m)
+    # A complex matrix with zero imaginary parts is the real one.
+    m[1, 1] = 0.5
+    assert ChannelRep.from_ptm(m).ptm.dtype == np.float64
+    assert ChannelRep.from_ptm(m).ptm[1, 1] == 0.5
+
+
 def test_conversion_roundtrips():
     rng = np.random.default_rng(SEED + 3)
     for _ in range(30):

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from qubit_retro import cli, dump_json
+from qubit_retro import boundary_chi, cli, dump_json
 from qubit_retro.cli import RunConfig, main
 
 
@@ -231,13 +231,22 @@ def test_scan_writes_named_files_and_reruns_identically(tmp_path, capsys):
     assert csv1.startswith(b"p,t,feasible,slack1,slack2,slack3\n")
 
 
-def test_scan_depolarizing_prints_chi_table(tmp_path, capsys):
+def test_scan_depolarizing_prints_chi_table(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counting_chi(*args, **kwargs):
+        calls.append(args)
+        return boundary_chi(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "boundary_chi", counting_chi)
     assert main(
         ["scan", "--family", "depolarizing", "--resolution", "11", "--out", str(tmp_path)]
     ) == 0
     out = capsys.readouterr().out
     assert "feasible cells" in out
-    assert "chi" in out
+    # All 11 values of chi come from one batched bisection.
+    assert len(calls) == 1
+    assert out.count("chi = ") == 11
     assert (tmp_path / "depolarizing_11.csv").exists()
 
 

@@ -9,6 +9,7 @@ from conftest import scalar_verdict
 
 from qubit_retro import (
     BlochState,
+    MonotonicityWarning,
     PauliChannel,
     ScanGrid,
     ScanResult,
@@ -19,10 +20,12 @@ from qubit_retro import (
     depolarizing_quantities,
     emit_csv,
     emit_svg,
+    pauli_frame_verdicts,
     scan_bb84,
     scan_depolarizing,
     scan_three_entry,
 )
+from qubit_retro import bayes, scans
 
 SEED = 20260825
 
@@ -139,6 +142,65 @@ def test_scans_match_scalar_decision_cell_by_cell():
             assert np.abs(cell.slack - slack).max() <= 1e-12, (cell.p, cell.t)
 
 
+def _row_by_row(grid, channel_of, tol=1e-9):
+    """Scan columns from one pauli_frame_verdicts call per grid row."""
+    priors = np.sqrt(grid.t_axis)[:, None] * grid.direction
+    rows = [pauli_frame_verdicts(channel_of(float(p)), priors, tol) for p in grid.p_axis]
+    return [np.concatenate([row[k] for row in rows]) for k in range(3)]
+
+
+@pytest.mark.parametrize(
+    "scan, channel_of, grid",
+    [
+        (scan_depolarizing, PauliChannel.depolarizing, ScanGrid.uniform(201)),
+        (scan_bb84, bb84_channel, ScanGrid.uniform(201, direction=np.ones(3) / np.sqrt(3.0))),
+        # 300 priors per row: 5 rows per block, and 49 interior rows leave a short last block.
+        (
+            scan_bb84,
+            bb84_channel,
+            ScanGrid(np.linspace(0.0, 1.0, 50), np.linspace(0.0, 1.0, 300), (0.0, 0.6, 0.8)),
+        ),
+        # Rows longer than a block: one row per block.
+        (
+            scan_depolarizing,
+            PauliChannel.depolarizing,
+            ScanGrid(np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 2001), (0.0, 0.0, 1.0)),
+        ),
+    ],
+    ids=["depolarizing-201", "bb84-201", "bb84-50x300", "depolarizing-5x2001"],
+)
+def test_blocked_scan_equals_row_by_row_verdicts(scan, channel_of, grid):
+    result = scan(grid)
+    feasible, slack, witness = _row_by_row(grid, channel_of)
+    assert result.feasible.tobytes() == feasible.tobytes()
+    assert result.slack.tobytes() == slack.tobytes()
+    assert result.witness.tobytes() == witness.tobytes()
+
+
+def test_scan_scores_interior_rows_in_blocks(monkeypatch):
+    candidates, boundary_rows = [], []
+
+    def counting(calls, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(1)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(bayes, "_candidate", counting(candidates, bayes._candidate))
+    monkeypatch.setattr(
+        scans, "pauli_frame_verdicts", counting(boundary_rows, scans.pauli_frame_verdicts)
+    )
+    scan_depolarizing(ScanGrid.uniform(201))
+    # 200 interior rows at 7 rows per block; the identity row p = 0 on its own.
+    assert (len(candidates), len(boundary_rows)) == (29, 1)
+    candidates.clear()
+    boundary_rows.clear()
+    scan_bb84(ScanGrid.uniform(201, direction=np.ones(3) / np.sqrt(3.0)))
+    # 199 interior rows; the rows p = 0 and p = 1 are boundary channels.
+    assert (len(candidates), len(boundary_rows)) == (29, 2)
+
+
 def _cell_key(c):
     return c.p, c.t, c.feasible, c.slack.tobytes(), c.witness
 
@@ -186,6 +248,54 @@ def test_boundary_chi_rejects_non_positive_or_non_finite_tol():
     for tol in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="tolerance"):
             boundary_chi(0.5, tol)
+
+
+@pytest.mark.parametrize(
+    "family, direction",
+    [("depolarizing", None), ("bb84", None), ("bb84", (0.0, 0.6, 0.8))],
+)
+def test_boundary_chi_sequence_equals_scalar_calls(family, direction):
+    p_values = np.linspace(0.0, 1.0, 101)
+    batch = boundary_chi(p_values, family=family, direction=direction)
+    single = [boundary_chi(float(p), family=family, direction=direction) for p in p_values]
+    assert isinstance(batch, list) and all(type(chi) is float for chi in batch)
+    assert np.array(batch).tobytes() == np.array(single).tobytes()
+    assert type(boundary_chi(0.3, family=family, direction=direction)) is float
+
+
+def test_boundary_chi_empty_and_bad_sequences(monkeypatch):
+    assert boundary_chi([]) == []
+    with pytest.raises(ValueError):
+        boundary_chi([[0.1, 0.2]])
+
+    def no_verdicts(*args, **kwargs):
+        raise AssertionError("a verdict was made before tol was checked")
+
+    monkeypatch.setattr(scans, "_row_verdicts", no_verdicts)
+    for tol in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="tolerance"):
+            boundary_chi([0.1, 0.5], tol)
+
+
+def test_boundary_chi_warns_once_per_non_monotone_p(monkeypatch):
+    zigzag = {0.2, 0.4}
+
+    def fake_verdicts(channels, r, tol):
+        flags = np.ones((len(channels), r.shape[-1]), dtype=bool)
+        for i, pch in enumerate(channels):
+            if round(3.0 * pch.p[1], 12) in zigzag:
+                flags[i, 1::2] = False  # feasible again after the first infeasible probe
+                flags[i, -1] = False
+        return flags, None, None
+
+    monkeypatch.setattr(scans, "_row_verdicts", fake_verdicts)
+    with pytest.warns(MonotonicityWarning) as record:
+        chi = boundary_chi([0.1, 0.2, 0.3, 0.4])
+    assert len(record) == 2
+    assert ["p = 0.2" in str(w.message) for w in record] == [True, False]
+    assert ["p = 0.4" in str(w.message) for w in record] == [False, True]
+    # Monotone p keep the all-feasible answer; the others the largest feasible probe.
+    assert chi == [1.0, 30 / 32, 1.0, 30 / 32]
 
 
 def test_boundary_chi_matches_closed_form_root():
