@@ -300,7 +300,7 @@ def cmd_kraus(cfg: RunConfig) -> int:
     if cfg.out:
         outdir = Path(cfg.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        dump_json(outdir / "kraus.json", {"kind": "kraus", "ops": [matrix_to_pairs(k) for k in ops]})
+        dump_json(outdir / "kraus.json", channel_to_json(rep))
         print(f"wrote {outdir / 'kraus.json'}")
     return EXIT_OK
 

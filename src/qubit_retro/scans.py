@@ -3,16 +3,14 @@
 Each scan walks a (p, t) grid, where p parametrizes a Pauli-channel family
 and t = |r|^2 is the squared Bloch length of the prior state along a fixed
 direction, and records whether the Bayesian inverse exists in each cell.
-Region scans and the probes and bisection steps of :func:`boundary_chi`
-are scored in blocks of (channel, prior) pairs: the interior rows of a
-grid go through the closed forms of
-:func:`~qubit_retro.bayes.pauli_frame_verdicts` together, a few whole rows
-per block, and a boundary row through that function itself. The verdicts
-are bit-identical to one call per row. A three-entry channel is tested
-against its Bloch samples in one call. A scan returns a columnar
-:class:`ScanResult`, whose cells are row-major (p outer, t inner) so
-repeated runs produce byte-identical CSV output; :class:`RegionCell`
-objects are made only when a cell is read.
+Every batch of verdicts (region scans, the probes and bisection steps of
+:func:`boundary_chi`, and each three-entry channel against its Bloch
+samples) is one call of the batched verdict in :mod:`qubit_retro.bayes`,
+which scores interior rows in blocks of (channel, prior) pairs and is
+bit-identical to one :func:`~qubit_retro.bayes.pauli_frame_verdicts` call
+per row. A scan returns a columnar :class:`ScanResult`, whose cells are
+row-major (p outer, t inner) so repeated runs produce byte-identical CSV
+output; :class:`RegionCell` objects are made only when a cell is read.
 """
 
 from __future__ import annotations
@@ -23,14 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bayes import (
-    WITNESSES,
-    InverseRecord,
-    _interior_verdicts,
-    _on_boundary,
-    bayesian_inverse,
-    pauli_frame_verdicts,
-)
+from .bayes import WITNESSES, InverseRecord, _verdict_rows, bayesian_inverse
 from .channels import BlochState, PauliChannel, _readonly
 from .errors import MonotonicityWarning
 
@@ -71,7 +62,7 @@ class ScanGrid:
     def __post_init__(self) -> None:
         for name in ("p_axis", "t_axis"):
             ax = np.asarray(getattr(self, name), dtype=np.float64).reshape(-1)
-            if ax.size < 2 or (np.diff(ax) <= 0).any():
+            if ax.size < 2 or not (np.diff(ax) > 0).all():
                 raise ValueError(f"{name} must be strictly increasing with >= 2 points")
             if ax[0] < 0.0 or ax[-1] > 1.0:
                 raise ValueError(f"{name} must lie inside [0, 1]")
@@ -199,51 +190,10 @@ def bb84_channel(p: float) -> PauliChannel:
 
 # === Region scans ===
 
-# Interior pairs are scored in blocks of whole rows with at most this many
-# pairs. The largest temporary, the (3, 3, N) candidate stack R, takes 72 N
-# bytes, so a block stays under glibc's default 128 KiB mmap threshold and
-# its temporaries are reused from the heap instead of being mapped afresh.
-# One block of all 40,401 cells of a 201 x 201 scan raised the peak RSS of
-# 12 repeated CLI scans from 50.0 to 50.5 MB (2-CPU Xeon VM, NumPy 2.4).
-_PAIR_BLOCK = 1536
-
-
-def _row_verdicts(channels, r: np.ndarray, tol: float):
-    """Verdicts of channel i at the priors r[:, i] for every row i.
-
-    :param channels: M Pauli channels, one per row.
-    :param r: (3, M, n) prior columns, or (3, 1, n) for the same n priors
-        in every row.
-    :return: (feasible, slack, witness) of shapes (M, n), (M, n, 3) and
-        (M, n), as :func:`~qubit_retro.bayes.pauli_frame_verdicts` gives
-        them row by row. Boundary rows go through that function; interior
-        rows are scored together in blocks of whole rows.
-    """
-    n_rows, n = len(channels), r.shape[-1]
-    r = np.broadcast_to(r, (3, n_rows, n))
-    feasible = np.empty((n_rows, n), dtype=bool)
-    slack = np.empty((n_rows, n, 3))
-    witness = np.empty((n_rows, n), dtype=np.int8)
-    lam = np.array([c.lam for c in channels]).reshape(n_rows, 3)
-    boundary = _on_boundary(lam)
-    for i in np.flatnonzero(boundary):
-        feasible[i], slack[i], witness[i] = pauli_frame_verdicts(channels[i], r[:, i].T, tol)
-    interior = np.flatnonzero(~boundary)
-    step = max(1, _PAIR_BLOCK // n)
-    for start in range(0, len(interior), step):
-        rows = interior[start : start + step]
-        lam_cols = np.repeat(lam[rows].T, n, axis=1)
-        f, s, w = _interior_verdicts(lam_cols, r[:, rows].reshape(3, -1), tol)
-        feasible[rows] = f.reshape(len(rows), n)
-        slack[rows] = s.reshape(len(rows), n, 3)
-        witness[rows] = w.reshape(len(rows), n)
-    return feasible, slack, witness
-
-
 def _scan_family(grid: ScanGrid, channel_of, tol: float) -> ScanResult:
     channels = [channel_of(float(p)) for p in grid.p_axis]
     r = (grid.direction[:, None] * np.sqrt(grid.t_axis))[:, None]
-    feasible, slack, witness = _row_verdicts(channels, r, tol)
+    feasible, slack, witness = _verdict_rows(channels, r, tol)
     return ScanResult(grid, feasible.ravel(), slack.reshape(-1, 3), witness.ravel())
 
 
@@ -298,7 +248,7 @@ def boundary_chi(
 
     def feasible(rows, t) -> np.ndarray:
         r = d[:, None, None] * np.sqrt(t)
-        return _row_verdicts([channels[i] for i in rows], r, 1e-9)[0]
+        return _verdict_rows([channels[i] for i in rows], r, 1e-9)[0]
 
     probes = np.linspace(0.0, 1.0, 33)
     chi = np.empty(len(ps))
@@ -388,7 +338,7 @@ def scan_three_entry(
     mu_feasible = hits = confirmed = 0
     examples: list[tuple] = []
     for pch in channels:
-        feasible = pauli_frame_verdicts(pch, priors, tol)[0]
+        feasible = _verdict_rows([pch], priors.T[:, None], tol)[0][0]
         mu_feasible += bool(feasible[0])
         for k in np.flatnonzero(feasible[1:] & off_center):
             hits += 1
@@ -445,6 +395,9 @@ def emit_svg(scan: ScanResult, title: str = "") -> bytes:
         f'<rect x="0" y="0" width="{width:.0f}" height="{height:.0f}" fill="white"/>',
     ]
     if title:
+        # Escaped by hand: xml.sax.saxutils imports urllib.request, which adds
+        # ~7 MB to the peak RSS of every process that imports the package.
+        title = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         parts.append(
             f'<text x="{ml + plot_w / 2:.1f}" y="{mt - 10:.1f}" font-size="16" '
             f'text-anchor="middle">{title}</text>'

@@ -222,6 +222,14 @@ def test_gamel_report_validation():
     bad = pauli_reconstruct(np.array([[1.0, 0, 0, 0], [0.3, 0.5, 0, 0], [0, 0, 0.5, 0], [0, 0, 0, 0.5]]) / 2.0)
     with pytest.raises(ValueError):
         gamel_report(bad, 0.0)
+    # Non-finite entries pass the Hermiticity test, so they are rejected first.
+    for value in (np.nan, np.inf):
+        choi = PauliChannel.depolarizing(0.3).choi.copy()
+        choi[1, 2] = value
+        with pytest.raises(ValueError, match="finite"):
+            gamel_report(choi, 0.0)
+    with pytest.raises(ValueError, match="finite"):
+        gamel_report(np.full((4, 4), np.nan), 0.0)
 
 
 def test_complete_depolarizing_slacks_closed_form():

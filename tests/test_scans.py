@@ -41,6 +41,12 @@ def test_scan_grid_validation():
         ScanGrid(p_axis=[0.0, 1.5], t_axis=[0.0, 1.0], direction=(1.0, 0.0, 0.0))
     with pytest.raises(ValueError):
         ScanGrid(p_axis=[0.0, 1.0], t_axis=[0.0, 1.0], direction=(1.0, 1.0, 0.0))
+    # NaN compares false both ways, so it must not slip through the ordering test.
+    for axis in ([0.0, np.nan, 1.0], [np.nan, 0.5]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            ScanGrid(p_axis=axis, t_axis=[0.0, 1.0], direction=(1.0, 0.0, 0.0))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            ScanGrid(p_axis=[0.0, 1.0], t_axis=axis, direction=(1.0, 0.0, 0.0))
 
 
 def test_depolarizing_lambda_values():
@@ -177,20 +183,19 @@ def test_blocked_scan_equals_row_by_row_verdicts(scan, channel_of, grid):
     assert result.witness.tobytes() == witness.tobytes()
 
 
+def _counting(calls, fn):
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
 def test_scan_scores_interior_rows_in_blocks(monkeypatch):
+    # A boundary row takes the slacks of one gamel_report of its own channel.
     candidates, boundary_rows = [], []
-
-    def counting(calls, fn):
-        def wrapper(*args, **kwargs):
-            calls.append(1)
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    monkeypatch.setattr(bayes, "_candidate", counting(candidates, bayes._candidate))
-    monkeypatch.setattr(
-        scans, "pauli_frame_verdicts", counting(boundary_rows, scans.pauli_frame_verdicts)
-    )
+    monkeypatch.setattr(bayes, "_candidate", _counting(candidates, bayes._candidate))
+    monkeypatch.setattr(bayes, "gamel_report", _counting(boundary_rows, bayes.gamel_report))
     scan_depolarizing(ScanGrid.uniform(201))
     # 200 interior rows at 7 rows per block; the identity row p = 0 on its own.
     assert (len(candidates), len(boundary_rows)) == (29, 1)
@@ -271,7 +276,7 @@ def test_boundary_chi_empty_and_bad_sequences(monkeypatch):
     def no_verdicts(*args, **kwargs):
         raise AssertionError("a verdict was made before tol was checked")
 
-    monkeypatch.setattr(scans, "_row_verdicts", no_verdicts)
+    monkeypatch.setattr(scans, "_verdict_rows", no_verdicts)
     for tol in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="tolerance"):
             boundary_chi([0.1, 0.5], tol)
@@ -288,7 +293,7 @@ def test_boundary_chi_warns_once_per_non_monotone_p(monkeypatch):
                 flags[i, -1] = False
         return flags, None, None
 
-    monkeypatch.setattr(scans, "_row_verdicts", fake_verdicts)
+    monkeypatch.setattr(scans, "_verdict_rows", fake_verdicts)
     with pytest.warns(MonotonicityWarning) as record:
         chi = boundary_chi([0.1, 0.2, 0.3, 0.4])
     assert len(record) == 2
@@ -341,6 +346,18 @@ def test_three_entry_search_counts_and_determinism():
     assert first.examples == ()
 
 
+def test_three_entry_scores_each_channel_in_one_kernel_call(monkeypatch):
+    candidates, frame_verdicts = [], []
+    monkeypatch.setattr(bayes, "_candidate", _counting(candidates, bayes._candidate))
+    per_channel = _counting(frame_verdicts, bayes.pauli_frame_verdicts)
+    for module in (bayes, scans):
+        monkeypatch.setattr(module, "pauli_frame_verdicts", per_channel, raising=False)
+    summary = scan_three_entry(resolution=8, samples=1000)
+    # 84 channels, each against its 1,001 priors in one block; no hit is re-checked.
+    assert (summary.channels, summary.hits) == (84, 0)
+    assert (len(candidates), len(frame_verdicts)) == (84, 0)
+
+
 def test_three_entry_resolution_validation():
     with pytest.raises(ValueError):
         scan_three_entry(resolution=2)
@@ -362,6 +379,9 @@ def test_emit_csv_layout_and_determinism():
 
 def test_emit_svg_is_valid_xml_with_region_cells():
     cells = scan_depolarizing(ScanGrid.uniform(5))
+    # Markup characters in the title are escaped, not written as tags.
+    escaped = ET.fromstring(emit_svg(cells, title="a<b & c").decode("utf-8"))
+    assert "a<b & c" in [el.text for el in escaped.iter() if el.tag.endswith("text")]
     svg = emit_svg(cells, title="depolarizing")
     root = ET.fromstring(svg.decode("utf-8"))
     assert root.tag.endswith("svg")
