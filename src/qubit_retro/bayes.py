@@ -16,9 +16,12 @@ there, and rotated back.
 
 Every Pauli-frame verdict, for one prior or a batch, reads three closed
 forms of (lambda, r): the candidate inverse, its positivity slacks and the
-unscathed residuals. Other channel action goes through
-channels.apply_operator. The independent routes that check this module
-(matrix conjugation residuals, the pseudo-density matrix, the
+unscathed residuals. The two-time expectations that certify an inverse
+are read straight from a transfer matrix T, <sigma_i, sigma_j> =
+r_i T[j, 0] + T[j, i] (two_time_matrix); two_time_projector keeps the
+projective-measurement formula it reduces from. Other channel action goes
+through channels.apply_operator. The independent routes that check this
+module (matrix conjugation residuals, the pseudo-density matrix, the
 anticommutator solver) live with the tests, in tests/oracles.py.
 """
 
@@ -55,6 +58,7 @@ __all__ = [
     "InverseRecord",
     "NoInverse",
     "two_time_projector",
+    "two_time_matrix",
     "bayes_residual",
     "unscathed_residuals",
     "is_unscathed",
@@ -176,6 +180,18 @@ def two_time_projector(e, s: BlochState, i: int, j: int) -> float:
     t_plus = np.trace(apply_operator(e, plus @ rho @ plus) @ PAULIS[j]).real
     t_minus = np.trace(apply_operator(e, minus @ rho @ minus) @ PAULIS[j]).real
     return float(t_plus - t_minus)
+
+
+def two_time_matrix(e, s: BlochState) -> np.ndarray:
+    """The nine two-time expectations <sigma_i, sigma_j>, from the transfer matrix T.
+
+    P+- rho P+- = ((1 +- r_i) / 2) P+- and Tr[E(P+-) sigma_j] = T[j, 0] +- T[j, i],
+    so the projective formula of :func:`two_time_projector` reduces to
+
+        M[i-1, j-1] = r_i T[j, 0] + T[j, i]    (i, j in 1..3).
+    """
+    t = e.ptm
+    return np.outer(s.r, t[1:, 0]) + t[1:, 1:].T
 
 
 def bayes_residual(e, s: BlochState, f) -> float:

@@ -1,8 +1,9 @@
 """Command line front end: invert, verify, classify, and scan.
 
 Exit codes: 0 success, 1 malformed input, usage error or failed
-verification, 2 no Bayesian inverse exists, 3 a supplied channel (a
-candidate inverse, or the channel file given to kraus) is not CPTP.
+verification, 2 no Bayesian inverse exists, 3 a supplied channel (the
+channel or candidate inverse given to verify, or the channel file given to
+kraus) is not CPTP.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .bayes import (
     InverseRecord,
     NoInverse,
     bayesian_inverse,
-    two_time_projector,
+    two_time_matrix,
     unscathed_residuals,
 )
 from .channels import ChannelRep, PauliChannel, apply, is_cptp
@@ -186,16 +187,12 @@ def cmd_verify(cfg: RunConfig) -> int:
     channel = load_channel(cfg.channel)
     state = load_state(cfg.state)
     candidate = load_channel(cfg.inverse)
-    if not is_cptp(candidate, max(cfg.tol, 1e-9)):
-        print("error: candidate inverse is not CPTP", file=sys.stderr)
-        return EXIT_NOT_CPTP
-    forward = np.array(
-        [[two_time_projector(channel, state, i, j) for j in (1, 2, 3)] for i in (1, 2, 3)]
-    )
-    pushed = apply(channel, state)
-    reverse = np.array(
-        [[two_time_projector(candidate, pushed, i, j) for j in (1, 2, 3)] for i in (1, 2, 3)]
-    )
+    for name, e in (("channel", channel), ("candidate inverse", candidate)):
+        if not is_cptp(e, max(cfg.tol, 1e-9)):
+            print(f"error: {name} is not CPTP", file=sys.stderr)
+            return EXIT_NOT_CPTP
+    forward = two_time_matrix(channel, state)
+    reverse = two_time_matrix(candidate, apply(channel, state))
     discrepancy = float(np.abs(forward - reverse.T).max())
     print("forward two-time expectations <sigma_i, sigma_j>:")
     _print_real_matrix(forward)

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from conftest import random_bloch, random_pauli, random_unital, scalar_verdict
+from conftest import (
+    random_bloch,
+    random_pauli,
+    random_unital,
+    random_unitary,
+    scalar_verdict,
+)
 from oracles import (
     NonUniqueSolutionWarning,
     PseudoDensityMatrix,
@@ -38,6 +44,7 @@ from qubit_retro import (
     pauli_reconstruct,
     tensor,
     transport_inverse,
+    two_time_matrix,
     two_time_projector,
     unital_to_pauli,
     unscathed_residuals,
@@ -109,16 +116,49 @@ def test_star_and_projector_routes_agree_for_general_channels():
                 assert abs(two_time_expectation(pdm, i, j) - two_time_projector(rep, s, i, j)) < 1e-10
 
 
+def _projector_matrix(e, s):
+    return np.array([[two_time_projector(e, s, i, j) for j in (1, 2, 3)] for i in (1, 2, 3)])
+
+
 def test_pauli_two_time_matrix_is_diagonal_in_lambda():
     # Measuring sigma_i first collapses the state onto the +-x_i axis, so the
     # (i, j) entry is lambda_j delta_ij regardless of the prior Bloch vector.
+    # The closed form reads T[j, 0] = 0 and T[j, i] = lambda_j delta_ij, so
+    # it gives diag(lambda) exactly.
     rng = np.random.default_rng(SEED + 2)
-    pc = random_pauli(rng)
-    s = random_bloch(rng)
-    for i in (1, 2, 3):
-        for j in (1, 2, 3):
-            expected = pc.lam[j - 1] if i == j else 0.0
-            assert abs(two_time_projector(pc, s, i, j) - expected) < 1e-12
+    for _ in range(50):
+        pc = random_pauli(rng)
+        s = random_bloch(rng)
+        assert np.abs(_projector_matrix(pc, s) - np.diag(pc.lam)).max() < 1e-12
+        assert np.array_equal(two_time_matrix(pc, s), np.diag(pc.lam))
+
+
+def test_two_time_matrix_matches_the_projector_formula():
+    # 300 pairs of each kind: Pauli, rotated unital given as a transfer
+    # matrix and as Kraus operators, and the (non-unital) Bayesian inverses
+    # of rotated channels at the pushed-forward state E(rho).
+    rng = np.random.default_rng(SEED + 30)
+    pairs = []
+    for _ in range(300):
+        pairs.append((random_pauli(rng), random_bloch(rng)))
+        rep, _, _, _ = random_unital(rng)
+        pairs.append((rep, random_bloch(rng)))
+        pc, u, v = random_pauli(rng), random_unitary(rng), random_unitary(rng)
+        kraus = ChannelRep(kraus=[u @ k @ v for k in ChannelRep.from_pauli(pc).kraus])
+        pairs.append((kraus, random_bloch(rng)))
+    inverses = 0
+    while inverses < 300:
+        rep, _, _, _ = random_unital(rng)
+        s = random_bloch(rng, 0.6)
+        rec = bayesian_inverse(rep, s)
+        if isinstance(rec, NoInverse):
+            continue
+        inverses += 1
+        pairs.append((ChannelRep(kraus=rec.kraus), apply(rep, s)))
+    for e, s in pairs:
+        m = two_time_matrix(e, s)
+        assert m.shape == (3, 3)
+        assert np.abs(m - _projector_matrix(e, s)).max() <= 1e-15
 
 
 # === Unscathed classification ===

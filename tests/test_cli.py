@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from qubit_retro import boundary_chi, cli, dump_json
+from qubit_retro import bayes, boundary_chi, cli, dump_json
 from qubit_retro.cli import RunConfig, main
 
 
@@ -125,6 +125,40 @@ def test_verify_rejects_noncp_candidate(files, capsys):
     )
     assert code == 3
     assert "not CPTP" in capsys.readouterr().err
+
+
+def test_verify_rejects_noncp_channel(files, tmp_path, capsys):
+    # A transfer matrix that stretches the Bloch ball: its forward
+    # expectations would read 2, which is no verdict on any inverse.
+    stretch, small = tmp_path / "stretch.json", tmp_path / "small.json"
+    dump_json(stretch, {"kind": "ptm", "m": [1, 0, 0, 0, 0, 2, 0, 0, 0, 0, 2, 0, 0, 0, 0, 2]})
+    dump_json(small, {"bloch": [0.1, 0.0, 0.0]})
+    code = main(
+        ["verify", "--channel", str(stretch), "--state", str(small),
+         "--inverse", str(files["channel"]), "--out", str(files["out"])]
+    )
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: channel is not CPTP\n"
+    assert captured.out == ""
+    assert not files["out"].exists()
+
+
+def test_verify_reads_the_transfer_matrices_not_the_projector(files, monkeypatch, capsys):
+    def boom(*args, **kwargs):
+        raise AssertionError("verify called two_time_projector")
+
+    monkeypatch.setattr(bayes, "two_time_projector", boom)
+    monkeypatch.setattr(cli, "two_time_projector", boom, raising=False)
+    assert main(
+        ["invert", "--channel", str(files["channel"]), "--state", str(files["state"]),
+         "--out", str(files["out"])]
+    ) == 0
+    assert main(
+        ["verify", "--channel", str(files["channel"]), "--state", str(files["state"]),
+         "--inverse", str(files["out"] / "inverse.json")]
+    ) == 0
+    assert "verdict: symmetric" in capsys.readouterr().out
 
 
 def test_invert_no_inverse_exit_code(files, capsys):
