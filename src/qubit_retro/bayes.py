@@ -12,7 +12,10 @@ Boundary channels (some |lambda_i| = 1) are handled by the unscathed test:
 the adjoint map works exactly when some Pauli sigma satisfies
 E(rho) = sigma rho sigma. General unital channels are moved into the
 Pauli frame by the two Bloch rotations of their transfer matrix, inverted
-there, and rotated back.
+there, and rotated back. The Pauli-frame verdict has the types of the final
+answer: an InverseRecord (without Kraus operators) or a NoInverse; the
+rotation back keeps its coefficients, S and report and replaces its Choi
+matrix, Kraus operators and residual with the certified ones.
 
 Every Pauli-frame verdict, for one prior or a batch, reads three closed
 forms of (lambda, r): the candidate inverse, its positivity slacks and the
@@ -28,7 +31,7 @@ anticommutator solver) live with the tests, in tests/oracles.py.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,7 +43,6 @@ from .channels import (
     _rotation_frame,
     adjoint,
     apply_operator,
-    choi_from_jam,
     jamiolkowski,
     kraus_from_choi,
 )
@@ -52,6 +54,7 @@ from .errors import (
     SingularSError,
 )
 from .linalg import PAULIS, anticommutator, pauli_expand, pauli_reconstruct, tensor
+from .linalg import partial_transpose
 
 __all__ = [
     "FeasibilityReport",
@@ -380,7 +383,7 @@ def analytic_inverse(p: PauliChannel, s: BlochState, tol: float = 1e-9) -> Inver
     a[0, 0] = 1.0
     a[0, 1:] = v
     a[1:, 1:] = R
-    choi = choi_from_jam(pauli_reconstruct(a / 2.0))
+    choi = partial_transpose(pauli_reconstruct(a / 2.0), 0)  # the Choi matrix of ptm a^T
     report = gamel_report(choi, s_scalar, tol)
     return InverseRecord(a=a, S=float(s_scalar), choi=choi, kraus=(), report=report)
 
@@ -398,21 +401,23 @@ def pauli_frame_decision(p: PauliChannel, s: BlochState, tol: float = 1e-9):
     Both branches score a Choi matrix with gamel_report: the candidate's, or
     on the boundary the channel's own.
 
-    :return: (a, S, report, unique) with a the a[0, 0]-normalized Pauli-frame
-        coefficients of the inverse, or a NoInverse explaining the obstruction.
+    :return: the inverse in the Pauli frame as an InverseRecord with no
+        Kraus operators and residual 0 (on the interior, the record of
+        :func:`analytic_inverse`), or a NoInverse explaining the obstruction.
     """
     lam = p.lam
     if not _on_boundary(lam):
         rec = analytic_inverse(p, s, tol)
         if not rec.report.feasible:
             return NoInverse(reason="cp-infeasible", report=rec.report)
-        return rec.a, rec.S, rec.report, True
+        return rec
     residuals = _unscathed_residuals(lam, s.r)
     if not (residuals <= _UNSCATHED_TOL).any():
         return NoInverse(reason="not-unscathed", residuals=residuals)
     s_scalar = float(np.sum(lam * lam * s.r * s.r))
     report = gamel_report(p.choi, s_scalar, tol)
-    return p.ptm, s_scalar, report, bool(s_scalar < 1.0 - _BOUNDARY_EPS)
+    unique = bool(s_scalar < 1.0 - _BOUNDARY_EPS)
+    return InverseRecord(a=p.ptm, S=s_scalar, choi=p.choi, kraus=(), report=report, unique=unique)
 
 
 # Interior pairs are scored in blocks of whole rows with at most this many
@@ -510,11 +515,10 @@ def bayesian_inverse(e, s: BlochState, tol: float = 1e-9):
         certification (Choi positivity or the defining identity).
     """
     o1, pch, o2t = (_ID3, e, _ID3) if isinstance(e, PauliChannel) else _rotation_frame(e, tol)
-    decision = pauli_frame_decision(pch, BlochState(o2t @ s.r), tol)
-    if isinstance(decision, NoInverse):
-        return decision
-    a, s_scalar, report, unique = decision
-    t = a.T.copy()  # the frame inverse's transfer matrix, then B2^T t B1^T
+    rec = pauli_frame_decision(pch, BlochState(o2t @ s.r), tol)
+    if isinstance(rec, NoInverse):
+        return rec
+    t = rec.a.T.copy()  # the frame inverse's transfer matrix, then B2^T t B1^T
     t[1:] = o2t.T @ t[1:]
     t[:, 1:] = t[:, 1:] @ o1.T
     final = ChannelRep.from_ptm(t)
@@ -526,12 +530,4 @@ def bayesian_inverse(e, s: BlochState, tol: float = 1e-9):
     residual = bayes_residual(e, s, final)
     if residual > cert_tol:
         raise InternalCPViolationError(f"constructed inverse has residual {residual:.3e}")
-    return InverseRecord(
-        a=a,
-        S=s_scalar,
-        choi=final.choi,
-        kraus=tuple(kraus),
-        report=report,
-        unique=unique,
-        residual=residual,
-    )
+    return replace(rec, choi=final.choi, kraus=tuple(kraus), residual=residual)

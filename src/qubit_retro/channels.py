@@ -1,7 +1,8 @@
 """Single-qubit channel representations and structure maps.
 
 Every channel is held as its Pauli transfer matrix and reads the other
-forms back from it:
+forms back from it (a ChannelRep is built from Kraus operators, a Choi
+matrix or a transfer matrix; jam is only read):
 
     ptm     T[i, j] = Tr[sigma_i N(sigma_j)] / 2
     jam     (id (x) N)(SWAP) = (1/2) sum_ij T[j, i] sigma_i (x) sigma_j
@@ -38,7 +39,6 @@ __all__ = [
     "PauliChannel",
     "ChannelRep",
     "jamiolkowski",
-    "choi_from_jam",
     "kraus_from_choi",
     "apply",
     "apply_operator",
@@ -168,16 +168,16 @@ class PauliChannel(_TransferReadings):
 class ChannelRep(_TransferReadings):
     """A qubit channel held as its Pauli transfer matrix.
 
-    Exactly one of kraus/choi/jam/ptm is supplied and converted to ``ptm``
-    at construction; ``jam`` and ``choi`` are read back from it. Supplied
-    Kraus operators are kept as given, others are extracted on first use.
+    Exactly one of kraus/choi/ptm is supplied and converted to ``ptm`` at
+    construction; ``jam`` and ``choi`` are read back from it. Supplied Kraus
+    operators are kept as given, others are extracted on first use.
     """
 
-    def __init__(self, *, kraus=None, choi=None, jam=None, ptm=None):
-        forms = {"kraus": kraus, "choi": choi, "jam": jam, "ptm": ptm}
+    def __init__(self, *, kraus=None, choi=None, ptm=None):
+        forms = {"kraus": kraus, "choi": choi, "ptm": ptm}
         given = [(name, value) for name, value in forms.items() if value is not None]
         if len(given) != 1:
-            raise ValueError("supply exactly one of kraus/choi/jam/ptm")
+            raise ValueError("supply exactly one of kraus/choi/ptm")
         name, value = given[0]
         if name == "kraus":
             ops = [np.asarray(k, dtype=np.complex128) for k in value]
@@ -197,10 +197,10 @@ class ChannelRep(_TransferReadings):
             raise ValueError(f"{name} must be a 4x4 matrix, got {m.shape}")
         if not np.isfinite(m).all():
             raise ValueError(f"{name} must have finite entries")
-        if name != "ptm":
+        if name == "choi":
             if np.abs(m - m.conj().T).max() > 1e-10:
-                raise NotHermitianError(f"{name} matrix is not Hermitian to 1e-10")
-            m = 2.0 * pauli_expand(partial_transpose(m, 0) if name == "choi" else m).T
+                raise NotHermitianError("choi matrix is not Hermitian to 1e-10")
+            m = 2.0 * pauli_expand(partial_transpose(m, 0)).T
         self.ptm = _readonly(m)
 
     # --- constructors ---
@@ -212,10 +212,6 @@ class ChannelRep(_TransferReadings):
     @classmethod
     def from_choi(cls, m) -> "ChannelRep":
         return cls(choi=m)
-
-    @classmethod
-    def from_jam(cls, m) -> "ChannelRep":
-        return cls(jam=m)
 
     @classmethod
     def from_ptm(cls, t) -> "ChannelRep":
@@ -236,14 +232,6 @@ class ChannelRep(_TransferReadings):
     def kraus(self) -> tuple:
         return tuple(_readonly(k) for k in kraus_from_choi(self.choi))
 
-    # --- predicates ---
-
-    def is_trace_preserving(self, tol: float = 1e-10) -> bool:
-        return bool(np.abs(self.ptm[0] - np.array([1.0, 0.0, 0.0, 0.0])).max() <= tol)
-
-    def is_unital(self, tol: float = 1e-10) -> bool:
-        return bool(np.abs(self.ptm[:, 0] - np.array([1.0, 0.0, 0.0, 0.0])).max() <= tol)
-
     def __repr__(self) -> str:
         return f"ChannelRep(ptm={self.ptm.tolist()})"
 
@@ -255,11 +243,6 @@ def jamiolkowski(e) -> np.ndarray:
     (1/2)(I (x) I + sum_i lambda_i sigma_i (x) sigma_i).
     """
     return e.jam
-
-
-def choi_from_jam(j: np.ndarray) -> np.ndarray:
-    """Partial transpose on the first factor, mapping (id (x) N)(SWAP) to the Choi matrix."""
-    return partial_transpose(j, 0)
 
 
 def kraus_from_choi(choi: np.ndarray, tol: float = 1e-9) -> list[np.ndarray]:

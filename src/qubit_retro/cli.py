@@ -1,9 +1,10 @@
 """Command line front end: invert, verify, classify, and scan.
 
-Exit codes: 0 success, 1 malformed input, usage error or failed
-verification, 2 no Bayesian inverse exists, 3 a supplied channel (the
-channel or candidate inverse given to verify, or the channel file given to
-kraus) is not CPTP.
+Exit codes: 0 success, 1 malformed input, usage error, an output
+directory that cannot be made or written (--out naming a file, say) or
+failed verification, 2 no Bayesian inverse exists, 3 a supplied channel
+(the channel or candidate inverse given to verify, or the channel file given
+to kraus) is not CPTP.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from .bayes import (
 from .channels import ChannelRep, PauliChannel, apply, is_cptp
 from .errors import NotCPTPError, NotPSDError, NotUnitalError, QubitRetroError
 from .scans import (
+    _FAMILIES,
     ScanGrid,
     _g17,
     boundary_chi,
@@ -50,9 +52,6 @@ EXIT_INPUT = 1
 EXIT_NO_INVERSE = 2
 EXIT_NOT_CPTP = 3
 
-_COMMANDS = ("invert", "unscathed", "verify", "scan", "kraus", "three-entry")
-_FAMILIES = ("depolarizing", "bb84")
-
 
 @dataclass
 class RunConfig:
@@ -69,7 +68,7 @@ class RunConfig:
     out: str | None = None
 
     def __post_init__(self) -> None:
-        if self.command not in _COMMANDS:
+        if self.command not in _DISPATCH:
             raise ValueError(f"unknown command {self.command!r}")
         if not 0.0 < self.tol < np.inf:
             raise ValueError(f"tolerance must be positive and finite, got {self.tol}")
@@ -93,18 +92,30 @@ def _print_complex_matrix(m) -> None:
         print("  " + "  ".join(f"{z.real:.17g}{z.imag:+.17g}j" for z in row))
 
 
+def _write(out: str, files: dict) -> None:
+    """Write each named file into out, and say so.
+
+    A dict is written as a JSON document. A callable returns the bytes to
+    write, so that only one rendered file is held at a time.
+
+    :raises ValueError: if the directory, made if missing, or a file cannot be written.
+    """
+    paths = [Path(out) / name for name in files]
+    try:
+        Path(out).mkdir(parents=True, exist_ok=True)
+        for path, content in zip(paths, files.values()):
+            if callable(content):
+                path.write_bytes(content())
+            else:
+                dump_json(path, content)
+    except OSError as exc:
+        raise ValueError(f"cannot write to {out}: {exc}") from None
+    print("wrote " + " and ".join(map(str, paths)))
+
+
 def _report_doc(report) -> dict:
-    return {
-        "v": [float(x) for x in report.v],
-        "R": [[float(x) for x in row] for row in report.R],
-        "eta": float(report.eta),
-        "detR": float(report.detR),
-        "normRv2": float(report.normRv2),
-        "normAdjR2": float(report.normAdjR2),
-        "slack": [float(x) for x in report.slack],
-        "feasible": bool(report.feasible),
-        "S": float(report.S),
-    }
+    """A FeasibilityReport's fields, in their declared order, as JSON values."""
+    return {f.name: np.asarray(getattr(report, f.name)).tolist() for f in fields(report)}
 
 
 # === Commands ===
@@ -127,12 +138,9 @@ def cmd_invert(cfg: RunConfig) -> int:
             doc["report"] = _report_doc(outcome.report)
         if outcome.residuals is not None:
             print(f"conjugation residuals (sigma_0..sigma_3): {_vec(outcome.residuals)}")
-            doc["residuals"] = [float(x) for x in outcome.residuals]
+            doc["residuals"] = outcome.residuals.tolist()
         if cfg.out:
-            outdir = Path(cfg.out)
-            outdir.mkdir(parents=True, exist_ok=True)
-            dump_json(outdir / "invert_report.json", doc)
-            print(f"wrote {outdir / 'invert_report.json'}")
+            _write(cfg.out, {"invert_report.json": doc})
         return EXIT_NO_INVERSE
 
     rec: InverseRecord = outcome
@@ -148,22 +156,18 @@ def cmd_invert(cfg: RunConfig) -> int:
     for k in rec.kraus:
         _print_complex_matrix(k)
     if cfg.out:
-        outdir = Path(cfg.out)
-        outdir.mkdir(parents=True, exist_ok=True)
         inverse_doc = {"kind": "kraus", "ops": [matrix_to_pairs(k) for k in rec.kraus]}
-        dump_json(outdir / "inverse.json", inverse_doc)
         doc = {
             "verdict": "inverse",
             "tol": cfg.tol,
-            "a": [[float(x) for x in row] for row in rec.a],
+            "a": rec.a.tolist(),
             "S": float(rec.S),
             "unique": bool(rec.unique),
             "residual": float(rec.residual),
             "report": _report_doc(rec.report),
             "inverse": inverse_doc,
         }
-        dump_json(outdir / "invert_report.json", doc)
-        print(f"wrote {outdir / 'inverse.json'} and {outdir / 'invert_report.json'}")
+        _write(cfg.out, {"inverse.json": inverse_doc, "invert_report.json": doc})
     return EXIT_OK
 
 
@@ -202,17 +206,14 @@ def cmd_verify(cfg: RunConfig) -> int:
     symmetric = discrepancy <= cfg.tol
     print(f"verdict: {'symmetric' if symmetric else 'NOT symmetric'}")
     if cfg.out:
-        outdir = Path(cfg.out)
-        outdir.mkdir(parents=True, exist_ok=True)
         doc = {
-            "forward": [[float(x) for x in row] for row in forward],
-            "reversed": [[float(x) for x in row] for row in reverse],
+            "forward": forward.tolist(),
+            "reversed": reverse.tolist(),
             "discrepancy": discrepancy,
             "tol": cfg.tol,
             "symmetric": bool(symmetric),
         }
-        dump_json(outdir / "verify_report.json", doc)
-        print(f"wrote {outdir / 'verify_report.json'}")
+        _write(cfg.out, {"verify_report.json": doc})
     return EXIT_OK if symmetric else EXIT_INPUT
 
 
@@ -221,21 +222,17 @@ def cmd_scan(cfg: RunConfig) -> int:
         print("error: scan needs --out DIR for its CSV/SVG files", file=sys.stderr)
         return EXIT_INPUT
     resolution = 201 if cfg.resolution is None else cfg.resolution
-    if cfg.family == "bb84":
-        grid = ScanGrid.uniform(resolution, direction=np.ones(3) / np.sqrt(3.0))
-        cells = scan_bb84(grid, cfg.tol)
-    else:
-        grid = ScanGrid.uniform(resolution)
-        cells = scan_depolarizing(grid, cfg.tol)
-    outdir = Path(cfg.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    base = outdir / f"{cfg.family}_{resolution}"
-    base.with_suffix(".csv").write_bytes(emit_csv(cells))
-    base.with_suffix(".svg").write_bytes(emit_svg(cells, title=cfg.family))
+    grid = ScanGrid.uniform(resolution, direction=_FAMILIES[cfg.family][1])
+    scan = scan_bb84 if cfg.family == "bb84" else scan_depolarizing
+    cells = scan(grid, cfg.tol)
     count = int(cells.feasible.sum())
     print(f"family {cfg.family}, resolution {resolution}")
     print(f"feasible cells: {count}/{len(cells)} ({count / len(cells):.6f})")
-    print(f"wrote {base.with_suffix('.csv')} and {base.with_suffix('.svg')}")
+    base = f"{cfg.family}_{resolution}"
+    _write(cfg.out, {
+        f"{base}.csv": lambda: emit_csv(cells),
+        f"{base}.svg": lambda: emit_svg(cells, title=cfg.family),
+    })
     if cfg.family == "depolarizing":
         print("largest feasible t by bisection:")
         p_axis = np.linspace(0.0, 1.0, 11)
@@ -256,25 +253,10 @@ def _run_three_entry(cfg: RunConfig) -> int:
         for p, r in summary.examples:
             print(f"  p = {_vec(p)}   r = {_vec(r)}")
     if cfg.out:
-        outdir = Path(cfg.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        doc = {
-            "resolution": summary.resolution,
-            "seed": summary.seed,
-            "channels": summary.channels,
-            "samples_per_channel": summary.samples_per_channel,
-            "queries": summary.queries,
-            "mu_feasible": summary.mu_feasible,
-            "hits": summary.hits,
-            "hits_confirmed": summary.hits_confirmed,
-            "examples": [
-                {"p": [float(x) for x in p], "r": [float(x) for x in r]}
-                for p, r in summary.examples
-            ],
-        }
-        path = outdir / f"three-entry_{resolution}.json"
-        dump_json(path, doc)
-        print(f"wrote {path}")
+        examples = [{"p": list(map(float, p)), "r": list(map(float, r))}
+                    for p, r in summary.examples]
+        doc = {**asdict(summary), "examples": examples}
+        _write(cfg.out, {f"three-entry_{resolution}.json": doc})
     return EXIT_OK
 
 
@@ -295,10 +277,7 @@ def cmd_kraus(cfg: RunConfig) -> int:
     for k in ops:
         _print_complex_matrix(k)
     if cfg.out:
-        outdir = Path(cfg.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        dump_json(outdir / "kraus.json", channel_to_json(rep))
-        print(f"wrote {outdir / 'kraus.json'}")
+        _write(cfg.out, {"kraus.json": channel_to_json(rep)})
     return EXIT_OK
 
 
@@ -332,7 +311,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if inverse:
             sp.add_argument("--inverse", required=True, help="candidate inverse channel JSON file")
         if family:
-            sp.add_argument("--family", required=True, choices=_FAMILIES)
+            sp.add_argument("--family", required=True, choices=tuple(_FAMILIES))
         if resolution:
             sp.add_argument("--resolution", type=int, default=None)
         if seed:

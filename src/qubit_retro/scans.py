@@ -3,6 +3,9 @@
 Each scan walks a (p, t) grid, where p parametrizes a Pauli-channel family
 and t = |r|^2 is the squared Bloch length of the prior state along a fixed
 direction, and records whether the Bayesian inverse exists in each cell.
+The two families, depolarizing and bb84, each with its default prior
+direction, sit in one table that the scans, :func:`boundary_chi` and the
+CLI read.
 Every batch of verdicts (region scans, the probes and bisection steps of
 :func:`boundary_chi`, and each three-entry channel against its Bloch
 samples) is one call of the batched verdict in :mod:`qubit_retro.bayes`,
@@ -188,9 +191,17 @@ def bb84_channel(p: float) -> PauliChannel:
     return PauliChannel(vec / vec.sum())
 
 
+# Each scan family: its channel at p, and the default direction of its priors.
+_FAMILIES = {
+    "depolarizing": (PauliChannel.depolarizing, _readonly(np.array([1.0, 0.0, 0.0]))),
+    "bb84": (bb84_channel, _readonly(np.ones(3) / np.sqrt(3.0))),
+}
+
+
 # === Region scans ===
 
-def _scan_family(grid: ScanGrid, channel_of, tol: float) -> ScanResult:
+def _scan_family(grid: ScanGrid, family: str, tol: float) -> ScanResult:
+    channel_of = _FAMILIES[family][0]
     channels = [channel_of(float(p)) for p in grid.p_axis]
     r = (grid.direction[:, None] * np.sqrt(grid.t_axis))[:, None]
     feasible, slack, witness = _verdict_rows(channels, r, tol)
@@ -199,16 +210,12 @@ def _scan_family(grid: ScanGrid, channel_of, tol: float) -> ScanResult:
 
 def scan_depolarizing(grid: ScanGrid, tol: float = 1e-9) -> ScanResult:
     """Feasibility region of the depolarizing family over (p, t)."""
-    return _scan_family(grid, PauliChannel.depolarizing, tol)
+    return _scan_family(grid, "depolarizing", tol)
 
 
 def scan_bb84(grid: ScanGrid, tol: float = 1e-9) -> ScanResult:
-    """Feasibility region of the intercept-resend family over (p, t).
-
-    Feed a grid with direction (1, 1, 1)/sqrt(3) to reproduce the symmetric
-    prior-ray picture.
-    """
-    return _scan_family(grid, bb84_channel, tol)
+    """Feasibility region of the intercept-resend family over (p, t)."""
+    return _scan_family(grid, "bb84", tol)
 
 
 def boundary_chi(
@@ -229,18 +236,18 @@ def boundary_chi(
     every p are scored together, and each bisection step scores the
     midpoints of every p still open together.
 
-    :raises ValueError: unless 0 < tol < inf.
+    tol is the bisection width; every probe and step is scored at the
+    fixed verdict tolerance 1e-9, whatever tolerance a region scan used.
+    direction defaults to the family's prior direction.
+
+    :raises ValueError: unless 0 < tol < inf, or for an unknown family.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError(f"bisection tolerance must be positive and finite, got {tol}")
-    if family == "depolarizing":
-        channel_of = PauliChannel.depolarizing
-        d = _unit((1.0, 0.0, 0.0) if direction is None else direction)
-    elif family == "bb84":
-        channel_of = bb84_channel
-        d = _unit(np.ones(3) / np.sqrt(3.0) if direction is None else direction)
-    else:
+    if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}")
+    channel_of, default = _FAMILIES[family]
+    d = _unit(default if direction is None else direction)
     if np.ndim(p) > 1:
         raise ValueError(f"p must be one value or a 1-D sequence, got shape {np.shape(p)}")
     ps = [float(q) for q in np.atleast_1d(p)]

@@ -60,6 +60,23 @@ def channel_to_json(e) -> dict:
     raise TypeError(f"cannot serialize {type(e).__name__} as a channel")
 
 
+def _numbers(doc: dict, key: str, n: int, message: str) -> np.ndarray:
+    """doc[key] as floats, if it is a list of n JSON numbers (no bools, strings or nulls).
+
+    :raises ValueError: with message if it is not a list of n entries, else naming the field.
+    """
+    values = doc.get(key)
+    if not isinstance(values, list) or len(values) != n:
+        raise ValueError(message)
+    for x in values:
+        if type(x) not in (int, float):
+            raise ValueError(f'"{key}" entries must be JSON numbers, got {json.dumps(x)}')
+    try:
+        return np.array(values, dtype=np.float64)
+    except OverflowError:
+        raise ValueError(f'"{key}" has an entry too large for a float') from None
+
+
 def channel_from_json(doc: dict):
     """Parse a channel document into a PauliChannel or ChannelRep.
 
@@ -70,20 +87,15 @@ def channel_from_json(doc: dict):
         raise ValueError('channel document must be an object with a "kind" field')
     kind = doc["kind"]
     if kind == "pauli":
-        p = doc.get("p")
-        if not isinstance(p, list) or len(p) != 4:
-            raise ValueError('"pauli" channel needs a 4-entry "p" list')
-        return PauliChannel(np.array([float(x) for x in p]))
+        return PauliChannel(_numbers(doc, "p", 4, '"pauli" channel needs a 4-entry "p" list'))
     if kind == "kraus":
         ops = doc.get("ops")
         if not isinstance(ops, list) or not ops:
             raise ValueError('"kraus" channel needs a non-empty "ops" list')
         return ChannelRep.from_kraus([matrix_from_pairs(op) for op in ops])
     if kind == "ptm":
-        m = doc.get("m")
-        if not isinstance(m, list) or len(m) != 16:
-            raise ValueError('"ptm" channel needs a 16-entry row-major "m" list')
-        return ChannelRep.from_ptm(np.array([float(x) for x in m]).reshape(4, 4))
+        m = _numbers(doc, "m", 16, '"ptm" channel needs a 16-entry row-major "m" list')
+        return ChannelRep.from_ptm(m.reshape(4, 4))
     raise ValueError(f"unknown channel kind {kind!r}")
 
 
@@ -94,10 +106,7 @@ def state_to_json(s: BlochState) -> dict:
 def state_from_json(doc: dict) -> BlochState:
     if not isinstance(doc, dict) or "bloch" not in doc:
         raise ValueError('state document must be an object with a "bloch" field')
-    r = doc["bloch"]
-    if not isinstance(r, list) or len(r) != 3:
-        raise ValueError('"bloch" must be a 3-entry list')
-    return BlochState(np.array([float(x) for x in r]))
+    return BlochState(_numbers(doc, "bloch", 3, '"bloch" must be a 3-entry list'))
 
 
 def _reject_constant(name: str):

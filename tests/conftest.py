@@ -67,7 +67,7 @@ def scalar_verdict(pc: PauliChannel, s: BlochState, tol: float = 1e-9):
     """
     out = pauli_frame_decision(pc, s, tol)
     if not isinstance(out, NoInverse):
-        return True, out[2].slack, None
+        return True, out.report.slack, None
     if out.report is None:
         return False, np.full(3, -1.0), out.reason
     return False, out.report.slack, f"slack-{int(np.argmax(out.report.slack < -tol)) + 1}"

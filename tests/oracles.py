@@ -52,7 +52,7 @@ def swap_matrix() -> np.ndarray:
 # === Channels ===
 
 def jam_from_choi(c: np.ndarray) -> np.ndarray:
-    """Inverse of ``choi_from_jam`` (the map is an involution)."""
+    """Partial transpose on the first factor: Choi matrix to (id (x) N)(SWAP), and back."""
     return partial_transpose(c, 0)
 
 

@@ -26,6 +26,7 @@ from oracles import (
 from qubit_retro import (
     BlochState,
     ChannelRep,
+    InverseRecord,
     NoInverse,
     PauliChannel,
     WITNESSES,
@@ -40,6 +41,7 @@ from qubit_retro import (
     is_cptp,
     is_unscathed,
     jamiolkowski,
+    pauli_frame_decision,
     pauli_frame_verdicts,
     pauli_reconstruct,
     tensor,
@@ -291,7 +293,7 @@ def test_analytic_inverse_satisfies_identity_even_when_infeasible():
         pc = random_pauli(rng, 1e-3)
         s = random_bloch(rng)
         rec = analytic_inverse(pc, s)
-        candidate = ChannelRep.from_jam(pauli_reconstruct(rec.a / 2.0))
+        candidate = ChannelRep.from_ptm(rec.a.T)
         assert bayes_residual(pc, s, candidate) < 1e-12
         assert rec.a[0, 0] == 1.0
         assert np.abs(rec.a[1:, 0]).max() == 0.0
@@ -317,6 +319,38 @@ def test_analytic_inverse_skips_kraus_when_asked():
     pc = PauliChannel.depolarizing(0.2)
     rec = analytic_inverse(pc, BlochState(np.array([0.3, 0.0, 0.0])))
     assert rec.kraus == ()
+
+
+def test_analytic_choi_is_the_reading_of_its_transfer_matrix():
+    # One Choi recipe: the candidate's Choi matrix is the one its ptm a^T reads back.
+    rng = np.random.default_rng(SEED + 24)
+    for _ in range(2000):
+        rec = analytic_inverse(random_pauli(rng, 1e-3), random_bloch(rng))
+        assert rec.choi.tobytes() == ChannelRep.from_ptm(rec.a.T).choi.tobytes()
+
+
+def test_pauli_frame_decision_returns_a_frame_record():
+    rng = np.random.default_rng(SEED + 25)
+    found = 0
+    for _ in range(100):
+        pc, s = random_pauli(rng, 1e-3), random_bloch(rng, 0.6)
+        rec = pauli_frame_decision(pc, s)
+        if isinstance(rec, NoInverse):
+            continue
+        found += 1
+        ref = analytic_inverse(pc, s)
+        assert isinstance(rec, InverseRecord)
+        assert (rec.a.tobytes(), rec.choi.tobytes()) == (ref.a.tobytes(), ref.choi.tobytes())
+        assert (rec.S, rec.kraus, rec.residual, rec.unique) == (ref.S, (), 0.0, True)
+    assert found > 10
+    # On the boundary an unscathed prior gets the channel itself.
+    pc = PauliChannel(np.array([0.3, 0.7, 0.0, 0.0]))
+    for x, unique in ((0.6, True), (1.0, False)):
+        rec = pauli_frame_decision(pc, BlochState(np.array([x, 0.0, 0.0])))
+        assert isinstance(rec, InverseRecord)
+        assert (rec.a.tobytes(), rec.choi.tobytes()) == (pc.ptm.tobytes(), pc.choi.tobytes())
+        assert (rec.S, rec.kraus, rec.residual, rec.unique) == (x * x, (), 0.0, unique)
+        assert rec.report.feasible
 
 
 # === Batched verdicts ===
@@ -453,6 +487,34 @@ def test_bayesian_inverse_feasible_pauli_case():
         assert np.abs(apply(f, apply(pc, s)).r - s.r).max() < 1e-9
 
 
+def test_bayesian_inverse_keeps_the_frame_decision_on_pauli_channels(monkeypatch):
+    decisions = []
+    decide = bayes.pauli_frame_decision
+
+    def recording(*args):
+        decisions.append(decide(*args))
+        return decisions[-1]
+
+    monkeypatch.setattr(bayes, "pauli_frame_decision", recording)
+    rng = np.random.default_rng(SEED + 26)
+    cases = [(PauliChannel(np.array([0.8, 0.1, 0.06, 0.04])), BlochState((0.3, 0.2, -0.4))),
+             (PauliChannel(np.array([0.3, 0.7, 0.0, 0.0])), BlochState((0.6, 0.0, 0.0)))]
+    cases += [(random_pauli(rng, 1e-3), random_bloch(rng, 0.5)) for _ in range(20)]
+    kept = 0
+    for pc, s in cases:
+        rec = bayesian_inverse(pc, s)
+        if isinstance(rec, NoInverse):
+            continue
+        kept += 1
+        dec = decisions[-1]
+        assert rec.report is dec.report
+        assert (rec.a.tobytes(), rec.S, rec.unique) == (dec.a.tobytes(), dec.S, dec.unique)
+        # The frame is the identity, so the certified Choi matrix is the decision's.
+        assert rec.choi.tobytes() == dec.choi.tobytes()
+        assert rec.kraus and rec.residual <= 1e-9
+    assert kept > 10
+
+
 def test_bayesian_inverse_infeasible_pauli_case():
     out = bayesian_inverse(PauliChannel.depolarizing(0.2), BlochState(np.array([0.9, 0.0, 0.0])))
     assert isinstance(out, NoInverse)
@@ -555,7 +617,8 @@ def test_certification_failure_raises_internal_error(monkeypatch):
     # A decision whose inverse is not CP (the transpose-like map) must fail
     # certification loudly, whatever the caller's tol.
     def decision(p, s, tol):
-        return np.diag([1.0, 0.9, 0.9, -0.9]), 0.0, None, True
+        a = np.diag([1.0, 0.9, 0.9, -0.9])
+        return InverseRecord(a=a, S=0.0, choi=ChannelRep.from_ptm(a).choi, kraus=(), report=None)
 
     monkeypatch.setattr(bayes, "pauli_frame_decision", decision)
     for tol in (1e-12, 1e-9, 1e-3):

@@ -13,11 +13,11 @@ from qubit_retro import (
     adjoint,
     apply,
     apply_operator,
-    choi_from_jam,
     compose,
     is_cptp,
     jamiolkowski,
     kraus_from_choi,
+    partial_transpose,
     tensor,
     transport_inverse,
     unital_to_pauli,
@@ -116,9 +116,12 @@ def test_rep_rejects_non_hermitian_choi_and_jam():
     rep = ChannelRep.from_pauli(random_pauli(rng))
     skew = np.zeros((4, 4), dtype=np.complex128)
     skew[0, 1] = 1e-6
-    for name in ("choi", "jam"):
-        with pytest.raises(NotHermitianError):
-            ChannelRep(**{name: getattr(rep, name) + skew})
+    with pytest.raises(NotHermitianError):
+        ChannelRep(choi=rep.choi + skew)
+    # jam is a reading of the transfer matrix, not an input form.
+    with pytest.raises(TypeError):
+        ChannelRep(jam=rep.jam)
+    assert not hasattr(ChannelRep, "from_jam")
 
 
 def test_rep_rejects_complex_ptm():
@@ -137,9 +140,8 @@ def test_conversion_roundtrips():
     for _ in range(30):
         rep = ChannelRep.from_pauli(random_pauli(rng))
         from_choi = ChannelRep.from_choi(rep.choi)
-        from_jam = ChannelRep.from_jam(rep.jam)
         from_ptm = ChannelRep.from_ptm(rep.ptm)
-        for other in (from_choi, from_jam, from_ptm):
+        for other in (from_choi, from_ptm):
             assert np.abs(other.choi - rep.choi).max() < 1e-10
             assert np.abs(other.ptm - rep.ptm).max() < 1e-10
         rebuilt = ChannelRep.from_kraus(from_choi.kraus)
@@ -150,8 +152,9 @@ def test_choi_trace_and_tp_flags():
     rng = np.random.default_rng(SEED + 4)
     rep, _, _, _ = random_unital(rng)
     assert abs(rep.choi.trace().real - 2.0) < 1e-10
-    assert rep.is_trace_preserving()
-    assert rep.is_unital()
+    # Trace preserving and unital: the first row and column of the ptm are (1, 0, 0, 0).
+    assert np.abs(rep.ptm[0] - [1.0, 0.0, 0.0, 0.0]).max() <= 1e-10
+    assert np.abs(rep.ptm[:, 0] - [1.0, 0.0, 0.0, 0.0]).max() <= 1e-10
 
 
 def test_jamiolkowski_matches_basis_action():
@@ -177,8 +180,8 @@ def test_jamiolkowski_pauli_fast_path():
 def test_choi_jam_involution():
     rng = np.random.default_rng(SEED + 7)
     rep, _, _, _ = random_unital(rng)
-    assert np.abs(choi_from_jam(rep.jam) - rep.choi).max() < 1e-12
     assert np.abs(jam_from_choi(rep.choi) - rep.jam).max() < 1e-12
+    assert np.abs(jam_from_choi(rep.jam) - rep.choi).max() < 1e-12
 
 
 def test_kraus_from_choi_completeness():
@@ -290,8 +293,8 @@ def test_fujiwara_algoet_matches_choi_spectrum():
             for l3 in axis:
                 lam = np.array([l1, l2, l3])
                 coeff = np.diag(np.concatenate(([1.0], lam))) / 2.0
-                choi = choi_from_jam(
-                    sum(c * tensor(PAULIS[i], PAULIS[i]) for i, c in enumerate(np.diag(coeff)))
+                choi = partial_transpose(
+                    sum(c * tensor(PAULIS[i], PAULIS[i]) for i, c in enumerate(np.diag(coeff))), 0
                 )
                 min_eig = np.linalg.eigvalsh(choi)[0]
                 if abs(min_eig) < 1e-12:

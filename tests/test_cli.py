@@ -190,6 +190,34 @@ def test_invert_rejects_malformed_channel(tmp_path, files, capsys):
     assert "4-entry" in capsys.readouterr().err
 
 
+def test_non_number_entries_exit_1_with_an_error_line(files, tmp_path, capsys):
+    for i, text in enumerate(('{"bloch": [null, 0.2, -0.4]}', '{"bloch": [[0.3], 0.2, -0.4]}',
+                              '{"bloch": ["0.8", 0.2, -0.4]}', '{"bloch": [true, 0.2, -0.4]}')):
+        state = tmp_path / f"state{i}.json"
+        state.write_text(text)
+        code = main(["invert", "--channel", str(files["channel"]), "--state", str(state)])
+        assert code == 1, text
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and '"bloch"' in err, text
+
+
+def test_out_naming_a_file_exits_1_with_an_error_line(files, tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("keep")
+    common = ["--channel", str(files["channel"]), "--state", str(files["state"])]
+    for args in (
+        ["invert", *common],
+        ["verify", *common, "--inverse", str(files["channel"])],
+        ["kraus", "--channel", str(files["channel"])],
+        ["scan", "--family", "bb84", "--resolution", "5"],
+        ["three-entry", "--resolution", "4"],
+    ):
+        assert main([*args, "--out", str(afile)]) == 1, args[0]
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write to ") and str(afile) in err, args[0]
+    assert afile.read_text() == "keep"
+
+
 def test_unscathed_exit_codes(files, tmp_path, capsys):
     axis = tmp_path / "axis.json"
     dump_json(axis, {"bloch": [0.6, 0.0, 0.0]})

@@ -80,6 +80,35 @@ def test_channel_from_json_rejects_malformed_documents():
             channel_from_json(doc)
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"bloch": [None, 0.2, -0.4]},
+        {"bloch": [[0.3], 0.2, -0.4]},
+        {"bloch": ["0.8", 0.0, 0.0]},
+        {"bloch": [True, 0.0, 0.0]},
+        {"bloch": [10**400, 0.0, 0.0]},
+        {"kind": "pauli", "p": [0.7, 0.1, 0.1, None]},
+        {"kind": "pauli", "p": ["0.7", 0.1, 0.1, 0.1]},
+        {"kind": "pauli", "p": [True, False, False, False]},
+        {"kind": "ptm", "m": [1, 0, 0, 0, 0, [1], 0, 0, 0, 0, 1, 0, 0, 0, 0, 1]},
+        {"kind": "ptm", "m": [True] + [0] * 4 + [1] + [0] * 4 + [1] + [0] * 4 + [1]},
+    ],
+    ids=["bloch-null", "bloch-list", "bloch-string", "bloch-bool", "bloch-huge-int",
+         "p-null", "p-string", "p-bool", "m-list", "m-bool"],
+)
+def test_entries_must_be_json_numbers(doc):
+    key = next(k for k in ("bloch", "p", "m") if k in doc)
+    parse = state_from_json if key == "bloch" else channel_from_json
+    with pytest.raises(ValueError, match=f'"{key}"'):
+        parse(doc)
+
+
+def test_integer_entries_are_numbers():
+    assert state_from_json({"bloch": [0, 1, 0]}).r.tolist() == [0.0, 1.0, 0.0]
+    assert channel_from_json({"kind": "pauli", "p": [1, 0, 0, 0]}).p.tolist() == [1, 0, 0, 0]
+
+
 def test_state_roundtrip():
     s = BlochState(np.array([0.1, -0.2, 0.3]))
     back = state_from_json(json.loads(json.dumps(state_to_json(s))))
