@@ -5,6 +5,7 @@ tests/data/scan_parity.json holds, for both scan families,
 - the stdout of `scan --resolution 201` (output paths written as <out>),
   with the largest-feasible-t lines of the depolarizing family;
 - the sha256 of the `feasible` and `witness` columns at resolution 201;
+- the sha256 of the CSV and SVG files that `scan --resolution 201` writes;
 - every slack at resolution 41, which must stay within 1e-15 (boundary rows
   pass through einsum, whose last bit may depend on the NumPy build);
 
@@ -21,6 +22,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -58,14 +60,22 @@ def _sha256(column: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(column).tobytes()).hexdigest()
 
 
+def _file_sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def _scan_record(family: str, outdir: Path) -> dict:
     cells = _scan(family, SCAN_RESOLUTION)
+    run = _run(["scan", "--family", family, "--resolution", str(SCAN_RESOLUTION)], outdir)
+    base = outdir / f"{family}_{SCAN_RESOLUTION}"
     return {
         "family": family,
-        "run": _run(["scan", "--family", family, "--resolution", str(SCAN_RESOLUTION)], outdir),
+        "run": run,
         "feasible_sha256": _sha256(cells.feasible),
         "witness_sha256": _sha256(cells.witness),
         "slack": _scan(family, SLACK_RESOLUTION).slack.tolist(),
+        "csv_sha256": _file_sha256(base.with_suffix(".csv")),
+        "svg_sha256": _file_sha256(base.with_suffix(".svg")),
     }
 
 
@@ -89,6 +99,8 @@ def test_scan_matches_recorded_transcript(case, tmp_path):
     assert now["feasible_sha256"] == case["feasible_sha256"]
     assert now["witness_sha256"] == case["witness_sha256"]
     assert _slack_matches(now["slack"], case["slack"])
+    assert now["csv_sha256"] == case["csv_sha256"]
+    assert now["svg_sha256"] == case["svg_sha256"]
 
 
 @pytest.mark.parametrize("case", _RECORDED["three_entry"],
@@ -100,6 +112,9 @@ def test_three_entry_matches_recorded_transcript(case, tmp_path):
 def test_recorded_transcript_is_complete_and_sensitive():
     assert [c["family"] for c in _RECORDED["scan"]] == list(FAMILIES)
     assert [c["seed"] for c in _RECORDED["three_entry"]] == list(SEEDS)
+    for case in _RECORDED["scan"]:
+        for key in ("csv_sha256", "svg_sha256"):
+            assert re.fullmatch("[0-9a-f]{64}", case.get(key, "")), (case["family"], key)
     depolarizing = _RECORDED["scan"][0]
     assert depolarizing["run"][0] == 0 and depolarizing["run"][1].count("chi = ") == 11
     # One slack moved by 3e-15 must not pass.
