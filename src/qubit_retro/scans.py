@@ -14,10 +14,17 @@ bit-identical to one :func:`~qubit_retro.bayes.pauli_frame_verdicts` call
 per row. A scan returns a columnar :class:`ScanResult`, whose cells are
 row-major (p outer, t inner) so repeated runs produce byte-identical CSV
 output; :class:`RegionCell` objects are made only when a cell is read.
+
+:func:`emit_csv` and :func:`emit_svg` render a scan as byte matrices, one
+CSV row or SVG ``<rect>`` line per matrix row, in blocks of cells, and drop
+the NUL padding in one pass. The CSV floats are the exact bytes of
+``'%.17g' % x``, computed a column at a time; the few values the
+vectorized route cannot decide are formatted by ``'%.17g'`` itself.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -374,17 +381,182 @@ def _g17(x: float) -> str:
     return format(float(x), ".17g")
 
 
+# _g17_rows writes '%.17g' % v for a column of floats as a byte matrix. A
+# value with 1e-270 <= |v| < 1e270 is scaled by a double-double power of ten
+# to y = |v| 10^(16 - X), X its decimal exponent, and y = p + r with p an
+# integer double and |r| < 20 (Dekker's exact product, error < 1e-14). Its
+# 17 digits are p + round(r) unless r lies within 2^-24 of a half-integer or
+# the digits fall outside (10^16, 10^17); such values, and zeros,
+# subnormals, non-finite and out-of-range values, are formatted by '%.17g'
+# itself.
+_G17_WIDTH = 24  # len("-1.2345678901234567e-100")
+_G17_RANGE = (1e-270, 1e270)
+_POW10_MIN, _POW10_MAX = -260, 290  # covers 16 - X over the fast range
+_SPLIT = 134217729.0  # 2^27 + 1, Dekker's splitter for 53-bit doubles
+# Each value's source row is eight 4-byte words: its six digit groups, each
+# "ddd." from the three-digit table, the exponent's "ddd" and sign, and the
+# constant bytes. A layout lists the source bytes of each output byte.
+_DIGIT = [1, 2, *(4 + 4 * (i // 3) + i % 3 for i in range(15))]
+_DOT, _EXP_DIGITS, _EXP_SIGN = 3, (24, 25, 26), 27
+_CONSTANTS = b"\0e-0"
+_NUL, _E, _MINUS, _ZERO = range(28, 32)
+# Layout classes: X + 4 for the fixed form, -4 <= X < 17, then the
+# exponent form with two and with three exponent digits.
+_EXP2, _EXP3 = 21, 22
+
+
+def _g17_layout(neg: int, cls: int, s: int) -> list:
+    """Source bytes of the '%.17g' bytes of a value with s significant digits."""
+    d = _DIGIT
+    out = [_MINUS] * neg
+    x = cls - 4
+    if cls >= _EXP2:
+        out += [d[0], _DOT, *d[1:s]] if s > 1 else [d[0]]
+        out += [_E, _EXP_SIGN, *_EXP_DIGITS[cls == _EXP2 :]]
+    elif x < 0:
+        out += [_ZERO, _DOT, *[_ZERO] * (-x - 1), *d[:s]]
+    else:
+        # Digits past the s-th are zeros, so the integer part reads them as such.
+        out += [*d[: x + 1], _DOT, *d[x + 1 : s]] if s > x + 1 else d[: x + 1]
+    return out + [_NUL] * (_G17_WIDTH - len(out))
+
+
+@functools.cache
+def _g17_tables():
+    """Scale, digit and layout tables of :func:`_g17_rows`, built on first use."""
+    hi, lo = [], []
+    for k in range(_POW10_MIN, _POW10_MAX + 1):
+        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+        h = num / den  # correctly rounded
+        a, b = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((num * b - a * den) / (den * b))  # 10^k - h, correctly rounded
+    hi = np.array(hi)
+    c = hi * _SPLIT
+    hi_hi = c - (c - hi)
+    scale = np.stack([hi, hi_hi, hi - hi_hi, lo], axis=1)
+    three_digits = np.frombuffer(b"".join(b"%03d." % i for i in range(1000)), dtype=np.uint32)
+    i = np.arange(1000)
+    trailing_zeros = sum((i % 10**j == 0).astype(np.intp) for j in (1, 2, 3))
+    layouts = np.array(
+        [_g17_layout(neg, cls, s) for neg in (0, 1) for cls in range(23) for s in range(1, 18)],
+        dtype=np.intp,
+    )
+    return scale, three_digits, trailing_zeros, layouts
+
+
+def _g17_digits(v: np.ndarray, x: np.ndarray, scale) -> tuple:
+    """round(v 10^(16 - x)) as int64, and whether it lies within 2^-24 of a tie."""
+    hi, hi_hi, hi_lo, lo = np.take(scale, 16 - x - _POW10_MIN, axis=0).T
+    p = v * hi
+    c = v * _SPLIT
+    v_hi = c - (c - v)
+    v_lo = v - v_hi
+    r = (((v_hi * hi_hi - p) + v_hi * hi_lo + v_lo * hi_hi) + v_lo * hi_lo) + v * lo
+    whole = np.floor(r)
+    frac = r - whole
+    digits = p.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
+    return digits, np.abs(frac - 0.5) < 2.0**-24
+
+
+def _g17_rows(values) -> np.ndarray:
+    """'%.17g' % v for each v of a column, as an (n, 24) uint8 matrix.
+
+    Row k holds the ASCII bytes of value k, left-aligned and padded with NUL.
+    """
+    scale, three_digits, trailing_zeros, layouts = _g17_tables()
+    values = np.asarray(values, dtype=np.float64).reshape(-1)
+    n = len(values)
+    v = np.abs(values)
+    fast = (v >= _G17_RANGE[0]) & (v < _G17_RANGE[1])
+    v[~fast] = 1.0
+    # Near a power of ten log10 may put X one off, or the digits may round
+    # to the next power; either way they leave (10^16, 10^17) and fall back.
+    x = np.floor(np.log10(v)).astype(np.int64)
+    digits, tie = _g17_digits(v, x, scale)
+    fast &= ~tie & (digits > 10**16) & (digits < 10**17)
+    # Rows that fall back are given the digits of 1, so that every row meets
+    # the layout's assumptions below; their bytes are replaced at the end.
+    digits[~fast], x[~fast] = 10**16, 0
+
+    groups = np.empty((n, 6), dtype=np.int32)  # "0dd" and five "ddd"
+    for at, part in zip((0, 3), np.divmod(digits, 10**9)):
+        part = part.astype(np.int32)
+        for j in (2, 1):
+            part, groups[:, at + j] = np.divmod(part, 1000)
+        groups[:, at] = part
+    words = np.empty((n, 8), dtype=np.uint32)
+    words[:, :6] = np.take(three_digits, groups)
+    words[:, 6] = np.take(three_digits, np.abs(x))
+    words[:, 7] = np.frombuffer(_CONSTANTS, dtype=np.uint32)
+    src = words.view(np.uint8)
+    src[:, _EXP_SIGN] = np.where(x < 0, ord("-"), ord("+"))
+    # s significant digits: 17 less the trailing zeros, counted group by group
+    # from the last one; few values end in a 000 group, and group 0 is >= 10.
+    s = 17 - np.take(trailing_zeros, groups[:, 5])
+    rows = np.flatnonzero(groups[:, 5] == 0)
+    for j in range(4, -1, -1):
+        g = groups[rows, j]
+        s[rows] -= np.take(trailing_zeros, g)
+        rows = rows[g == 0]
+    cls = np.where((x >= -4) & (x < 17), x + 4, np.where(np.abs(x) < 100, _EXP2, _EXP3))
+    index = layouts[((values < 0) * 23 + cls) * 17 + s - 1]
+    index += np.arange(0, 32 * n, 32)[:, None]
+    out = src.reshape(-1)[index]
+
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = "".join(("%.17g" % f).ljust(_G17_WIDTH, "\0") for f in values[slow].tolist())
+        out[slow] = np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(-1, _G17_WIDTH)
+    return out
+
+
+def _padded(strings) -> np.ndarray:
+    """ASCII strings as the rows of a uint8 matrix, padded with NUL."""
+    width = max(map(len, strings))
+    text = "".join(s.ljust(width, "\0") for s in strings)
+    return np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(len(strings), width)
+
+
+def _rows_bytes(*columns) -> bytes:
+    """Byte matrices side by side, read row by row without their NUL padding.
+
+    A bytes constant stands for the same bytes in every row.
+    """
+    m = next(len(c) for c in columns if not isinstance(c, bytes))
+    widths = [len(c) if isinstance(c, bytes) else c.shape[1] for c in columns]
+    rows = np.empty((m, sum(widths)), dtype=np.uint8)
+    at = 0
+    for c, w in zip(columns, widths):
+        rows[:, at : at + w] = np.frombuffer(c, dtype=np.uint8) if isinstance(c, bytes) else c
+        at += w
+    return rows[rows != 0].tobytes()
+
+
+# Cells rendered per block; bounds the scratch memory of both exports.
+_BLOCK = 2048
+
+
+def _blocks(scan: ScanResult):
+    """The scan's cells in row-major blocks: a slice, and its p and t indices."""
+    n_t = len(scan.grid.t_axis)
+    for start in range(0, len(scan), _BLOCK):
+        cells = slice(start, min(start + _BLOCK, len(scan)))
+        yield (cells, *np.divmod(np.arange(cells.start, cells.stop), n_t))
+
+
 def emit_csv(scan: ScanResult) -> bytes:
     """Render a scan as CSV with 17-significant-digit floats (byte stable)."""
-    n_p, n_t = len(scan.grid.p_axis), len(scan.grid.t_axis)
-    # One row per cell: p, t, feasible, slack1..3, formatted in a single pass.
-    rows = np.empty((n_p, n_t, 6), dtype=object)
-    rows[:, :, 0] = np.array([_g17(p) for p in scan.grid.p_axis], dtype=object)[:, None]
-    rows[:, :, 1] = np.array([_g17(t) for t in scan.grid.t_axis], dtype=object)
-    rows[:, :, 2] = scan.feasible.reshape(n_p, n_t)
-    rows[:, :, 3:] = scan.slack.reshape(n_p, n_t, 3)
-    body = ("%s,%s,%d,%.17g,%.17g,%.17g\n" * len(scan)) % tuple(rows.ravel().tolist())
-    return ("p,t,feasible,slack1,slack2,slack3\n" + body).encode("ascii")
+    p_rows, t_rows = _g17_rows(scan.grid.p_axis), _g17_rows(scan.grid.t_axis)
+    parts = [b"p,t,feasible,slack1,slack2,slack3\n"]
+    for cells, i, j in _blocks(scan):
+        flags = scan.feasible[cells, None].view(np.uint8) + np.uint8(ord("0"))
+        slack = _g17_rows(scan.slack[cells]).reshape(len(i), 3, _G17_WIDTH)
+        parts.append(_rows_bytes(
+            p_rows[i], b",", t_rows[j], b",", flags, b",",
+            slack[:, 0], b",", slack[:, 1], b",", slack[:, 2], b"\n",
+        ))
+    return b"".join(parts)
 
 
 def emit_svg(scan: ScanResult, title: str = "") -> bytes:
@@ -410,37 +582,38 @@ def emit_svg(scan: ScanResult, title: str = "") -> bytes:
             f'text-anchor="middle">{title}</text>'
         )
     size = f'width="{cw:.2f}" height="{ch:.2f}"'
-    y_keys = [f'y="{mt + plot_h - (j + 1) * ch:.2f}" {size}' for j in range(n_t)]
-    fills = ('fill="#efecf4"/>', 'fill="#7b52a8"/>')
-    flags = scan.feasible.tolist()
-    for i in range(n_p):
-        x_key = f'<rect x="{ml + i * cw:.2f}" '
-        row = flags[i * n_t : (i + 1) * n_t]
-        parts.extend(f"{x_key}{y_key} {fills[f]}" for y_key, f in zip(y_keys, row))
+    x_keys = _padded([f'<rect x="{ml + i * cw:.2f}" ' for i in range(n_p)])
+    y_keys = _padded([f'y="{mt + plot_h - (j + 1) * ch:.2f}" {size} ' for j in range(n_t)])
+    fills = _padded(['fill="#efecf4"/>\n', 'fill="#7b52a8"/>\n'])
+    rects = b"".join(
+        _rows_bytes(x_keys[i], y_keys[j], fills[scan.feasible[cells].view(np.uint8)])
+        for cells, i, j in _blocks(scan)
+    )
     ax = (
         f'<path d="M {ml:.1f} {mt:.1f} L {ml:.1f} {mt + plot_h:.1f} '
         f'L {ml + plot_w:.1f} {mt + plot_h:.1f}" fill="none" stroke="black" stroke-width="1.5"/>'
     )
-    parts.append(ax)
+    tail = [ax]
     for frac, label in ((0.0, "0"), (0.5, "0.5"), (1.0, "1")):
         x = ml + frac * plot_w
         y = mt + plot_h * (1.0 - frac)
-        parts.append(
+        tail.append(
             f'<text x="{x:.1f}" y="{mt + plot_h + 22:.1f}" font-size="13" '
             f'text-anchor="middle">{label}</text>'
         )
-        parts.append(
+        tail.append(
             f'<text x="{ml - 10:.1f}" y="{y + 4:.1f}" font-size="13" '
             f'text-anchor="end">{label}</text>'
         )
-    parts.append(
+    tail.append(
         f'<text x="{ml + plot_w / 2:.1f}" y="{mt + plot_h + 45:.1f}" font-size="15" '
         f'text-anchor="middle">p</text>'
     )
-    parts.append(
+    tail.append(
         f'<text x="{ml - 45:.1f}" y="{mt + plot_h / 2:.1f}" font-size="15" '
         f'text-anchor="middle" transform="rotate(-90 {ml - 45:.1f} {mt + plot_h / 2:.1f})">'
         "‖r‖²</text>"
     )
-    parts.append("</svg>")
-    return "\n".join(parts).encode("utf-8")
+    tail.append("</svg>")
+    head = "".join(f"{part}\n" for part in parts)
+    return head.encode("utf-8") + rects + "\n".join(tail).encode("utf-8")

@@ -38,13 +38,31 @@ def matrix_to_pairs(m: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in m]
 
 
+# The types of a JSON number; exact, so that a bool is not one.
+_NUMBER = (int, float)
+
+
+def _complex(entry) -> complex:
+    if type(entry) in (list, tuple) and len(entry) == 2:
+        re, im = entry
+        if type(re) in _NUMBER and type(im) in _NUMBER:
+            try:
+                return complex(re, im)
+            except OverflowError:
+                raise ValueError("an entry is too large for a float") from None
+    raise ValueError(f"entries must be [re, im] pairs of JSON numbers, got {json.dumps(entry)}")
+
+
 def matrix_from_pairs(rows, shape=(2, 2)) -> np.ndarray:
+    """A complex matrix from its nested row-major [re, im] encoding.
+
+    :raises ValueError: unless every entry is a list of two JSON numbers
+        (no bools, strings or nulls) that fit a float, and the matrix has
+        the given shape.
+    """
     try:
-        m = np.array(
-            [[complex(entry[0], entry[1]) for entry in row] for row in rows],
-            dtype=np.complex128,
-        )
-    except (TypeError, IndexError) as exc:
+        m = np.array([[_complex(entry) for entry in row] for row in rows], dtype=np.complex128)
+    except TypeError as exc:
         raise ValueError(f"malformed complex matrix encoding: {exc}") from None
     if m.shape != shape:
         raise ValueError(f"matrix has shape {m.shape}, expected {shape}")
@@ -69,7 +87,7 @@ def _numbers(doc: dict, key: str, n: int, message: str) -> np.ndarray:
     if not isinstance(values, list) or len(values) != n:
         raise ValueError(message)
     for x in values:
-        if type(x) not in (int, float):
+        if type(x) not in _NUMBER:
             raise ValueError(f'"{key}" entries must be JSON numbers, got {json.dumps(x)}')
     try:
         return np.array(values, dtype=np.float64)
@@ -92,7 +110,11 @@ def channel_from_json(doc: dict):
         ops = doc.get("ops")
         if not isinstance(ops, list) or not ops:
             raise ValueError('"kraus" channel needs a non-empty "ops" list')
-        return ChannelRep.from_kraus([matrix_from_pairs(op) for op in ops])
+        try:
+            kraus = [matrix_from_pairs(op) for op in ops]
+        except ValueError as exc:
+            raise ValueError(f'"ops": {exc}') from None
+        return ChannelRep.from_kraus(kraus)
     if kind == "ptm":
         m = _numbers(doc, "m", 16, '"ptm" channel needs a 16-entry row-major "m" list')
         return ChannelRep.from_ptm(m.reshape(4, 4))

@@ -4,7 +4,8 @@ Each function here computes something the package also computes, by a
 different route (a pseudo-density matrix instead of the projector formula,
 an eigenbasis solve instead of the closed form, a per-Pauli Kraus sum
 instead of the Choi route, matrix conjugations instead of the closed-form
-unscathed residuals), so the tests can cross-check the two.
+unscathed residuals, one '%.17g' per float instead of the byte-matrix
+exports), so the tests can cross-check the two.
 """
 
 import warnings
@@ -16,6 +17,7 @@ from qubit_retro import (
     PAULIS,
     BlochState,
     PauliChannel,
+    ScanResult,
     anticommutator,
     apply_operator,
     herm_eig,
@@ -185,3 +187,81 @@ def solve_anticommutator(m: np.ndarray, b: np.ndarray) -> np.ndarray:
                 continue
             xt[2 * k : 2 * k + 2, 2 * l : 2 * l + 2] = block / denom
     return basis @ xt @ basis.conj().T
+
+
+# === Exports ===
+
+def _g17(x: float) -> str:
+    return format(float(x), ".17g")
+
+
+def emit_csv(scan: ScanResult) -> bytes:
+    """Render a scan as CSV with 17-significant-digit floats (byte stable)."""
+    n_p, n_t = len(scan.grid.p_axis), len(scan.grid.t_axis)
+    # One row per cell: p, t, feasible, slack1..3, formatted in a single pass.
+    rows = np.empty((n_p, n_t, 6), dtype=object)
+    rows[:, :, 0] = np.array([_g17(p) for p in scan.grid.p_axis], dtype=object)[:, None]
+    rows[:, :, 1] = np.array([_g17(t) for t in scan.grid.t_axis], dtype=object)
+    rows[:, :, 2] = scan.feasible.reshape(n_p, n_t)
+    rows[:, :, 3:] = scan.slack.reshape(n_p, n_t, 3)
+    body = ("%s,%s,%d,%.17g,%.17g,%.17g\n" * len(scan)) % tuple(rows.ravel().tolist())
+    return ("p,t,feasible,slack1,slack2,slack3\n" + body).encode("ascii")
+
+
+def emit_svg(scan: ScanResult, title: str = "") -> bytes:
+    """Flat raster of the feasibility region as a standalone SVG document."""
+    n_p, n_t = len(scan.grid.p_axis), len(scan.grid.t_axis)
+    plot_w = plot_h = 500.0
+    ml, mt, mr, mb = 70.0, 30.0, 20.0, 60.0
+    width, height = ml + plot_w + mr, mt + plot_h + mb
+    cw, ch = plot_w / n_p, plot_h / n_t
+
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" height="{height:.0f}" '
+        f'viewBox="0 0 {width:.0f} {height:.0f}">',
+        f'<rect x="0" y="0" width="{width:.0f}" height="{height:.0f}" fill="white"/>',
+    ]
+    if title:
+        # Escaped by hand: xml.sax.saxutils imports urllib.request, which adds
+        # ~7 MB to the peak RSS of every process that imports the package.
+        title = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+        parts.append(
+            f'<text x="{ml + plot_w / 2:.1f}" y="{mt - 10:.1f}" font-size="16" '
+            f'text-anchor="middle">{title}</text>'
+        )
+    size = f'width="{cw:.2f}" height="{ch:.2f}"'
+    y_keys = [f'y="{mt + plot_h - (j + 1) * ch:.2f}" {size}' for j in range(n_t)]
+    fills = ('fill="#efecf4"/>', 'fill="#7b52a8"/>')
+    flags = scan.feasible.tolist()
+    for i in range(n_p):
+        x_key = f'<rect x="{ml + i * cw:.2f}" '
+        row = flags[i * n_t : (i + 1) * n_t]
+        parts.extend(f"{x_key}{y_key} {fills[f]}" for y_key, f in zip(y_keys, row))
+    ax = (
+        f'<path d="M {ml:.1f} {mt:.1f} L {ml:.1f} {mt + plot_h:.1f} '
+        f'L {ml + plot_w:.1f} {mt + plot_h:.1f}" fill="none" stroke="black" stroke-width="1.5"/>'
+    )
+    parts.append(ax)
+    for frac, label in ((0.0, "0"), (0.5, "0.5"), (1.0, "1")):
+        x = ml + frac * plot_w
+        y = mt + plot_h * (1.0 - frac)
+        parts.append(
+            f'<text x="{x:.1f}" y="{mt + plot_h + 22:.1f}" font-size="13" '
+            f'text-anchor="middle">{label}</text>'
+        )
+        parts.append(
+            f'<text x="{ml - 10:.1f}" y="{y + 4:.1f}" font-size="13" '
+            f'text-anchor="end">{label}</text>'
+        )
+    parts.append(
+        f'<text x="{ml + plot_w / 2:.1f}" y="{mt + plot_h + 45:.1f}" font-size="15" '
+        f'text-anchor="middle">p</text>'
+    )
+    parts.append(
+        f'<text x="{ml - 45:.1f}" y="{mt + plot_h / 2:.1f}" font-size="15" '
+        f'text-anchor="middle" transform="rotate(-90 {ml - 45:.1f} {mt + plot_h / 2:.1f})">'
+        "‖r‖²</text>"
+    )
+    parts.append("</svg>")
+    return "\n".join(parts).encode("utf-8")

@@ -201,6 +201,18 @@ def test_non_number_entries_exit_1_with_an_error_line(files, tmp_path, capsys):
         assert err.startswith("error: ") and '"bloch"' in err, text
 
 
+def test_non_number_kraus_pairs_exit_1_with_an_error_line(tmp_path, capsys):
+    docs = ['{"kind": "kraus", "ops": [[[[true, 0], [0, 0]], [[0, 0], [true, false]]]]}']
+    for entry in ('["1", 0]', "[1, 0, 0]", "[1" + "0" * 400 + ", 0]"):
+        docs.append('{"kind": "kraus", "ops": [[[[1, 0], [0, 0]], [[0, 0], %s]]]}' % entry)
+    for i, doc in enumerate(docs):
+        channel = tmp_path / f"kraus{i}.json"
+        channel.write_text(doc)
+        assert main(["kraus", "--channel", str(channel)]) == 1, doc
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and '"ops"' in err, doc
+
+
 def test_out_naming_a_file_exits_1_with_an_error_line(files, tmp_path, capsys):
     afile = tmp_path / "afile"
     afile.write_text("keep")

@@ -104,6 +104,27 @@ def test_entries_must_be_json_numbers(doc):
         parse(doc)
 
 
+_IDENTITY_OPS = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [[True, 0], [1, False], ["1", 0], [None, 0], [1, 0, 0], [1], [], 1, None, [10**400, 0]],
+    ids=["re-bool", "im-bool", "string", "null", "three", "one", "empty", "bare", "null-pair",
+         "huge-int"],
+)
+def test_kraus_pairs_must_be_two_json_numbers(entry):
+    ops = json.loads(json.dumps(_IDENTITY_OPS))
+    ops[1][1] = entry
+    with pytest.raises(ValueError, match='"ops"'):
+        channel_from_json({"kind": "kraus", "ops": [ops]})
+
+
+def test_integer_kraus_pairs_are_numbers():
+    rep = channel_from_json({"kind": "kraus", "ops": [_IDENTITY_OPS]})
+    assert np.array_equal(rep.ptm, np.eye(4))
+
+
 def test_integer_entries_are_numbers():
     assert state_from_json({"bloch": [0, 1, 0]}).r.tolist() == [0.0, 1.0, 0.0]
     assert channel_from_json({"kind": "pauli", "p": [1, 0, 0, 0]}).p.tolist() == [1, 0, 0, 0]
