@@ -91,10 +91,6 @@ def test_g17_rows_match_format_on_non_finite_values():
     _assert_formats([np.nan, np.inf, -np.inf, -0.0])
 
 
-def test_g17_rows_of_an_empty_column():
-    assert _g17_rows(np.zeros(0)).shape == (0, 24)
-
-
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
 def test_g17_rows_match_format_on_hypothesis_floats(values):

@@ -80,6 +80,18 @@ def test_channel_from_json_rejects_malformed_documents():
             channel_from_json(doc)
 
 
+def _kraus(entry) -> dict:
+    """The identity as a one-operator kraus document, with entry as its last pair."""
+    return {"kind": "kraus", "ops": [[[[1, 0], [0, 0]], [[0, 0], entry]]]}
+
+
+_KRAUS_PAIRS = {
+    "ops-re-bool": [True, 0], "ops-im-bool": [1, False], "ops-string": ["1", 0],
+    "ops-null": [None, 0], "ops-three": [1, 0, 0], "ops-one": [1], "ops-empty": [],
+    "ops-bare": 1, "ops-null-pair": None, "ops-huge-int": [10**400, 0],
+}
+
+
 @pytest.mark.parametrize(
     "doc",
     [
@@ -93,41 +105,22 @@ def test_channel_from_json_rejects_malformed_documents():
         {"kind": "pauli", "p": [True, False, False, False]},
         {"kind": "ptm", "m": [1, 0, 0, 0, 0, [1], 0, 0, 0, 0, 1, 0, 0, 0, 0, 1]},
         {"kind": "ptm", "m": [True] + [0] * 4 + [1] + [0] * 4 + [1] + [0] * 4 + [1]},
+        *map(_kraus, _KRAUS_PAIRS.values()),
     ],
     ids=["bloch-null", "bloch-list", "bloch-string", "bloch-bool", "bloch-huge-int",
-         "p-null", "p-string", "p-bool", "m-list", "m-bool"],
+         "p-null", "p-string", "p-bool", "m-list", "m-bool", *_KRAUS_PAIRS],
 )
 def test_entries_must_be_json_numbers(doc):
-    key = next(k for k in ("bloch", "p", "m") if k in doc)
+    key = next(k for k in ("bloch", "p", "m", "ops") if k in doc)
     parse = state_from_json if key == "bloch" else channel_from_json
     with pytest.raises(ValueError, match=f'"{key}"'):
         parse(doc)
 
 
-_IDENTITY_OPS = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
-
-
-@pytest.mark.parametrize(
-    "entry",
-    [[True, 0], [1, False], ["1", 0], [None, 0], [1, 0, 0], [1], [], 1, None, [10**400, 0]],
-    ids=["re-bool", "im-bool", "string", "null", "three", "one", "empty", "bare", "null-pair",
-         "huge-int"],
-)
-def test_kraus_pairs_must_be_two_json_numbers(entry):
-    ops = json.loads(json.dumps(_IDENTITY_OPS))
-    ops[1][1] = entry
-    with pytest.raises(ValueError, match='"ops"'):
-        channel_from_json({"kind": "kraus", "ops": [ops]})
-
-
-def test_integer_kraus_pairs_are_numbers():
-    rep = channel_from_json({"kind": "kraus", "ops": [_IDENTITY_OPS]})
-    assert np.array_equal(rep.ptm, np.eye(4))
-
-
 def test_integer_entries_are_numbers():
     assert state_from_json({"bloch": [0, 1, 0]}).r.tolist() == [0.0, 1.0, 0.0]
     assert channel_from_json({"kind": "pauli", "p": [1, 0, 0, 0]}).p.tolist() == [1, 0, 0, 0]
+    assert np.array_equal(channel_from_json(_kraus([1, 0])).ptm, np.eye(4))
 
 
 def test_state_roundtrip():
