@@ -593,27 +593,27 @@ def emit_svg(scan: ScanResult, title: str = "") -> bytes:
         f'<path d="M {ml:.1f} {mt:.1f} L {ml:.1f} {mt + plot_h:.1f} '
         f'L {ml + plot_w:.1f} {mt + plot_h:.1f}" fill="none" stroke="black" stroke-width="1.5"/>'
     )
-    tail = [ax]
+    head = "".join(f"{part}\n" for part in parts)
+    parts = [ax]
     for frac, label in ((0.0, "0"), (0.5, "0.5"), (1.0, "1")):
         x = ml + frac * plot_w
         y = mt + plot_h * (1.0 - frac)
-        tail.append(
+        parts.append(
             f'<text x="{x:.1f}" y="{mt + plot_h + 22:.1f}" font-size="13" '
             f'text-anchor="middle">{label}</text>'
         )
-        tail.append(
+        parts.append(
             f'<text x="{ml - 10:.1f}" y="{y + 4:.1f}" font-size="13" '
             f'text-anchor="end">{label}</text>'
         )
-    tail.append(
+    parts.append(
         f'<text x="{ml + plot_w / 2:.1f}" y="{mt + plot_h + 45:.1f}" font-size="15" '
         f'text-anchor="middle">p</text>'
     )
-    tail.append(
+    parts.append(
         f'<text x="{ml - 45:.1f}" y="{mt + plot_h / 2:.1f}" font-size="15" '
         f'text-anchor="middle" transform="rotate(-90 {ml - 45:.1f} {mt + plot_h / 2:.1f})">'
         "‖r‖²</text>"
     )
-    tail.append("</svg>")
-    head = "".join(f"{part}\n" for part in parts)
-    return head.encode("utf-8") + rects + "\n".join(tail).encode("utf-8")
+    parts.append("</svg>")
+    return head.encode("utf-8") + rects + "\n".join(parts).encode("utf-8")
