@@ -442,7 +442,8 @@ def _g17_tables():
         [_g17_layout(neg, cls, s) for neg in (0, 1) for cls in range(23) for s in range(1, 18)],
         dtype=np.intp,
     )
-    return scale, three_digits, trailing_zeros, layouts
+    # Read-only: every caller shares the cached tables.
+    return tuple(map(_readonly, (scale, three_digits, trailing_zeros, layouts)))
 
 
 def _g17_digits(v: np.ndarray, x: np.ndarray, scale) -> tuple:
@@ -500,9 +501,9 @@ def _g17_rows(values) -> np.ndarray:
         s[rows] -= np.take(trailing_zeros, g)
         rows = rows[g == 0]
     cls = np.where((x >= -4) & (x < 17), x + 4, np.where(np.abs(x) < 100, _EXP2, _EXP3))
-    index = layouts[((values < 0) * 23 + cls) * 17 + s - 1]
+    index = np.take(layouts, ((values < 0) * 23 + cls) * 17 + s - 1, axis=0)
     index += np.arange(0, 32 * n, 32)[:, None]
-    out = src.reshape(-1)[index]
+    out = np.take(src.reshape(-1), index)
 
     slow = np.flatnonzero(~fast)
     if slow.size:
