@@ -3,7 +3,7 @@
 For each error weight p and each squared Bloch length t = |r|^2 of the
 prior, does the depolarizing channel admit a Bayesian inverse? The region
 is rendered to CSV and SVG, and the feasible/infeasible boundary chi(p)
-is located by bisection along a few columns.
+is read along a few columns from the roots of the slack polynomials in t.
 """
 
 from pathlib import Path

@@ -234,9 +234,9 @@ def cmd_scan(cfg: RunConfig) -> int:
         f"{base}.svg": lambda: emit_svg(cells, title=cfg.family),
     })
     if cfg.family == "depolarizing":
-        print("largest feasible t by bisection:")
+        print("largest feasible t:")
         p_axis = np.linspace(0.0, 1.0, 11)
-        for p, chi in zip(p_axis, boundary_chi(p_axis, 1e-6)):
+        for p, chi in zip(p_axis, boundary_chi(p_axis, cfg.tol)):
             print(f"  p = {p:.2f}   chi = {chi:.8f}")
     return EXIT_OK
 

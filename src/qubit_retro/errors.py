@@ -46,4 +46,4 @@ class EigenvalueOnBoundaryError(QubitRetroError):
 
 
 class MonotonicityWarning(UserWarning):
-    """A feasibility column was not monotone in t; bisection fell back to a grid scan."""
+    """Feasibility along a ray in t is not one interval from t = 0."""

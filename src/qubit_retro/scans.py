@@ -6,7 +6,7 @@ direction, and records whether the Bayesian inverse exists in each cell.
 The two families, depolarizing and bb84, each with its default prior
 direction, sit in one table that the scans, :func:`boundary_chi` and the
 CLI read.
-Every batch of verdicts (region scans, the probes and bisection steps of
+Every batch of verdicts (region scans, the node and midpoint verdicts of
 :func:`boundary_chi`, and each three-entry channel against its Bloch
 samples) is one call of the batched verdict in :mod:`qubit_retro.bayes`,
 which scores interior rows in blocks of (channel, prior) pairs and is
@@ -32,6 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bayes import WITNESSES, InverseRecord, _verdict_rows, bayesian_inverse
+from .bayes import _UNSCATHED_TOL, _on_boundary, _unscathed_residuals
 from .channels import BlochState, PauliChannel, _readonly
 from .errors import MonotonicityWarning
 
@@ -225,32 +226,32 @@ def scan_bb84(grid: ScanGrid, tol: float = 1e-9) -> ScanResult:
     return _scan_family(grid, "bb84", tol)
 
 
+# Chebyshev-Lobatto nodes (1 - cos(j pi / 4)) / 2 on [0, 1].
+_CHI_NODES = np.array([0.0, 0.1464466094067262, 0.5, 0.8535533905932737, 1.0])
+
+
 def boundary_chi(
-    p,
-    tol: float = 1e-6,
-    *,
-    family: str = "depolarizing",
-    direction=None,
+    p, tol: float = 1e-9, *, family: str = "depolarizing", direction=None
 ) -> float | list[float]:
-    """Largest feasible t at fixed p, located by bisection.
+    """Largest feasible t at fixed p: the end of the first feasible interval.
 
-    Feasibility along t is checked for monotonicity on a 33-point probe
-    grid first; if it flips more than once a MonotonicityWarning is emitted
-    and the largest feasible probe value is returned instead.
+    On the ray r = sqrt(t) d, with D = 1 - t sum_i (lambda_i d_i)^2 > 0,
+    (slack_k + tol) D^(k + 2) is a polynomial in t of degree k + 2 <= 4, so
+    verdicts at five fixed nodes give all three exactly. Their roots cut
+    [0, 1] into intervals that a verdict at each midpoint decides. chi is 0
+    if t = 0 is infeasible, else the start of the first infeasible interval,
+    or 1. A MonotonicityWarning is emitted for each p with a feasible
+    interval after an infeasible one. A boundary channel (|lambda_i| = 1)
+    keeps t while sqrt(t) times d's least unscathed residual is <= 1e-10.
 
-    p is one value, which returns a float, or a 1-D sequence, which returns
-    a list with the float that each value alone would give. The probes of
-    every p are scored together, and each bisection step scores the
-    midpoints of every p still open together.
-
-    tol is the bisection width; every probe and step is scored at the
-    fixed verdict tolerance 1e-9, whatever tolerance a region scan used.
-    direction defaults to the family's prior direction.
+    p is one value (a float is returned) or a 1-D sequence (a list, each
+    entry the float that its p alone gives). tol is the verdict tolerance,
+    as in a region scan; direction defaults to the family's prior direction.
 
     :raises ValueError: unless 0 < tol < inf, or for an unknown family.
     """
     if not 0.0 < tol < np.inf:
-        raise ValueError(f"bisection tolerance must be positive and finite, got {tol}")
+        raise ValueError(f"verdict tolerance must be positive and finite, got {tol}")
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     channel_of, default = _FAMILIES[family]
@@ -259,36 +260,33 @@ def boundary_chi(
         raise ValueError(f"p must be one value or a 1-D sequence, got shape {np.shape(p)}")
     ps = [float(q) for q in np.atleast_1d(p)]
     channels = [channel_of(q) for q in ps]
-
-    def feasible(rows, t) -> np.ndarray:
-        r = d[:, None, None] * np.sqrt(t)
-        return _verdict_rows([channels[i] for i in rows], r, 1e-9)[0]
-
-    probes = np.linspace(0.0, 1.0, 33)
-    chi = np.empty(len(ps))
-    lo, hi = np.zeros(len(ps)), np.zeros(len(ps))
-    bisect = []
-    for i, flags in enumerate(feasible(range(len(ps)), probes[None]).tolist()):
-        if not flags[0]:
-            chi[i] = 0.0
-        elif all(flags):
-            chi[i] = 1.0
-        elif any(flags[flags.index(False) :]):
-            warnings.warn(
-                f"feasibility is not monotone in t at p = {ps[i]}",
-                MonotonicityWarning,
-                stacklevel=2,
-            )
-            chi[i] = probes[max(k for k, f in enumerate(flags) if f)]
-        else:
-            lo[i], hi[i] = probes[flags.index(False) - 1], probes[flags.index(False)]
-            bisect.append(i)
-    rows = np.array(bisect, dtype=int)
-    while (rows := rows[hi[rows] - lo[rows] > tol]).size:
-        mid = 0.5 * (lo[rows] + hi[rows])
-        ok = feasible(rows, mid[:, None])[:, 0]
-        lo[rows[ok]], hi[rows[~ok]] = mid[ok], mid[~ok]
-    chi[bisect] = 0.5 * (lo[bisect] + hi[bisect])
+    lam = np.array([c.lam for c in channels]).reshape(len(ps), 3)
+    boundary = _on_boundary(lam)
+    chi = np.ones(len(ps))
+    for i in np.flatnonzero(boundary):
+        chi[i] = (_UNSCATHED_TOL / max(_unscathed_residuals(lam[i], d).min(), _UNSCATHED_TOL)) ** 2
+    rows = np.flatnonzero(~boundary)
+    inner, ray = [channels[i] for i in rows], d[:, None, None]
+    at_nodes, slack, _ = _verdict_rows(inner, ray * np.sqrt(_CHI_NODES), tol)
+    D = 1.0 - ((lam[rows] * d) ** 2).sum(axis=1)[:, None, None] * _CHI_NODES[:, None]
+    values = (slack + tol) * D ** np.arange(2, 5)
+    # The inverse Vandermonde matrix maps the values to the coefficients. It is
+    # built here: a LAPACK call at import would add ~0.4 MB to every process.
+    fit = np.linalg.inv(np.vander(_CHI_NODES, increasing=True))
+    coef = sum(fit[:, j, None, None] * values[:, j] for j in range(5))
+    # 0, at most 2 + 3 + 4 roots, then 1 at least twice: rows end in empty, infeasible intervals.
+    ends = np.ones((len(rows), 12))
+    for i, row in enumerate(ends):
+        roots = np.concatenate([np.roots(coef[k + 2 :: -1, i, k]).real for k in range(3)])
+        cut = sorted({0.0, *np.clip(roots, 0.0, 1.0).tolist()})
+        row[: len(cut)] = cut
+    lo, hi = ends[:, :-1], ends[:, 1:]
+    ok = _verdict_rows(inner, ray * np.sqrt(0.5 * (lo + hi)), tol)[0] & (hi > lo)
+    first = np.argmin(ok, axis=1)
+    for i in rows[(ok & (np.arange(11) > first[:, None])).any(axis=1)]:
+        msg = f"feasibility is not monotone in t at p = {ps[i]}"
+        warnings.warn(msg, MonotonicityWarning, stacklevel=2)
+    chi[rows] = np.where(at_nodes[:, 0], lo[range(len(rows)), first], 0.0)
     return float(chi[0]) if np.ndim(p) == 0 else chi.tolist()
 
 

@@ -4,8 +4,9 @@ Each function here computes something the package also computes, by a
 different route (a pseudo-density matrix instead of the projector formula,
 an eigenbasis solve instead of the closed form, a per-Pauli Kraus sum
 instead of the Choi route, matrix conjugations instead of the closed-form
-unscathed residuals, one '%.17g' per float instead of the byte-matrix
-exports), so the tests can cross-check the two.
+unscathed residuals, a probe grid and bisection instead of the roots of
+the slack polynomials along a ray, one '%.17g' per float instead of the
+byte-matrix exports), so the tests can cross-check the two.
 """
 
 import warnings
@@ -26,8 +27,15 @@ from qubit_retro import (
     partial_transpose,
     tensor,
 )
+from qubit_retro.bayes import _verdict_rows
 from qubit_retro.channels import _readonly
-from qubit_retro.errors import NotHermitianError, NotPSDError, QubitRetroError
+from qubit_retro.errors import (
+    MonotonicityWarning,
+    NotHermitianError,
+    NotPSDError,
+    QubitRetroError,
+)
+from qubit_retro.scans import _FAMILIES, _unit
 
 _ID2 = np.eye(2, dtype=np.complex128)
 
@@ -187,6 +195,75 @@ def solve_anticommutator(m: np.ndarray, b: np.ndarray) -> np.ndarray:
                 continue
             xt[2 * k : 2 * k + 2, 2 * l : 2 * l + 2] = block / denom
     return basis @ xt @ basis.conj().T
+
+
+# === Boundary location ===
+
+def bisection_chi(
+    p,
+    tol: float = 1e-6,
+    *,
+    family: str = "depolarizing",
+    direction=None,
+) -> float | list[float]:
+    """Largest feasible t at fixed p, located by bisection.
+
+    Feasibility along t is checked for monotonicity on a 33-point probe
+    grid first; if it flips more than once a MonotonicityWarning is emitted
+    and the largest feasible probe value is returned instead.
+
+    p is one value, which returns a float, or a 1-D sequence, which returns
+    a list with the float that each value alone would give. The probes of
+    every p are scored together, and each bisection step scores the
+    midpoints of every p still open together.
+
+    tol is the bisection width; every probe and step is scored at the
+    fixed verdict tolerance 1e-9. direction defaults to the family's prior
+    direction.
+
+    :raises ValueError: unless 0 < tol < inf, or for an unknown family.
+    """
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"bisection tolerance must be positive and finite, got {tol}")
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    channel_of, default = _FAMILIES[family]
+    d = _unit(default if direction is None else direction)
+    if np.ndim(p) > 1:
+        raise ValueError(f"p must be one value or a 1-D sequence, got shape {np.shape(p)}")
+    ps = [float(q) for q in np.atleast_1d(p)]
+    channels = [channel_of(q) for q in ps]
+
+    def feasible(rows, t) -> np.ndarray:
+        r = d[:, None, None] * np.sqrt(t)
+        return _verdict_rows([channels[i] for i in rows], r, 1e-9)[0]
+
+    probes = np.linspace(0.0, 1.0, 33)
+    chi = np.empty(len(ps))
+    lo, hi = np.zeros(len(ps)), np.zeros(len(ps))
+    bisect = []
+    for i, flags in enumerate(feasible(range(len(ps)), probes[None]).tolist()):
+        if not flags[0]:
+            chi[i] = 0.0
+        elif all(flags):
+            chi[i] = 1.0
+        elif any(flags[flags.index(False) :]):
+            warnings.warn(
+                f"feasibility is not monotone in t at p = {ps[i]}",
+                MonotonicityWarning,
+                stacklevel=2,
+            )
+            chi[i] = probes[max(k for k, f in enumerate(flags) if f)]
+        else:
+            lo[i], hi[i] = probes[flags.index(False) - 1], probes[flags.index(False)]
+            bisect.append(i)
+    rows = np.array(bisect, dtype=int)
+    while (rows := rows[hi[rows] - lo[rows] > tol]).size:
+        mid = 0.5 * (lo[rows] + hi[rows])
+        ok = feasible(rows, mid[:, None])[:, 0]
+        lo[rows[ok]], hi[rows[~ok]] = mid[ok], mid[~ok]
+    chi[bisect] = 0.5 * (lo[bisect] + hi[bisect])
+    return float(chi[0]) if np.ndim(p) == 0 else chi.tolist()
 
 
 # === Exports ===

@@ -318,10 +318,24 @@ def test_scan_depolarizing_prints_chi_table(tmp_path, capsys, monkeypatch):
     ) == 0
     out = capsys.readouterr().out
     assert "feasible cells" in out
-    # All 11 values of chi come from one batched bisection.
+    # All 11 values of chi come from one batched call.
     assert len(calls) == 1
     assert out.count("chi = ") == 11
     assert (tmp_path / "depolarizing_11.csv").exists()
+
+
+def test_scan_tol_reaches_the_chi_lines(tmp_path, capsys):
+    def chi_lines(*tol):
+        argv = ["scan", "--family", "depolarizing", "--resolution", "41", *tol]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        return [line for line in capsys.readouterr().out.splitlines() if "chi = " in line]
+
+    loose, default = chi_lines("--tol", "5e-2"), chi_lines()
+    p_axis = np.linspace(0.0, 1.0, 11)
+    assert loose == [
+        f"  p = {p:.2f}   chi = {boundary_chi(p, 5e-2):.8f}" for p in p_axis
+    ]
+    assert len(default) == 11 and loose != default
 
 
 def test_three_entry_command(tmp_path, capsys):

@@ -6,6 +6,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 from conftest import scalar_verdict
+from oracles import bisection_chi
 
 from qubit_retro import (
     BlochState,
@@ -249,7 +250,7 @@ def test_boundary_chi_edge_cases():
 
 
 def test_boundary_chi_rejects_non_positive_or_non_finite_tol():
-    # Checked before the first verdict: a tol <= 0 would never end the bisection.
+    # tol is the verdict tolerance of a region scan, checked the same way.
     for tol in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="tolerance"):
             boundary_chi(0.5, tol)
@@ -286,12 +287,19 @@ def test_boundary_chi_warns_once_per_non_monotone_p(monkeypatch):
     zigzag = {0.2, 0.4}
 
     def fake_verdicts(channels, r, tol):
-        flags = np.ones((len(channels), r.shape[-1]), dtype=bool)
+        # (slack_k + tol) D^(k + 2) is 1 for every k, except that the first
+        # is (t - 0.3)(t - 0.6) for the zigzag p: feasible on [0, 0.3] and
+        # again on [0.6, 1].
+        r = np.broadcast_to(r, (3, len(channels), r.shape[-1]))
+        lam = np.array([pch.lam for pch in channels]).T[:, :, None]
+        t = (r * r).sum(axis=0)
+        D = 1.0 - (lam * lam * r * r).sum(axis=0)
+        poly = np.ones(t.shape + (3,))
         for i, pch in enumerate(channels):
             if round(3.0 * pch.p[1], 12) in zigzag:
-                flags[i, 1::2] = False  # feasible again after the first infeasible probe
-                flags[i, -1] = False
-        return flags, None, None
+                poly[i, :, 0] = (t[i] - 0.3) * (t[i] - 0.6)
+        slack = poly / D[..., None] ** np.arange(2, 5) - tol
+        return ~(slack < -tol).any(axis=-1), slack, None
 
     monkeypatch.setattr(scans, "_verdict_rows", fake_verdicts)
     with pytest.warns(MonotonicityWarning) as record:
@@ -299,8 +307,44 @@ def test_boundary_chi_warns_once_per_non_monotone_p(monkeypatch):
     assert len(record) == 2
     assert ["p = 0.2" in str(w.message) for w in record] == [True, False]
     assert ["p = 0.4" in str(w.message) for w in record] == [False, True]
-    # Monotone p keep the all-feasible answer; the others the largest feasible probe.
-    assert chi == [1.0, 30 / 32, 1.0, 30 / 32]
+    # Monotone p keep the all-feasible answer; the others the end of the
+    # first feasible interval.
+    assert chi[0] == chi[2] == 1.0
+    assert chi[1] == pytest.approx(0.3, abs=1e-12)
+    assert chi[3] == pytest.approx(0.3, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "family, direction",
+    [("depolarizing", None), ("bb84", None), ("bb84", (0.0, 0.6, 0.8))],
+)
+def test_boundary_chi_matches_bisection_oracle(family, direction):
+    p_values = np.linspace(0.0, 1.0, 41)
+    chi = np.array(boundary_chi(p_values, family=family, direction=direction))
+    for width, bound in ((1e-12, 1e-10), (1e-6, 5e-7)):
+        oracle = bisection_chi(p_values, width, family=family, direction=direction)
+        assert np.abs(chi - oracle).max() <= bound, width
+
+
+def test_five_node_polynomials_match_ray_slacks():
+    # Along r = sqrt(t) d, slack_k D^(k + 2) is a polynomial of degree
+    # k + 2 <= 4 in t, so its values at the five nodes give it everywhere.
+    rng = np.random.default_rng(SEED)
+    channels = [PauliChannel(rng.dirichlet(np.ones(4))) for _ in range(300)]
+    d = rng.normal(size=(3, 300, 1))
+    d /= np.linalg.norm(d, axis=0)
+    lam = np.array([pch.lam for pch in channels]).T[:, :, None]
+    s_unit = (lam * lam * d * d).sum(axis=0)
+
+    def scaled_slacks(t):
+        slack = bayes._verdict_rows(channels, d * np.sqrt(t), 1e-9)[1]
+        return slack * (1.0 - s_unit * t)[..., None] ** np.arange(2, 5)
+
+    fit = np.linalg.inv(np.vander(scans._CHI_NODES, increasing=True))
+    coef = np.einsum("ij,mjk->mik", fit, scaled_slacks(scans._CHI_NODES))
+    t = np.linspace(0.0, 1.0, 201)
+    fitted = sum(coef[:, j, None] * t[:, None] ** j for j in range(5))
+    assert np.abs(fitted - scaled_slacks(t)).max() <= 1e-10
 
 
 def test_boundary_chi_matches_closed_form_root():
