@@ -371,6 +371,20 @@ def test_boundary_chi_bb84_family():
     assert boundary_chi(0.5, family="bb84") == 1.0  # lambda = 0: all priors work
 
 
+def test_boundary_chi_on_a_boundary_channel(monkeypatch):
+    # A bit flip keeps lambda_1 = 1: a prior off the x axis is feasible only
+    # while sqrt(t) times its least unscathed residual is at most 1e-10.
+    def flip(p):
+        return PauliChannel([1.0 - p, p, 0.0, 0.0])
+
+    monkeypatch.setitem(scans._FAMILIES, "flip", (flip, None))
+    d = np.array([0.0, 0.6, 0.8])
+    chi = boundary_chi([0.0, 0.3], family="flip", direction=d)
+    assert chi[0] == 1.0 and 0.0 < chi[1] < 1e-18
+    r = d[:, None, None] * np.sqrt([chi[1] * (1.0 - 1e-9), chi[1] * (1.0 + 1e-6)])
+    assert bayes._verdict_rows([flip(0.3)], r, 1e-9)[0].tolist() == [[True, False]]
+
+
 def test_boundary_chi_rejects_unknown_family():
     with pytest.raises(ValueError):
         boundary_chi(0.3, family="bell")
