@@ -19,7 +19,11 @@ matrix, Kraus operators and residual with the certified ones.
 
 Every Pauli-frame verdict, for one prior or a batch, reads three closed
 forms of (lambda, r): the candidate inverse, its positivity slacks and the
-unscathed residuals. The two-time expectations that certify an inverse
+unscathed residuals. The candidate and the slacks are written once, as
+straight-line arithmetic on the registers of a workspace: floats for a
+single query, rows of one array allocated per call for a batch, so a
+batch makes no temporaries and each pair's slacks are bit-identical to its
+single-query slacks. The two-time expectations that certify an inverse
 are read straight from a transfer matrix T, <sigma_i, sigma_j> =
 r_i T[j, 0] + T[j, i] (two_time_matrix); two_time_projector keeps the
 projective-measurement formula it reduces from. Other channel action goes
@@ -30,7 +34,7 @@ anticommutator solver) live with the tests, in tests/oracles.py.
 
 from __future__ import annotations
 
-import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -89,6 +93,12 @@ _CONJUGATION_SIGNS = np.array(
 
 _ID2 = np.eye(2, dtype=np.complex128)
 _ID3 = np.eye(3)
+
+
+def _check_tol(tol: float) -> None:
+    """Reject a verdict tolerance unless 0 < tol < inf (NaN included)."""
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"verdict tolerance must be positive and finite, got {tol}")
 
 
 @dataclass(frozen=True)
@@ -234,63 +244,144 @@ def is_unscathed(p: PauliChannel, s: BlochState, tol: float = _UNSCATHED_TOL):
 
 # === Feasibility of the interior candidate ===
 
-def _det3(m: np.ndarray):
-    """Determinant of a (3, 3, ...) stack, elementwise over the trailing axes."""
-    return (
-        m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-        - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-        + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
-    )
+# Registers of a verdict workspace w, a list: the inputs lambda and r, the
+# candidate's S, v and R (row-major), the slack terms eta, det R, |R v|^2
+# and |adj R|^2, two scratch registers, the three slacks, then constants.
+# For one (channel, prior) pair the registers are floats; for a block of
+# pairs they are rows of one array, one pair per column. _candidate and
+# _slacks write every result into a register, so a block makes no
+# temporary, and a pair's result does not depend on the block it is in.
+_LAM, _PRIOR, _S, _V, _R = 0, 3, 6, 7, 10
+_ETA, _DET, _RV2, _ADJ2, _X, _Y = range(19, 25)
+_SLACK = 25
+_WS_ROWS = 28
+_CONSTANTS = (-1.0, 1.0, 2.0, 3.0, 4.0, 8.0)
+_MINUS_ONE, _ONE, _TWO, _THREE, _FOUR, _EIGHT = range(_WS_ROWS, _WS_ROWS + len(_CONSTANTS))
+
+# The adjugate of R, row-major, as R[a] R[b] - R[c] R[d] up to sign (flat
+# indices into R). Entries 0, 3 and 6 are the minors of R's first row.
+_ADJUGATE = (
+    (4, 8, 5, 7), (1, 8, 2, 7), (1, 5, 2, 4),
+    (3, 8, 5, 6), (0, 8, 2, 6), (0, 5, 2, 3),
+    (3, 7, 4, 6), (0, 7, 1, 6), (0, 4, 1, 3),
+)
 
 
-def _adj3(m: np.ndarray) -> np.ndarray:
-    """Adjugate of a (3, 3, ...) stack, elementwise over the trailing axes."""
-    out = np.empty(m.shape)
-    out[0, 0] = m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1]
-    out[0, 1] = -(m[0, 1] * m[2, 2] - m[0, 2] * m[2, 1])
-    out[0, 2] = m[0, 1] * m[1, 2] - m[0, 2] * m[1, 1]
-    out[1, 0] = -(m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-    out[1, 1] = m[0, 0] * m[2, 2] - m[0, 2] * m[2, 0]
-    out[1, 2] = -(m[0, 0] * m[1, 2] - m[0, 2] * m[1, 0])
-    out[2, 0] = m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0]
-    out[2, 1] = -(m[0, 0] * m[2, 1] - m[0, 1] * m[2, 0])
-    out[2, 2] = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    return out
+def _pair_workspace() -> list:
+    """A workspace of float registers for one pair."""
+    return [0.0] * _WS_ROWS + list(_CONSTANTS)
 
 
-def _sum_of_squares(m: np.ndarray, axes: int):
-    """Sum of squares over the leading axes of m, added in a fixed order per element."""
-    flat = m.reshape((math.prod(m.shape[:axes]),) + m.shape[axes:])
-    total = flat[0] * flat[0]
-    for row in flat[1:]:
-        total = total + row * row
-    return total
+def _arith(w: list):
+    """add, sub, mul, div on the registers of w: op(out, a, b) sets w[out] = w[a] op w[b].
+
+    Float and array registers round each operation alike (IEEE binary64).
+    """
+    if isinstance(w[0], float):
+        def bind(f):
+            def op(out, a, b):
+                w[out] = f(w[a], w[b])
+            return op
+        return tuple(map(bind, (operator.add, operator.sub, operator.mul, operator.truediv)))
+
+    def bind(f):
+        def op(out, a, b):
+            f(w[a], w[b], out=w[out])
+        return op
+    return tuple(map(bind, (np.add, np.subtract, np.multiply, np.divide)))
 
 
-def _slacks(v: np.ndarray, R: np.ndarray):
+def _candidate(w: list) -> None:
+    """Closed-form candidate inverse of the Pauli channel lambda at the prior r.
+
+    Reads lambda and r from the registers of the workspace w and writes S,
+    v and R there: the candidate's a[0, 0]-normalized Pauli-frame
+    coefficients are [[1, v^T], [0, R]] with v = r (1 - lambda^2) / (1 - S),
+    R = diag(lambda) - (lambda r) v^T and S = sum lambda_i^2 r_i^2.
+
+    :raises SingularSError: when some S >= 1 - 1e-12.
+    """
+    add, sub, mul, div = _arith(w)
+    lam, r, v, x = _LAM, _PRIOR, _V, _X
+    for i in range(3):  # lambda_i^2, held in v until v is formed
+        mul(v + i, lam + i, lam + i)
+    mul(_S, v, r)
+    mul(_S, _S, r)
+    for i in (1, 2):
+        mul(x, v + i, r + i)
+        mul(x, x, r + i)
+        add(_S, _S, x)
+    s, limit = w[_S], 1.0 - _BOUNDARY_EPS
+    if s >= limit if isinstance(s, float) else np.any(s >= limit):
+        raise SingularSError(f"S = {np.max(s)} is too close to 1")
+    sub(x, _ONE, _S)
+    for i in range(3):
+        sub(v + i, _ONE, v + i)
+        mul(v + i, v + i, r + i)
+        div(v + i, v + i, x)
+    for i in range(3):  # R[i, j] = -lambda_i r_i v_j, then lambda_i on the diagonal
+        mul(x, _MINUS_ONE, lam + i)
+        mul(x, x, r + i)
+        for j in range(3):
+            mul(_R + 3 * i + j, x, v + j)
+        add(_R + 4 * i, _R + 4 * i, lam + i)
+
+
+def _slacks(w: list) -> None:
     """Positivity slacks of the coefficient block [[1, v^T], [0, R]].
 
-    v and R are (3,) and (3, 3) for one candidate, or stacks (3, N) and
-    (3, 3, N); every sum runs in one fixed order, so a candidate's slacks do
-    not depend on the batch it comes in.
-
-    :return: (eta, det R, |R v|^2, |adj R|^2, slack), with slack of shape
-        (3,) or (N, 3).
+    Reads v and R from the registers of the workspace w and writes eta,
+    det R, |R v|^2, |adj R|^2 and the three slacks there. Every sum runs in
+    one fixed order.
     """
-    eta = _sum_of_squares(v, 1) + _sum_of_squares(R, 2)
-    det_r = _det3(R)
-    rv = R[:, 0] * v[0] + R[:, 1] * v[1] + R[:, 2] * v[2]
-    norm_rv2 = _sum_of_squares(rv, 1)
-    norm_adj2 = _sum_of_squares(_adj3(R), 2)
-    slack = np.stack(
-        [
-            3.0 - eta,
-            1.0 - 2.0 * det_r - eta,
-            (eta - 1.0) ** 2 - 8.0 * det_r - 4.0 * (norm_rv2 + norm_adj2),
-        ],
-        axis=-1,
-    )
-    return eta, det_r, norm_rv2, norm_adj2, slack
+    add, sub, mul, _ = _arith(w)
+    v, R, x, y = _V, _R, _X, _Y
+    mul(_ETA, v, v)
+    for k in (1, 2):
+        mul(x, v + k, v + k)
+        add(_ETA, _ETA, x)
+    mul(y, R, R)
+    for k in range(1, 9):
+        mul(x, R + k, R + k)
+        add(y, y, x)
+    add(_ETA, _ETA, y)
+    for i in range(3):
+        mul(x, R + 3 * i, v)
+        for j in (1, 2):
+            mul(y, R + 3 * i + j, v + j)
+            add(x, x, y)
+        if i:
+            mul(x, x, x)
+            add(_RV2, _RV2, x)
+        else:
+            mul(_RV2, x, x)
+    # det R expands along R's first row, over the minors the adjugate loop makes.
+    for k, (a, b, c, d) in enumerate(_ADJUGATE):
+        mul(x, R + a, R + b)
+        mul(y, R + c, R + d)
+        sub(x, x, y)
+        if k == 0:
+            mul(_DET, R, x)
+        elif k in (3, 6):
+            mul(y, R + k // 3, x)
+            (sub if k == 3 else add)(_DET, _DET, y)
+        if k:
+            mul(x, x, x)
+            add(_ADJ2, _ADJ2, x)
+        else:
+            mul(_ADJ2, x, x)
+    s1, s2, s3 = range(_SLACK, _SLACK + 3)
+    sub(s1, _THREE, _ETA)
+    mul(s2, _DET, _TWO)
+    sub(s2, _ONE, s2)
+    sub(s2, s2, _ETA)
+    sub(s3, _ETA, _ONE)
+    mul(s3, s3, s3)
+    mul(x, _DET, _EIGHT)
+    sub(s3, s3, x)
+    add(x, _RV2, _ADJ2)
+    mul(x, x, _FOUR)
+    sub(s3, s3, x)
 
 
 def gamel_report(choi: np.ndarray, S: float, tol: float = 1e-9) -> FeasibilityReport:
@@ -303,8 +394,9 @@ def gamel_report(choi: np.ndarray, S: float, tol: float = 1e-9) -> FeasibilityRe
     :raises NotHermitianError: on a non-Hermitian input.
     :raises ValueError: on a non-finite entry, or if the first coefficient
         column is not (1, 0, 0, 0), i.e. the candidate is not trace
-        preserving.
+        preserving, or unless 0 < tol < inf.
     """
+    _check_tol(tol)
     c = np.asarray(choi, dtype=np.complex128)
     if not np.isfinite(c).all():
         raise ValueError("Choi matrix must have finite entries")
@@ -313,19 +405,21 @@ def gamel_report(choi: np.ndarray, S: float, tol: float = 1e-9) -> FeasibilityRe
     coeff = pauli_expand(c)
     if coeff[0, 0] <= 0.0:
         raise ValueError(f"Choi trace {4 * coeff[0, 0]} is not positive")
-    w = coeff / coeff[0, 0]
-    if np.abs(w[1:, 0]).max() > 1e-8:
+    block = coeff / coeff[0, 0]
+    if np.abs(block[1:, 0]).max() > 1e-8:
         raise ValueError("candidate is not trace preserving (first coefficient column nonzero)")
-    v = w[0, 1:]
-    r_block = w[1:, 1:]
-    eta, det_r, norm_rv2, norm_adj2, slack = _slacks(v, r_block)
+    w = _pair_workspace()
+    w[_V : _V + 3] = block[0, 1:].tolist()
+    w[_R : _R + 9] = block[1:, 1:].ravel().tolist()
+    _slacks(w)
+    slack = np.array(w[_SLACK : _SLACK + 3])
     return FeasibilityReport(
-        v=v,
-        R=r_block,
-        eta=float(eta),
-        detR=float(det_r),
-        normRv2=float(norm_rv2),
-        normAdjR2=float(norm_adj2),
+        v=block[0, 1:],
+        R=block[1:, 1:],
+        eta=w[_ETA],
+        detR=w[_DET],
+        normRv2=w[_RV2],
+        normAdjR2=w[_ADJ2],
         slack=slack,
         feasible=bool((slack >= -tol).all()),
         S=float(S),
@@ -337,29 +431,6 @@ def gamel_report(choi: np.ndarray, S: float, tol: float = 1e-9) -> FeasibilityRe
 def _on_boundary(lam: np.ndarray):
     """Whether some |lambda_i| = 1, for one channel (3,) or per row of (M, 3)."""
     return np.abs(lam).max(axis=-1) >= 1.0 - _BOUNDARY_EPS
-
-
-def _candidate(lam: np.ndarray, r: np.ndarray):
-    """Closed-form candidate inverse of the Pauli channel lambda at the prior r.
-
-    Its a[0, 0]-normalized Pauli-frame coefficients are [[1, v^T], [0, R]]
-    with v = r (1 - lambda^2) / (1 - S), R = diag(lambda) - (lambda r) v^T
-    and S = sum lambda_i^2 r_i^2. r is one prior (3,) or a batch of columns
-    (3, N); lambda is (3,) for one channel, or (3, N) with one channel per
-    column of r. R is then (3, 3) or (3, 3, N).
-
-    :return: (S, v, R).
-    :raises SingularSError: when some S >= 1 - 1e-12.
-    """
-    lam = lam.reshape(lam.shape + (1,) * (np.ndim(r) - lam.ndim))
-    l2 = lam * lam
-    s_scalar = l2[0] * r[0] * r[0] + l2[1] * r[1] * r[1] + l2[2] * r[2] * r[2]
-    if np.any(s_scalar >= 1.0 - _BOUNDARY_EPS):
-        raise SingularSError(f"S = {np.max(s_scalar)} is too close to 1")
-    v = r * (1.0 - l2) / (1.0 - s_scalar)
-    R = (-lam * r)[:, None] * v  # R[i, j] = -lambda_i r_i v_j
-    R[range(3), range(3)] += lam
-    return s_scalar, v, R
 
 
 def analytic_inverse(p: PauliChannel, s: BlochState, tol: float = 1e-9) -> InverseRecord:
@@ -378,14 +449,16 @@ def analytic_inverse(p: PauliChannel, s: BlochState, tol: float = 1e-9) -> Inver
         raise EigenvalueOnBoundaryError(
             f"|lambda| = {np.abs(lam).max()}; use the unscathed/adjoint route"
         )
-    s_scalar, v, R = _candidate(lam, s.r)
+    w = _pair_workspace()
+    w[_LAM : _LAM + 3], w[_PRIOR : _PRIOR + 3] = lam.tolist(), s.r.tolist()
+    _candidate(w)
     a = np.zeros((4, 4))
     a[0, 0] = 1.0
-    a[0, 1:] = v
-    a[1:, 1:] = R
+    a[0, 1:] = w[_V : _V + 3]
+    a[1:, 1:] = np.reshape(w[_R : _R + 9], (3, 3))
     choi = partial_transpose(pauli_reconstruct(a / 2.0), 0)  # the Choi matrix of ptm a^T
-    report = gamel_report(choi, s_scalar, tol)
-    return InverseRecord(a=a, S=float(s_scalar), choi=choi, kraus=(), report=report)
+    report = gamel_report(choi, w[_S], tol)
+    return InverseRecord(a=a, S=w[_S], choi=choi, kraus=(), report=report)
 
 
 # === Full pipeline ===
@@ -404,7 +477,9 @@ def pauli_frame_decision(p: PauliChannel, s: BlochState, tol: float = 1e-9):
     :return: the inverse in the Pauli frame as an InverseRecord with no
         Kraus operators and residual 0 (on the interior, the record of
         :func:`analytic_inverse`), or a NoInverse explaining the obstruction.
+    :raises ValueError: unless 0 < tol < inf.
     """
+    _check_tol(tol)
     lam = p.lam
     if not _on_boundary(lam):
         rec = analytic_inverse(p, s, tol)
@@ -421,12 +496,15 @@ def pauli_frame_decision(p: PauliChannel, s: BlochState, tol: float = 1e-9):
 
 
 # Interior pairs are scored in blocks of whole rows with at most this many
-# pairs. The largest temporary, the (3, 3, N) candidate stack R, takes 72 N
-# bytes, so a block stays under glibc's default 128 KiB mmap threshold and
-# its temporaries are reused from the heap instead of being mapped afresh.
-# One block of all 40,401 cells of a 201 x 201 scan raised the peak RSS of
-# 12 repeated CLI scans from 50.0 to 50.5 MB (2-CPU Xeon VM, NumPy 2.4).
-_PAIR_BLOCK = 1536
+# pairs (a row longer than that is a block of its own). The workspace holds
+# 28 doubles a pair, 0.9 MB at this size, and is allocated once per call;
+# once glibc has mapped and freed one, it raises its mmap threshold, so a
+# warm scan_three_entry(8, 1000) (21 calls) takes 0-3 minor page faults.
+# Larger blocks pay NumPy's per-call cost less often but raise the peak:
+# scan_three_entry(8, 1000) took a median of 34, 23, 19 and 16 ms at 1,536,
+# 2,048, 4,096 and 8,192 pairs, and peaked 6.2, 6.3, 6.8 and 7.6 MB above
+# the import (2-CPU VM, NumPy 2.4.6).
+_PAIR_BLOCK = 4096
 
 
 def _verdict_rows(channels, r: np.ndarray, tol: float):
@@ -435,10 +513,12 @@ def _verdict_rows(channels, r: np.ndarray, tol: float):
     The batched form of :func:`pauli_frame_decision`. A boundary row is
     feasible where its prior is unscathed, and then takes the slacks of the
     channel's own Choi matrix. Interior rows are scored together in blocks
-    of whole rows: the candidate is built from lambda with its sigma_y entry
-    negated, which reads R as the Choi matrix does (sigma_y^T = -sigma_y)
-    and leaves v and S alone (lambda enters them squared). Every operation
-    is elementwise per pair, so a verdict does not depend on its batch.
+    of whole rows, up to _PAIR_BLOCK pairs each, through one workspace that
+    every block reuses: the candidate is built from lambda with its sigma_y
+    entry negated, which reads R as the Choi matrix does
+    (sigma_y^T = -sigma_y) and leaves v and S alone (lambda enters them
+    squared). Every operation is elementwise per pair, so a verdict does
+    not depend on its batch.
 
     :param channels: M Pauli channels, one per row.
     :param r: (3, M, n) prior columns, or (3, 1, n) for the same n priors
@@ -449,7 +529,7 @@ def _verdict_rows(channels, r: np.ndarray, tol: float):
     :raises SingularSError: when some S = sum lambda_i^2 r_i^2 >= 1 - 1e-12.
     """
     n_rows, n = len(channels), r.shape[-1]
-    r = np.broadcast_to(r, (3, n_rows, n))
+    priors, r = r, np.broadcast_to(r, (3, n_rows, n))
     feasible = np.empty((n_rows, n), dtype=bool)
     slack = np.empty((n_rows, n, 3))
     witness = np.empty((n_rows, n), dtype=np.int8)
@@ -463,15 +543,28 @@ def _verdict_rows(channels, r: np.ndarray, tol: float):
         witness[i] = np.where(feasible[i], 0, WITNESSES.index("not-unscathed"))
     interior = np.flatnonzero(~boundary)
     step = max(1, _PAIR_BLOCK // max(n, 1))
+    lam_signed = lam * _CHOI_ROW_SIGNS
+    buf = np.empty(_WS_ROWS * min(step, len(interior)) * n)
     for start in range(0, len(interior), step):
         rows = interior[start : start + step]
-        lam_cols = np.repeat(lam[rows].T * _CHOI_ROW_SIGNS[:, None], n, axis=1)
-        s = _slacks(*_candidate(lam_cols, r[:, rows].reshape(3, -1))[1:])[-1]
-        bad = s < -tol
-        f = ~bad.any(axis=1)
-        feasible[rows] = f.reshape(len(rows), n)
-        slack[rows] = s.reshape(len(rows), n, 3)
-        witness[rows] = np.where(f, 0, 1 + np.argmax(bad, axis=1)).reshape(len(rows), n)
+        k = len(rows)
+        block = buf[: _WS_ROWS * k * n].reshape(_WS_ROWS, k * n)
+        np.copyto(block[_LAM : _LAM + 3].reshape(3, k, n), lam_signed[rows].T[:, :, None])
+        np.copyto(
+            block[_PRIOR : _PRIOR + 3].reshape(3, k, n),
+            priors if priors.shape[1] == 1 else priors[:, rows],
+        )
+        w = [*block, *_CONSTANTS]
+        _candidate(w)
+        _slacks(w)
+        block_slack = block[_SLACK : _SLACK + 3]
+        bad = block_slack < -tol
+        first_bad = np.zeros(k * n, dtype=np.int8)
+        for j in (2, 1, 0):
+            np.copyto(first_bad, j + 1, where=bad[j])
+        feasible[rows] = (first_bad == 0).reshape(k, n)
+        slack[rows] = block_slack.T.reshape(k, n, 3)
+        witness[rows] = first_bad.reshape(k, n)
     return feasible, slack, witness
 
 
@@ -487,9 +580,11 @@ def pauli_frame_verdicts(p: PauliChannel, r, tol: float = 1e-9):
     :return: (feasible, slack, witness), read-only arrays of shapes (N,),
         (N, 3) and (N,). witness indexes :data:`WITNESSES`; a prior that is
         not unscathed gets slack (-1, -1, -1).
-    :raises ValueError: if some prior is not a finite point of the Bloch ball.
+    :raises ValueError: if some prior is not a finite point of the Bloch ball,
+        or unless 0 < tol < inf.
     :raises SingularSError: when S = sum lambda_i^2 r_i^2 >= 1 - 1e-12.
     """
+    _check_tol(tol)
     r = np.asarray(r, dtype=np.float64)
     if r.ndim != 2 or r.shape[1] != 3:
         raise ValueError(f"priors must have shape (N, 3), got {r.shape}")
@@ -510,10 +605,12 @@ def bayesian_inverse(e, s: BlochState, tol: float = 1e-9):
     extraction.
 
     :return: an InverseRecord, or a NoInverse explaining the obstruction.
+    :raises ValueError: unless 0 < tol < inf.
     :raises NotUnitalError / NotCPTPError: if e is out of contract.
     :raises InternalCPViolationError: if the constructed inverse fails its
         certification (Choi positivity or the defining identity).
     """
+    _check_tol(tol)
     o1, pch, o2t = (_ID3, e, _ID3) if isinstance(e, PauliChannel) else _rotation_frame(e, tol)
     rec = pauli_frame_decision(pch, BlochState(o2t @ s.r), tol)
     if isinstance(rec, NoInverse):

@@ -7,19 +7,21 @@ The two families, depolarizing and bb84, each with its default prior
 direction, sit in one table that the scans, :func:`boundary_chi` and the
 CLI read.
 Every batch of verdicts (region scans, the node and midpoint verdicts of
-:func:`boundary_chi`, and each three-entry channel against its Bloch
-samples) is one call of the batched verdict in :mod:`qubit_retro.bayes`,
-which scores interior rows in blocks of (channel, prior) pairs and is
-bit-identical to one :func:`~qubit_retro.bayes.pauli_frame_verdicts` call
-per row. A scan returns a columnar :class:`ScanResult`, whose cells are
-row-major (p outer, t inner) so repeated runs produce byte-identical CSV
-output; :class:`RegionCell` objects are made only when a cell is read.
+:func:`boundary_chi`, and the three-entry channels against their Bloch
+samples, as many channels to a call as one block holds) is one call of
+the batched verdict in :mod:`qubit_retro.bayes`, which scores interior
+rows in blocks of (channel, prior) pairs and is bit-identical to one
+:func:`~qubit_retro.bayes.pauli_frame_verdicts` call per row. A scan
+returns a columnar :class:`ScanResult`, whose cells are row-major (p
+outer, t inner) so repeated runs produce byte-identical CSV output;
+:class:`RegionCell` objects are made only when a cell is read.
 
-:func:`emit_csv` and :func:`emit_svg` render a scan as byte matrices, one
-CSV row or SVG ``<rect>`` line per matrix row, in blocks of cells, and drop
-the NUL padding in one pass. The CSV floats are the exact bytes of
-``'%.17g' % x``, computed a column at a time; the few values the
-vectorized route cannot decide are formatted by ``'%.17g'`` itself.
+:func:`emit_csv` renders a scan as byte matrices, one CSV row per matrix
+row, in blocks of cells, and drops the NUL padding in one pass. The CSV
+floats are the exact bytes of ``'%.17g' % x``, computed a column at a
+time; the few values the vectorized route cannot decide are formatted by
+``'%.17g'`` itself. :func:`emit_svg` joins each p column's ``<rect>``
+lines from its x key and one of two precomputed tails per t.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bayes import WITNESSES, InverseRecord, _verdict_rows, bayesian_inverse
-from .bayes import _UNSCATHED_TOL, _on_boundary, _unscathed_residuals
+from .bayes import _PAIR_BLOCK, _UNSCATHED_TOL, _check_tol, _on_boundary, _unscathed_residuals
 from .channels import BlochState, PauliChannel, _readonly
 from .errors import MonotonicityWarning
 
@@ -209,6 +211,7 @@ _FAMILIES = {
 # === Region scans ===
 
 def _scan_family(grid: ScanGrid, family: str, tol: float) -> ScanResult:
+    _check_tol(tol)
     channel_of = _FAMILIES[family][0]
     channels = [channel_of(float(p)) for p in grid.p_axis]
     r = (grid.direction[:, None] * np.sqrt(grid.t_axis))[:, None]
@@ -217,12 +220,18 @@ def _scan_family(grid: ScanGrid, family: str, tol: float) -> ScanResult:
 
 
 def scan_depolarizing(grid: ScanGrid, tol: float = 1e-9) -> ScanResult:
-    """Feasibility region of the depolarizing family over (p, t)."""
+    """Feasibility region of the depolarizing family over (p, t).
+
+    :raises ValueError: unless 0 < tol < inf.
+    """
     return _scan_family(grid, "depolarizing", tol)
 
 
 def scan_bb84(grid: ScanGrid, tol: float = 1e-9) -> ScanResult:
-    """Feasibility region of the intercept-resend family over (p, t)."""
+    """Feasibility region of the intercept-resend family over (p, t).
+
+    :raises ValueError: unless 0 < tol < inf.
+    """
     return _scan_family(grid, "bb84", tol)
 
 
@@ -250,8 +259,7 @@ def boundary_chi(
 
     :raises ValueError: unless 0 < tol < inf, or for an unknown family.
     """
-    if not 0.0 < tol < np.inf:
-        raise ValueError(f"verdict tolerance must be positive and finite, got {tol}")
+    _check_tol(tol)
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     channel_of, default = _FAMILIES[family]
@@ -327,7 +335,10 @@ def scan_three_entry(
     running the full construction and checking its residual, so a nonzero
     confirmed count would be a genuine counterexample to the expectation
     that only the maximally mixed state is recoverable here.
+
+    :raises ValueError: if resolution < 3, or unless 0 < tol < inf.
     """
+    _check_tol(tol)
     if resolution < 3:
         raise ValueError("resolution must be >= 3 to place three positive entries")
     rng = np.random.default_rng(seed)
@@ -349,12 +360,15 @@ def scan_three_entry(
     off_center = np.linalg.norm(points, axis=1) > 1e-6
     mu_feasible = hits = confirmed = 0
     examples: list[tuple] = []
-    for pch in channels:
-        feasible = _verdict_rows([pch], priors.T[:, None], tol)[0][0]
-        mu_feasible += bool(feasible[0])
-        for k in np.flatnonzero(feasible[1:] & off_center):
+    # As many channels per kernel call as one block of pairs holds.
+    per_call = max(1, _PAIR_BLOCK // len(priors))
+    for start in range(0, len(channels), per_call):
+        batch = channels[start : start + per_call]
+        feasible = _verdict_rows(batch, priors.T[:, None], tol)[0]
+        mu_feasible += int(feasible[:, 0].sum())
+        for i, k in zip(*np.nonzero(feasible[:, 1:] & off_center)):
             hits += 1
-            r = points[k]
+            pch, r = batch[i], points[k]
             out = bayesian_inverse(pch, BlochState(r), tol)
             if isinstance(out, InverseRecord) and out.residual <= tol:
                 confirmed += 1
@@ -510,13 +524,6 @@ def _g17_rows(values) -> np.ndarray:
     return out
 
 
-def _padded(strings) -> np.ndarray:
-    """ASCII strings as the rows of a uint8 matrix, padded with NUL."""
-    width = max(map(len, strings))
-    text = "".join(s.ljust(width, "\0") for s in strings)
-    return np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(len(strings), width)
-
-
 def _rows_bytes(*columns) -> bytes:
     """Byte matrices side by side, read row by row without their NUL padding.
 
@@ -532,7 +539,7 @@ def _rows_bytes(*columns) -> bytes:
     return rows[rows != 0].tobytes()
 
 
-# Cells rendered per block; bounds the scratch memory of both exports.
+# Cells rendered per block; bounds the scratch memory of emit_csv.
 _BLOCK = 2048
 
 
@@ -580,14 +587,18 @@ def emit_svg(scan: ScanResult, title: str = "") -> bytes:
             f'<text x="{ml + plot_w / 2:.1f}" y="{mt - 10:.1f}" font-size="16" '
             f'text-anchor="middle">{title}</text>'
         )
+    # Each <rect> line is its p column's x key and a tail, one of two per t
+    # row: a p column is x_key + x_key.join(its tails).
     size = f'width="{cw:.2f}" height="{ch:.2f}"'
-    x_keys = _padded([f'<rect x="{ml + i * cw:.2f}" ' for i in range(n_p)])
-    y_keys = _padded([f'y="{mt + plot_h - (j + 1) * ch:.2f}" {size} ' for j in range(n_t)])
-    fills = _padded(['fill="#efecf4"/>\n', 'fill="#7b52a8"/>\n'])
-    rects = b"".join(
-        _rows_bytes(x_keys[i], y_keys[j], fills[scan.feasible[cells].view(np.uint8)])
-        for cells, i, j in _blocks(scan)
-    )
+    tails = [
+        tuple(f'y="{mt + plot_h - (j + 1) * ch:.2f}" {size} fill="{fill}"/>\n'
+              for fill in ("#efecf4", "#7b52a8"))
+        for j in range(n_t)
+    ]
+    rects = []
+    for i, flags in enumerate(scan.feasible.reshape(n_p, n_t).tolist()):
+        x_key = f'<rect x="{ml + i * cw:.2f}" '
+        rects.append((x_key + x_key.join(map(tuple.__getitem__, tails, flags))).encode("ascii"))
     ax = (
         f'<path d="M {ml:.1f} {mt:.1f} L {ml:.1f} {mt + plot_h:.1f} '
         f'L {ml + plot_w:.1f} {mt + plot_h:.1f}" fill="none" stroke="black" stroke-width="1.5"/>'
@@ -615,4 +626,4 @@ def emit_svg(scan: ScanResult, title: str = "") -> bytes:
         "‖r‖²</text>"
     )
     parts.append("</svg>")
-    return head.encode("utf-8") + rects + "\n".join(parts).encode("utf-8")
+    return b"".join([head.encode("utf-8"), *rects, "\n".join(parts).encode("utf-8")])

@@ -56,6 +56,7 @@ from qubit_retro.errors import (
     InternalCPViolationError,
     NotHermitianError,
     NotPSDError,
+    SingularSError,
 )
 
 SEED = 20260825
@@ -402,6 +403,72 @@ def test_verdicts_contract():
     assert feasible.tolist() == [True, False]
     assert [WITNESSES[w] for w in witness] == [None, "not-unscathed"]
     assert slack[1].tolist() == [-1.0, -1.0, -1.0]
+
+
+def _one_pair_slacks(lam, r):
+    """Slacks of one (channel, prior) pair from its own float workspace."""
+    w = bayes._pair_workspace()
+    w[bayes._LAM : bayes._LAM + 3] = (lam * bayes._CHOI_ROW_SIGNS).tolist()
+    w[bayes._PRIOR : bayes._PRIOR + 3] = r.tolist()
+    bayes._candidate(w)
+    bayes._slacks(w)
+    return np.array(w[bayes._SLACK : bayes._SLACK + 3])
+
+
+def test_kernel_slacks_equal_one_pair_calls():
+    # 1,001 priors a row put four rows in a block. The 13 rows hold three
+    # boundary rows, so the interior rows 1, 2, 4, 5 | 6, 7, 8, 9 | 11, 12
+    # make a first block across a boundary row and a short last block.
+    rng = np.random.default_rng(SEED + 13)
+    priors = np.array([random_bloch(rng).r for _ in range(1001)])
+    priors[:5] = [[0.0, 0.0, 0.0], [-0.0, -0.0, -0.0], [-0.0, 0.5, 0.0],
+                  [0.3, -0.0, -0.6], [0.0, 0.0, -1.0]]
+    channels = [random_pauli(rng, 1e-3) for _ in range(13)]
+    for i in (0, 3, 10):
+        channels[i] = PauliChannel(np.array([0.25, 0.75, 0.0, 0.0]))
+    assert bayes._PAIR_BLOCK // len(priors) == 4
+    feasible, slack, _ = bayes._verdict_rows(channels, priors.T[:, None], 1e-9)
+    columns = [*range(8), 500, 998, 999, 1000]
+    for i in (1, 2, 4, 5, 6, 7, 8, 9, 11, 12):
+        for j in columns:
+            want = _one_pair_slacks(channels[i].lam, priors[j])
+            assert slack[i, j].tobytes() == want.tobytes(), (i, j)
+            assert feasible[i, j] == (want >= -1e-9).all()
+
+
+def test_singular_s_is_raised_from_inside_a_multi_row_block():
+    # lambda_1 = 1 - 1.2e-12 is interior, and S reaches 1 - 1e-12 on a
+    # prior of length 1 + 0.9e-12, which the Bloch-ball check still admits.
+    near = PauliChannel.from_lambdas(np.array([1.0 - 1.2e-12, 0.0, 0.0]))
+    assert not bayes._on_boundary(near.lam)
+    rng = np.random.default_rng(SEED + 14)
+    priors = np.array([random_bloch(rng).r for _ in range(1001)])
+    priors[500] = [1.0 + 0.9e-12, 0.0, 0.0]
+    channels = [PauliChannel.depolarizing(p) for p in (0.1, 0.2, 0.3, 0.4, 0.5)]
+    channels.insert(2, near)
+    with pytest.raises(SingularSError):
+        bayes._verdict_rows(channels, priors.T[:, None], 1e-9)
+    with pytest.raises(SingularSError):
+        pauli_frame_verdicts(near, priors)
+
+
+_TOL_ENTRY_POINTS = {
+    "pauli_frame_verdicts": lambda tol: pauli_frame_verdicts(
+        PauliChannel.depolarizing(0.3), np.zeros((2, 3)), tol),
+    "pauli_frame_decision": lambda tol: pauli_frame_decision(
+        PauliChannel.depolarizing(0.3), BlochState.maximally_mixed(), tol),
+    "gamel_report": lambda tol: gamel_report(PauliChannel.depolarizing(0.3).choi, 0.0, tol),
+    "bayesian_inverse": lambda tol: bayesian_inverse(
+        PauliChannel.depolarizing(0.3), BlochState.maximally_mixed(), tol),
+}
+
+
+@pytest.mark.parametrize("entry", _TOL_ENTRY_POINTS)
+def test_entry_point_rejects_a_bad_verdict_tolerance(entry):
+    # A NaN tol compares false, so no slack would count as negative.
+    for tol in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="verdict tolerance"):
+            _TOL_ENTRY_POINTS[entry](tol)
 
 
 def test_boundary_verdicts_do_not_go_through_the_scalar_decision(monkeypatch):

@@ -1,0 +1,27 @@
+"""Importing the package and its CLI loads none of the modules that weigh on every process."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Each of these, once imported, added 0.4-7 MB to the peak RSS of every
+# workload: xml.sax.saxutils pulls in urllib.request, scipy and
+# numpy.polynomial bring their own compiled code.
+HEAVY = ("urllib.request", "xml.sax", "scipy", "numpy.polynomial")
+
+
+def test_import_loads_no_heavy_module():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    code = (
+        "import sys, qubit_retro, qubit_retro.cli\n"
+        f"print(*[name for name in {HEAVY!r} if name in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == []

@@ -193,18 +193,20 @@ def _counting(calls, fn):
 
 
 def test_scan_scores_interior_rows_in_blocks(monkeypatch):
-    # A boundary row takes the slacks of one gamel_report of its own channel.
-    candidates, boundary_rows = [], []
+    # A boundary row takes the slacks of one gamel_report of its own channel;
+    # each block of interior rows makes one _candidate and one _slacks call.
+    candidates, slacks, boundary_rows = [], [], []
     monkeypatch.setattr(bayes, "_candidate", _counting(candidates, bayes._candidate))
+    monkeypatch.setattr(bayes, "_slacks", _counting(slacks, bayes._slacks))
     monkeypatch.setattr(bayes, "gamel_report", _counting(boundary_rows, bayes.gamel_report))
     scan_depolarizing(ScanGrid.uniform(201))
-    # 200 interior rows at 7 rows per block; the identity row p = 0 on its own.
-    assert (len(candidates), len(boundary_rows)) == (29, 1)
-    candidates.clear()
-    boundary_rows.clear()
+    # 200 interior rows at 20 rows per block; the identity row p = 0 on its own.
+    assert (len(candidates), len(slacks), len(boundary_rows)) == (10, 11, 1)
+    for calls in (candidates, slacks, boundary_rows):
+        calls.clear()
     scan_bb84(ScanGrid.uniform(201, direction=np.ones(3) / np.sqrt(3.0)))
-    # 199 interior rows; the rows p = 0 and p = 1 are boundary channels.
-    assert (len(candidates), len(boundary_rows)) == (29, 2)
+    # 199 interior rows, the last block short; p = 0 and p = 1 are boundary channels.
+    assert (len(candidates), len(slacks), len(boundary_rows)) == (10, 12, 2)
 
 
 def _cell_key(c):
@@ -405,20 +407,46 @@ def test_three_entry_search_counts_and_determinism():
 
 
 def test_three_entry_scores_each_channel_in_one_kernel_call(monkeypatch):
-    candidates, frame_verdicts = [], []
+    candidates, frame_verdicts, kernel_rows = [], [], []
+
+    def kernel(channels, r, tol):
+        kernel_rows.append((len(channels), r.shape))
+        return bayes._verdict_rows(channels, r, tol)
+
     monkeypatch.setattr(bayes, "_candidate", _counting(candidates, bayes._candidate))
+    monkeypatch.setattr(scans, "_verdict_rows", kernel)
     per_channel = _counting(frame_verdicts, bayes.pauli_frame_verdicts)
     for module in (bayes, scans):
         monkeypatch.setattr(module, "pauli_frame_verdicts", per_channel, raising=False)
     summary = scan_three_entry(resolution=8, samples=1000)
-    # 84 channels, each against its 1,001 priors in one block; no hit is re-checked.
+    # 84 channels, four to a call against the same 1,001 priors, one block
+    # per call; no hit is re-checked.
     assert (summary.channels, summary.hits) == (84, 0)
-    assert (len(candidates), len(frame_verdicts)) == (84, 0)
+    assert kernel_rows == [(4, (3, 1, 1001))] * 21
+    assert (len(candidates), len(frame_verdicts)) == (21, 0)
 
 
 def test_three_entry_resolution_validation():
     with pytest.raises(ValueError):
         scan_three_entry(resolution=2)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda tol: scan_depolarizing(ScanGrid.uniform(5), tol),
+        lambda tol: scan_bb84(ScanGrid.uniform(5), tol),
+        lambda tol: scan_three_entry(4, 50, 0, tol),
+    ],
+    ids=["scan_depolarizing", "scan_bb84", "scan_three_entry"],
+)
+def test_scan_rejects_a_bad_verdict_tolerance(entry):
+    # With a NaN tol no slack compares as negative: scan_depolarizing called
+    # every cell of a 5 x 5 grid feasible (18 of 25 are), and
+    # scan_three_entry(4, 50) reported 600 hits.
+    for tol in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="verdict tolerance"):
+            entry(tol)
 
 
 # === Exports ===
