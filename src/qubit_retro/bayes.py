@@ -336,6 +336,7 @@ def _slacks(w: list) -> None:
     """
     add, sub, mul, _ = _arith(w)
     v, R, x, y = _V, _R, _X, _Y
+    # eta = |v|^2 + |R|^2
     mul(_ETA, v, v)
     for k in (1, 2):
         mul(x, v + k, v + k)
@@ -345,7 +346,7 @@ def _slacks(w: list) -> None:
         mul(x, R + k, R + k)
         add(y, y, x)
     add(_ETA, _ETA, y)
-    for i in range(3):
+    for i in range(3):  # |R v|^2, one entry of R v at a time
         mul(x, R + 3 * i, v)
         for j in (1, 2):
             mul(y, R + 3 * i + j, v + j)
@@ -355,16 +356,20 @@ def _slacks(w: list) -> None:
             add(_RV2, _RV2, x)
         else:
             mul(_RV2, x, x)
-    # det R expands along R's first row, over the minors the adjugate loop makes.
+    # |adj R|^2, and det R = R00 M00 - R01 M01 + R02 M02 over the minors
+    # M0j that the adjugate loop makes at k = 0, 3 and 6.
     for k, (a, b, c, d) in enumerate(_ADJUGATE):
         mul(x, R + a, R + b)
         mul(y, R + c, R + d)
         sub(x, x, y)
         if k == 0:
             mul(_DET, R, x)
-        elif k in (3, 6):
-            mul(y, R + k // 3, x)
-            (sub if k == 3 else add)(_DET, _DET, y)
+        elif k == 3:
+            mul(y, R + 1, x)
+            sub(_DET, _DET, y)
+        elif k == 6:
+            mul(y, R + 2, x)
+            add(_DET, _DET, y)
         if k:
             mul(x, x, x)
             add(_ADJ2, _ADJ2, x)
@@ -499,7 +504,7 @@ def pauli_frame_decision(p: PauliChannel, s: BlochState, tol: float = 1e-9):
 # pairs (a row longer than that is a block of its own). The workspace holds
 # 28 doubles a pair, 0.9 MB at this size, and is allocated once per call;
 # once glibc has mapped and freed one, it raises its mmap threshold, so a
-# warm scan_three_entry(8, 1000) (21 calls) takes 0-3 minor page faults.
+# warm scan_three_entry(8, 1000) (21 calls) takes 0-4 minor page faults.
 # Larger blocks pay NumPy's per-call cost less often but raise the peak:
 # scan_three_entry(8, 1000) took a median of 34, 23, 19 and 16 ms at 1,536,
 # 2,048, 4,096 and 8,192 pairs, and peaked 6.2, 6.3, 6.8 and 7.6 MB above
