@@ -312,7 +312,7 @@ def _candidate(w: list) -> None:
         mul(x, x, r + i)
         add(_S, _S, x)
     s, limit = w[_S], 1.0 - _BOUNDARY_EPS
-    if s >= limit if isinstance(s, float) else np.any(s >= limit):
+    if (s >= limit) if isinstance(s, float) else np.any(s >= limit):
         raise SingularSError(f"S = {np.max(s)} is too close to 1")
     sub(x, _ONE, _S)
     for i in range(3):
