@@ -101,6 +101,15 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"verdict tolerance must be positive and finite, got {tol}")
 
 
+def _cptp_tol(tol: float) -> float:
+    """Tolerance of a CPTP test or certification at verdict tolerance tol.
+
+    Never below 1e-9: a Choi spectrum read from a rotated transfer matrix
+    carries roundoff of a few 1e-16, which a tighter test would reject.
+    """
+    return max(tol, 1e-9)
+
+
 @dataclass(frozen=True)
 class FeasibilityReport:
     """Scalar data of the complete-positivity test for a candidate inverse.
@@ -607,7 +616,8 @@ def bayesian_inverse(e, s: BlochState, tol: float = 1e-9):
     channel), decide at the prior o2t . r with :func:`pauli_frame_decision`,
     carry the inverse back as B2^T . a^T . B1^T and certify it. One
     decomposition of its Choi matrix is both the CP check and the Kraus
-    extraction.
+    extraction. The CPTP test of e and the certification run at
+    max(tol, 1e-9) (:func:`_cptp_tol`).
 
     :return: an InverseRecord, or a NoInverse explaining the obstruction.
     :raises ValueError: unless 0 < tol < inf.
@@ -616,7 +626,8 @@ def bayesian_inverse(e, s: BlochState, tol: float = 1e-9):
         certification (Choi positivity or the defining identity).
     """
     _check_tol(tol)
-    o1, pch, o2t = (_ID3, e, _ID3) if isinstance(e, PauliChannel) else _rotation_frame(e, tol)
+    cert_tol = _cptp_tol(tol)
+    o1, pch, o2t = (_ID3, e, _ID3) if isinstance(e, PauliChannel) else _rotation_frame(e, cert_tol)
     rec = pauli_frame_decision(pch, BlochState(o2t @ s.r), tol)
     if isinstance(rec, NoInverse):
         return rec
@@ -624,7 +635,6 @@ def bayesian_inverse(e, s: BlochState, tol: float = 1e-9):
     t[1:] = o2t.T @ t[1:]
     t[:, 1:] = t[:, 1:] @ o1.T
     final = ChannelRep.from_ptm(t)
-    cert_tol = max(tol, 1e-9)
     try:
         kraus = kraus_from_choi(final.choi, cert_tol)
     except NotPSDError as exc:

@@ -298,11 +298,9 @@ def apply_operator(e, m: np.ndarray) -> np.ndarray:
 def adjoint(e):
     """Adjoint map N^dag with respect to the Hilbert-Schmidt inner product.
 
-    Transposes the transfer matrix; a Pauli channel is self-adjoint and is
-    returned unchanged.
+    Transposes the transfer matrix; a Pauli channel's is diagonal, so its
+    adjoint has the same transfer matrix.
     """
-    if isinstance(e, PauliChannel):
-        return e
     return ChannelRep.from_ptm(e.ptm.T)
 
 

@@ -1,5 +1,11 @@
 """Command line front end: invert, verify, classify, and scan.
 
+One table, _COMMANDS, lists each subcommand with its handler, help text,
+options and default --tol: the parser is built from it, main dispatches
+through it, and each handler reads the parsed argparse.Namespace. main
+checks --tol once, before dispatch: it must be positive and finite. The
+CPTP tests of verify and kraus run at max(--tol, 1e-9), as invert's do.
+
 Exit codes: 0 success, 1 malformed input, usage error, an output
 directory that cannot be made or written (--out naming a file, say) or
 failed verification, 2 no Bayesian inverse exists, 3 a supplied channel
@@ -12,7 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -20,11 +26,14 @@ import numpy as np
 from .bayes import (
     InverseRecord,
     NoInverse,
+    _check_tol,
+    _cptp_tol,
     bayesian_inverse,
+    is_unscathed,
     two_time_matrix,
     unscathed_residuals,
 )
-from .channels import ChannelRep, PauliChannel, apply, is_cptp
+from .channels import ChannelRep, PauliChannel, apply, is_cptp, kraus_from_choi
 from .errors import NotCPTPError, NotPSDError, NotUnitalError, QubitRetroError
 from .scans import (
     _FAMILIES,
@@ -45,37 +54,12 @@ from .serialize import (
     matrix_to_pairs,
 )
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NO_INVERSE = 2
 EXIT_NOT_CPTP = 3
-
-
-@dataclass
-class RunConfig:
-    """Validated bag of CLI options for a single run."""
-
-    command: str
-    channel: str | None = None
-    state: str | None = None
-    inverse: str | None = None
-    family: str | None = None
-    resolution: int | None = None
-    tol: float = 1e-9
-    seed: int = 0
-    out: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.command not in _DISPATCH:
-            raise ValueError(f"unknown command {self.command!r}")
-        if not 0.0 < self.tol < np.inf:
-            raise ValueError(f"tolerance must be positive and finite, got {self.tol}")
-        if self.resolution is not None and self.resolution < 2:
-            raise ValueError(f"resolution must be >= 2, got {self.resolution}")
-        if self.family is not None and self.family not in _FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
 
 
 def _vec(v) -> str:
@@ -120,11 +104,11 @@ def _report_doc(report) -> dict:
 
 # === Commands ===
 
-def cmd_invert(cfg: RunConfig) -> int:
-    channel = load_channel(cfg.channel)
-    state = load_state(cfg.state)
+def cmd_invert(args: argparse.Namespace) -> int:
+    channel = load_channel(args.channel)
+    state = load_state(args.state)
     try:
-        outcome = bayesian_inverse(channel, state, cfg.tol)
+        outcome = bayesian_inverse(channel, state, args.tol)
     except (NotUnitalError, NotCPTPError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -132,15 +116,15 @@ def cmd_invert(cfg: RunConfig) -> int:
     if isinstance(outcome, NoInverse):
         print("verdict: no Bayesian inverse exists")
         print(f"reason: {outcome.reason}")
-        doc = {"verdict": "no-inverse", "reason": outcome.reason, "tol": cfg.tol}
+        doc = {"verdict": "no-inverse", "reason": outcome.reason, "tol": args.tol}
         if outcome.report is not None:
             print(f"feasibility slacks: {_vec(outcome.report.slack)}")
             doc["report"] = _report_doc(outcome.report)
         if outcome.residuals is not None:
             print(f"conjugation residuals (sigma_0..sigma_3): {_vec(outcome.residuals)}")
             doc["residuals"] = outcome.residuals.tolist()
-        if cfg.out:
-            _write(cfg.out, {"invert_report.json": doc})
+        if args.out:
+            _write(args.out, {"invert_report.json": doc})
         return EXIT_NO_INVERSE
 
     rec: InverseRecord = outcome
@@ -155,11 +139,11 @@ def cmd_invert(cfg: RunConfig) -> int:
     print(f"kraus operators ({len(rec.kraus)}):")
     for k in rec.kraus:
         _print_complex_matrix(k)
-    if cfg.out:
+    if args.out:
         inverse_doc = {"kind": "kraus", "ops": [matrix_to_pairs(k) for k in rec.kraus]}
         doc = {
             "verdict": "inverse",
-            "tol": cfg.tol,
+            "tol": args.tol,
             "a": rec.a.tolist(),
             "S": float(rec.S),
             "unique": bool(rec.unique),
@@ -167,32 +151,31 @@ def cmd_invert(cfg: RunConfig) -> int:
             "report": _report_doc(rec.report),
             "inverse": inverse_doc,
         }
-        _write(cfg.out, {"inverse.json": inverse_doc, "invert_report.json": doc})
+        _write(args.out, {"inverse.json": inverse_doc, "invert_report.json": doc})
     return EXIT_OK
 
 
-def cmd_unscathed(cfg: RunConfig) -> int:
-    channel = load_channel(cfg.channel)
+def cmd_unscathed(args: argparse.Namespace) -> int:
+    channel = load_channel(args.channel)
     if not isinstance(channel, PauliChannel):
         print("error: the unscathed test needs a pauli-kind channel file", file=sys.stderr)
         return EXIT_INPUT
-    state = load_state(cfg.state)
-    residuals = unscathed_residuals(channel, state)
-    hits = np.flatnonzero(residuals <= cfg.tol)
-    print(f"conjugation residuals (sigma_0..sigma_3): {_vec(residuals)}")
-    if not hits.size:
+    state = load_state(args.state)
+    k = is_unscathed(channel, state, args.tol)
+    print(f"conjugation residuals (sigma_0..sigma_3): {_vec(unscathed_residuals(channel, state))}")
+    if k is None:
         print("verdict: state is not unscathed (adjoint is not an inverse here)")
         return EXIT_NO_INVERSE
-    print(f"verdict: unscathed with sigma_{hits[0]}; the adjoint map is a Bayesian inverse")
+    print(f"verdict: unscathed with sigma_{k}; the adjoint map is a Bayesian inverse")
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    channel = load_channel(cfg.channel)
-    state = load_state(cfg.state)
-    candidate = load_channel(cfg.inverse)
+def cmd_verify(args: argparse.Namespace) -> int:
+    channel = load_channel(args.channel)
+    state = load_state(args.state)
+    candidate = load_channel(args.inverse)
     for name, e in (("channel", channel), ("candidate inverse", candidate)):
-        if not is_cptp(e, max(cfg.tol, 1e-9)):
+        if not is_cptp(e, _cptp_tol(args.tol)):
             print(f"error: {name} is not CPTP", file=sys.stderr)
             return EXIT_NOT_CPTP
     forward = two_time_matrix(channel, state)
@@ -202,48 +185,48 @@ def cmd_verify(cfg: RunConfig) -> int:
     _print_real_matrix(forward)
     print("time-reversed two-time expectations (transposed for comparison):")
     _print_real_matrix(reverse.T)
-    print(f"max discrepancy: {_g17(discrepancy)}   tol: {_g17(cfg.tol)}")
-    symmetric = discrepancy <= cfg.tol
+    print(f"max discrepancy: {_g17(discrepancy)}   tol: {_g17(args.tol)}")
+    symmetric = discrepancy <= args.tol
     print(f"verdict: {'symmetric' if symmetric else 'NOT symmetric'}")
-    if cfg.out:
+    if args.out:
         doc = {
             "forward": forward.tolist(),
             "reversed": reverse.tolist(),
             "discrepancy": discrepancy,
-            "tol": cfg.tol,
+            "tol": args.tol,
             "symmetric": bool(symmetric),
         }
-        _write(cfg.out, {"verify_report.json": doc})
+        _write(args.out, {"verify_report.json": doc})
     return EXIT_OK if symmetric else EXIT_INPUT
 
 
-def cmd_scan(cfg: RunConfig) -> int:
-    if not cfg.out:
+def cmd_scan(args: argparse.Namespace) -> int:
+    if not args.out:
         print("error: scan needs --out DIR for its CSV/SVG files", file=sys.stderr)
         return EXIT_INPUT
-    resolution = 201 if cfg.resolution is None else cfg.resolution
-    grid = ScanGrid.uniform(resolution, direction=_FAMILIES[cfg.family][1])
-    scan = scan_bb84 if cfg.family == "bb84" else scan_depolarizing
-    cells = scan(grid, cfg.tol)
+    resolution = 201 if args.resolution is None else args.resolution
+    grid = ScanGrid.uniform(resolution, direction=_FAMILIES[args.family][1])
+    scan = scan_bb84 if args.family == "bb84" else scan_depolarizing
+    cells = scan(grid, args.tol)
     count = int(cells.feasible.sum())
-    print(f"family {cfg.family}, resolution {resolution}")
+    print(f"family {args.family}, resolution {resolution}")
     print(f"feasible cells: {count}/{len(cells)} ({count / len(cells):.6f})")
-    base = f"{cfg.family}_{resolution}"
-    _write(cfg.out, {
+    base = f"{args.family}_{resolution}"
+    _write(args.out, {
         f"{base}.csv": lambda: emit_csv(cells),
-        f"{base}.svg": lambda: emit_svg(cells, title=cfg.family),
+        f"{base}.svg": lambda: emit_svg(cells, title=args.family),
     })
-    if cfg.family == "depolarizing":
+    if args.family == "depolarizing":
         print("largest feasible t:")
         p_axis = np.linspace(0.0, 1.0, 11)
-        for p, chi in zip(p_axis, boundary_chi(p_axis, cfg.tol)):
+        for p, chi in zip(p_axis, boundary_chi(p_axis, args.tol)):
             print(f"  p = {p:.2f}   chi = {chi:.8f}")
     return EXIT_OK
 
 
-def _run_three_entry(cfg: RunConfig) -> int:
-    resolution = 8 if cfg.resolution is None else cfg.resolution
-    summary = scan_three_entry(resolution, samples=1000, seed=cfg.seed, tol=cfg.tol)
+def cmd_three_entry(args: argparse.Namespace) -> int:
+    resolution = 8 if args.resolution is None else args.resolution
+    summary = scan_three_entry(resolution, samples=1000, seed=args.seed, tol=args.tol)
     print(f"three-entry channels scanned: {summary.channels} (simplex resolution {resolution})")
     print(f"bloch samples per channel: {summary.samples_per_channel} (seed {summary.seed})")
     print(f"maximally mixed prior feasible: {summary.mu_feasible}/{summary.channels}")
@@ -252,18 +235,19 @@ def _run_three_entry(cfg: RunConfig) -> int:
         print("confirmed examples:")
         for p, r in summary.examples:
             print(f"  p = {_vec(p)}   r = {_vec(r)}")
-    if cfg.out:
+    if args.out:
         examples = [{"p": list(map(float, p)), "r": list(map(float, r))}
                     for p, r in summary.examples]
         doc = {**asdict(summary), "examples": examples}
-        _write(cfg.out, {f"three-entry_{resolution}.json": doc})
+        _write(args.out, {f"three-entry_{resolution}.json": doc})
     return EXIT_OK
 
 
-def cmd_kraus(cfg: RunConfig) -> int:
-    channel = load_channel(cfg.channel)
+def cmd_kraus(args: argparse.Namespace) -> int:
+    channel = load_channel(args.channel)
     rep = ChannelRep.from_pauli(channel) if isinstance(channel, PauliChannel) else channel
-    if not is_cptp(rep, max(cfg.tol, 1e-9)):
+    tol = _cptp_tol(args.tol)
+    if not is_cptp(rep, tol):
         min_eig = np.linalg.eigvalsh(rep.choi)[0]
         defect = np.abs(rep.ptm[0] - [1.0, 0.0, 0.0, 0.0]).max()
         print(
@@ -272,12 +256,15 @@ def cmd_kraus(cfg: RunConfig) -> int:
             file=sys.stderr,
         )
         return EXIT_NOT_CPTP
+    if "kraus" not in vars(rep):
+        # Not built from Kraus operators: extract them at the tolerance they passed.
+        rep = ChannelRep.from_kraus(kraus_from_choi(rep.choi, tol))
     ops = rep.kraus
     print(f"kraus operators ({len(ops)}):")
     for k in ops:
         _print_complex_matrix(k)
-    if cfg.out:
-        _write(cfg.out, {"kraus.json": channel_to_json(rep)})
+    if args.out:
+        _write(args.out, {"kraus.json": channel_to_json(rep)})
     return EXIT_OK
 
 
@@ -291,6 +278,36 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
+# Each subcommand: its handler, help text, options in --help order, and
+# default --tol. _OPTIONS holds each option's add_argument keywords.
+_COMMANDS = {
+    "invert": (cmd_invert, "construct the Bayesian inverse for (channel, state)",
+               ("channel", "state", "tol", "out"), 1e-9),
+    "unscathed": (cmd_unscathed,
+                  "test whether some sigma_k conjugation reproduces the channel output",
+                  ("channel", "state", "tol"), 1e-10),
+    "verify": (cmd_verify, "check two-time expectation symmetry of a candidate inverse",
+               ("channel", "state", "inverse", "tol", "out"), 1e-9),
+    "scan": (cmd_scan, "sweep a channel family's feasibility region",
+             ("family", "resolution", "tol", "out"), 1e-9),
+    "kraus": (cmd_kraus, "extract Kraus operators from a channel file",
+              ("channel", "tol", "out"), 1e-9),
+    "three-entry": (cmd_three_entry, "search three-entry channels for feasible non-central priors",
+                    ("resolution", "seed", "tol", "out"), 1e-9),
+}
+
+_OPTIONS = {
+    "channel": {"required": True, "help": "channel JSON file"},
+    "state": {"required": True, "help": "state JSON file"},
+    "inverse": {"required": True, "help": "candidate inverse channel JSON file"},
+    "family": {"required": True, "choices": tuple(_FAMILIES)},
+    "resolution": {"type": int, "default": None},
+    "seed": {"type": int, "default": 0},
+    "tol": {"type": float},
+    "out": {"default": None, "help": "output directory"},
+}
+
+
 # Built once per process: building the parser costs about twenty parses, and
 # a query calls main twice (invert, then verify).
 @functools.cache
@@ -300,56 +317,19 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Bayesian inverses of unital qubit channels: decide, construct, verify, scan.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text, *, channel=False, state=False, inverse=False, family=False,
-            resolution=False, seed=False, out=False, tol=1e-9):
+    for name, (_, help_text, options, tol) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
-        if channel:
-            sp.add_argument("--channel", required=True, help="channel JSON file")
-        if state:
-            sp.add_argument("--state", required=True, help="state JSON file")
-        if inverse:
-            sp.add_argument("--inverse", required=True, help="candidate inverse channel JSON file")
-        if family:
-            sp.add_argument("--family", required=True, choices=tuple(_FAMILIES))
-        if resolution:
-            sp.add_argument("--resolution", type=int, default=None)
-        if seed:
-            sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--tol", type=float, default=tol)
-        if out:
-            sp.add_argument("--out", default=None, help="output directory")
-        return sp
-
-    add("invert", "construct the Bayesian inverse for (channel, state)",
-        channel=True, state=True, out=True)
-    add("unscathed", "test whether some sigma_k conjugation reproduces the channel output",
-        channel=True, state=True, tol=1e-10)
-    add("verify", "check two-time expectation symmetry of a candidate inverse",
-        channel=True, state=True, inverse=True, out=True)
-    add("scan", "sweep a channel family's feasibility region",
-        family=True, resolution=True, out=True)
-    add("kraus", "extract Kraus operators from a channel file", channel=True, out=True)
-    add("three-entry", "search three-entry channels for feasible non-central priors",
-        resolution=True, seed=True, out=True)
+        for option in options:
+            sp.add_argument(f"--{option}", **_OPTIONS[option])
+        sp.set_defaults(tol=tol)
     return parser
-
-
-_DISPATCH = {
-    "invert": cmd_invert,
-    "unscathed": cmd_unscathed,
-    "verify": cmd_verify,
-    "scan": cmd_scan,
-    "kraus": cmd_kraus,
-    "three-entry": _run_three_entry,
-}
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = RunConfig(**vars(args))
-        return _DISPATCH[cfg.command](cfg)
+        _check_tol(args.tol)
+        return _COMMANDS[args.command][0](args)
     except NotPSDError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_CPTP

@@ -111,13 +111,22 @@ class RegionCell:
         object.__setattr__(self, "slack", s)
 
 
+def _frozen(a: np.ndarray) -> bool:
+    """Whether a and every array it views are read-only, so no caller can write its data."""
+    while isinstance(a, np.ndarray) and not a.flags.writeable:
+        a = a.base
+    return a is None
+
+
 @dataclass(frozen=True)
 class ScanResult:
     """Verdicts of a region scan as columns, one entry per cell, row-major.
 
     Cell k sits at p = grid.p_axis[k // len(grid.t_axis)] and
     t = grid.t_axis[k % len(grid.t_axis)]. Indexing, slicing and iterating
-    give :class:`RegionCell` views made on demand.
+    give :class:`RegionCell` views made on demand. A column is kept as
+    given when it is frozen (read-only, as is every array it views), and
+    copied to a read-only array otherwise.
     """
 
     grid: ScanGrid
@@ -135,7 +144,7 @@ class ScanResult:
             col = np.asarray(getattr(self, name), dtype=dtype)
             if col.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {col.shape}")
-            object.__setattr__(self, name, _readonly(col))
+            object.__setattr__(self, name, col if _frozen(col) else _readonly(col))
         if not np.isfinite(self.slack).all():
             raise ValueError("slack must be finite")
 
@@ -216,6 +225,8 @@ def _scan_family(grid: ScanGrid, family: str, tol: float) -> ScanResult:
     channels = [channel_of(float(p)) for p in grid.p_axis]
     r = (grid.direction[:, None] * np.sqrt(grid.t_axis))[:, None]
     feasible, slack, witness = _verdict_rows(channels, r, tol)
+    for col in (feasible, slack, witness):
+        col.flags.writeable = False  # fresh, so the result keeps them uncopied
     return ScanResult(grid, feasible.ravel(), slack.reshape(-1, 3), witness.ravel())
 
 

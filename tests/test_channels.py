@@ -260,7 +260,7 @@ def test_adjoint_duality():
 def test_pauli_channel_is_self_adjoint():
     rng = np.random.default_rng(SEED + 13)
     pc = random_pauli(rng)
-    assert adjoint(pc) is pc
+    assert np.array_equal(adjoint(pc).ptm, pc.ptm)
 
 
 def test_compose_is_sequential_application():

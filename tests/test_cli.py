@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from qubit_retro import bayes, boundary_chi, cli, dump_json
-from qubit_retro.cli import RunConfig, main
+from qubit_retro import ChannelRep, bayes, boundary_chi, cli, dump_json, is_cptp
+from qubit_retro.cli import main
 
 
 @pytest.fixture
@@ -37,15 +37,45 @@ def files(tmp_path):
     return paths
 
 
-def test_run_config_validation():
-    with pytest.raises(ValueError):
-        RunConfig(command="fly")
-    with pytest.raises(ValueError):
-        RunConfig(command="scan", tol=-1.0)
-    with pytest.raises(ValueError):
-        RunConfig(command="scan", resolution=1)
-    with pytest.raises(ValueError):
-        RunConfig(command="scan", family="bell")
+# A minimal valid argv of each subcommand, in the parser's order, and the
+# options it parses to.
+_MINIMAL = {
+    "invert": (["--channel", "c", "--state", "s"],
+               {"channel": "c", "state": "s", "tol": 1e-9, "out": None}),
+    "unscathed": (["--channel", "c", "--state", "s"],
+                  {"channel": "c", "state": "s", "tol": 1e-10}),
+    "verify": (["--channel", "c", "--state", "s", "--inverse", "i"],
+               {"channel": "c", "state": "s", "inverse": "i", "tol": 1e-9, "out": None}),
+    "scan": (["--family", "bb84"], {"family": "bb84", "resolution": None, "tol": 1e-9, "out": None}),
+    "kraus": (["--channel", "c"], {"channel": "c", "tol": 1e-9, "out": None}),
+    "three-entry": ([], {"resolution": None, "seed": 0, "tol": 1e-9, "out": None}),
+}
+
+
+def test_parser_pins_every_subcommand_option_and_default():
+    parser = cli._build_parser()
+    assert "{" + ",".join(_MINIMAL) + "}" in parser.format_usage()
+    for command, (argv, options) in _MINIMAL.items():
+        assert vars(parser.parse_args([command, *argv])) == {"command": command, **options}
+
+
+def test_usage_errors_exit_1_never_2(tmp_path, capsys):
+    # Exit 2 means "no inverse", so no usage error may exit with argparse's 2.
+    out = str(tmp_path / "out")
+    for argv in (
+        ["fly"],
+        ["scan", "--family", "bell", "--out", out],
+        ["scan", "--family", "bb84", "--tol", "-1", "--out", out],
+        ["scan", "--family", "bb84", "--resolution", "1", "--out", out],
+        ["three-entry", "--resolution", "2", "--out", out],
+    ):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 1, argv
+        assert "error" in capsys.readouterr().err, argv
+    assert not (tmp_path / "out").exists()
 
 
 def test_non_finite_tol_is_rejected(tmp_path, capsys):
@@ -173,6 +203,30 @@ def test_invert_no_inverse_exit_code(files, capsys):
     assert report["reason"] == "not-unscathed"
 
 
+def test_invert_certifies_a_rotated_channel_at_tiny_tol(tmp_path, capsys):
+    # The boundary channel p = (0.6, 0, 0.4, 0), conjugated by a rotation,
+    # as a ptm file: its Choi spectrum and trace carry roundoff of a few
+    # 1e-16, so only a CPTP test at max(tol, 1e-9) lets it invert as the
+    # pauli file does.
+    m = [1.0000000000000004, 0.0, 0.0, 0.0,
+         0.0, 0.3420020487106811, 0.04538143155065655, -0.3022872521310274,
+         0.0, 0.04538143155065657, 0.21450313110469948, -0.09660584735062651,
+         0.0, -0.3022872521310274, -0.09660584735062651, 0.84349482018462]
+    assert not is_cptp(ChannelRep.from_ptm(np.reshape(m, (4, 4))), 1e-17)
+    files = {
+        "ptm": ({"kind": "ptm", "m": m},
+                [-0.21065526393158995, -0.06732182759119498, 0.4484329730379934]),
+        "pauli": ({"kind": "pauli", "p": [0.6, 0.0, 0.4, 0.0]}, [0.0, 0.5, 0.0]),
+    }
+    for kind, (channel_doc, bloch) in files.items():
+        channel, state = tmp_path / f"{kind}.json", tmp_path / f"{kind}_state.json"
+        dump_json(channel, channel_doc)
+        dump_json(state, {"bloch": bloch})
+        code = main(["invert", "--channel", str(channel), "--state", str(state), "--tol", "1e-17"])
+        assert code == 0, kind
+        assert "verdict: inverse exists" in capsys.readouterr().out, kind
+
+
 def test_invert_rejects_nonunital_channel(files, capsys):
     code = main(
         ["invert", "--channel", str(files["nonunital"]), "--state", str(files["state"])]
@@ -276,6 +330,19 @@ def test_kraus_command(files, capsys):
 def test_kraus_rejects_noncp_channel(files, capsys):
     assert main(["kraus", "--channel", str(files["noncp"])]) == 3
     assert "eigenvalue" in capsys.readouterr().err
+
+
+def test_kraus_extracts_at_the_tolerance_of_its_cptp_test(tmp_path, capsys):
+    # Choi eigenvalue -2e-7: not CPTP at the default tol, CPTP at --tol 1e-6.
+    near = tmp_path / "near.json"
+    dump_json(near, {"kind": "ptm", "m": np.diag([1, 1, 1 - 2e-7, 1 + 2e-7]).ravel().tolist()})
+    assert main(["kraus", "--channel", str(near)]) == 3
+    assert "eigenvalue -2.000e-07" in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert main(["kraus", "--channel", str(near), "--tol", "1e-6", "--out", str(out)]) == 0
+    doc = json.loads((out / "kraus.json").read_text())
+    ops = [np.array([[complex(re, im) for re, im in row] for row in op]) for op in doc["ops"]]
+    assert np.abs(sum(k.conj().T @ k for k in ops) - np.eye(2)).max() < 1e-6
 
 
 def test_kraus_rejects_non_trace_preserving_kraus_file(files, tmp_path, capsys):

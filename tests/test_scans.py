@@ -244,6 +244,23 @@ def test_scan_result_rejects_non_finite_slack_and_bad_shapes():
         ScanResult(grid, good.feasible[:-1], good.slack, good.witness)
 
 
+def test_scan_result_copies_only_columns_a_caller_can_write():
+    grid = ScanGrid.uniform(3)
+    good = scan_depolarizing(grid)
+    # A scan's own columns are frozen, so a result keeps them as they are.
+    kept = ScanResult(grid, good.feasible, good.slack, good.witness)
+    assert all(getattr(kept, n) is getattr(good, n) for n in ("feasible", "slack", "witness"))
+    # A writeable array, or a read-only view of one, is copied: writing it changes no result.
+    slack = good.slack.copy()
+    view = slack[:]
+    view.flags.writeable = False
+    copied = [ScanResult(grid, good.feasible, col, good.witness) for col in (slack, view)]
+    slack[0, 0] += 1.0
+    for result in copied:
+        assert not result.slack.flags.writeable
+        assert np.array_equal(result.slack, good.slack)
+
+
 # === Boundary location ===
 
 def test_boundary_chi_edge_cases():
