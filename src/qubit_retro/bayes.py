@@ -21,9 +21,10 @@ Every Pauli-frame verdict, for one prior or a batch, reads three closed
 forms of (lambda, r): the candidate inverse, its positivity slacks and the
 unscathed residuals. The candidate and the slacks are written once, as
 straight-line arithmetic on the registers of a workspace: floats for a
-single query, rows of one array allocated per call for a batch, so a
-batch makes no temporaries and each pair's slacks are bit-identical to its
-single-query slacks. The two-time expectations that certify an inverse
+single query, rows of one array allocated per pass over a batch, which
+_verdict_blocks scores a block of pairs at a time, so a batch makes no
+temporaries and each pair's slacks are bit-identical to its single-query
+slacks. The two-time expectations that certify an inverse
 are read straight from a transfer matrix T, <sigma_i, sigma_j> =
 r_i T[j, 0] + T[j, i] (two_time_matrix); two_time_projector keeps the
 projective-measurement formula it reduces from. Other channel action goes
@@ -511,9 +512,8 @@ def pauli_frame_decision(p: PauliChannel, s: BlochState, tol: float = 1e-9):
 
 # Interior pairs are scored in blocks of whole rows with at most this many
 # pairs (a row longer than that is a block of its own). The workspace holds
-# 28 doubles a pair, 0.9 MB at this size, and is allocated once per call;
-# once glibc has mapped and freed one, it raises its mmap threshold, so a
-# warm scan_three_entry(8, 1000) (21 calls) takes 0-4 minor page faults.
+# 28 doubles a pair, 0.9 MB at this size, and is allocated once per pass
+# over the rows, so scan_three_entry(8, 1000) makes one for its 21 blocks.
 # Larger blocks pay NumPy's per-call cost less often but raise the peak:
 # scan_three_entry(8, 1000) took a median of 34, 23, 19 and 16 ms at 1,536,
 # 2,048, 4,096 and 8,192 pairs, and peaked 6.2, 6.3, 6.8 and 7.6 MB above
@@ -521,64 +521,87 @@ def pauli_frame_decision(p: PauliChannel, s: BlochState, tol: float = 1e-9):
 _PAIR_BLOCK = 4096
 
 
-def _verdict_rows(channels, r: np.ndarray, tol: float):
-    """Verdicts of Pauli channel i at the priors r[:, i], for every row i.
+def _verdict_blocks(channels, r: np.ndarray, tol: float):
+    """Score Pauli channel i at the priors r[:, i], for every row i, a block at a time.
 
-    The batched form of :func:`pauli_frame_decision`. A boundary row is
-    feasible where its prior is unscathed, and then takes the slacks of the
-    channel's own Choi matrix. Interior rows are scored together in blocks
-    of whole rows, up to _PAIR_BLOCK pairs each, through one workspace that
-    every block reuses: the candidate is built from lambda with its sigma_y
-    entry negated, which reads R as the Choi matrix does
-    (sigma_y^T = -sigma_y) and leaves v and S alone (lambda enters them
-    squared). Every operation is elementwise per pair, so a verdict does
-    not depend on its batch.
+    Yields (rows, slack, unscathed): the block's row indices, its (3, k, n)
+    slacks, a view of the one workspace that the next block overwrites,
+    and None or, for a boundary row, its (1, n) unscathed mask. Boundary
+    rows come first, one to a block: an unscathed prior takes the slacks
+    of the channel's own Choi matrix, any other slack (-1, -1, -1).
+    Interior rows follow in blocks of whole rows, up to _PAIR_BLOCK pairs
+    each. Their candidate is built from lambda with its sigma_y entry
+    negated, which reads R as the Choi matrix does (sigma_y^T = -sigma_y)
+    and leaves v and S alone (lambda enters them squared). Every operation
+    is elementwise per pair, so a verdict does not depend on its block.
 
-    :param channels: M Pauli channels, one per row.
     :param r: (3, M, n) prior columns, or (3, 1, n) for the same n priors
         in every row.
-    :return: (feasible, slack, witness) of shapes (M, n), (M, n, 3) and
-        (M, n); witness indexes :data:`WITNESSES`, and a prior that is not
-        unscathed gets slack (-1, -1, -1).
     :raises SingularSError: when some S = sum lambda_i^2 r_i^2 >= 1 - 1e-12.
+    :raises ValueError: on a non-finite slack, before its block is yielded.
     """
     n_rows, n = len(channels), r.shape[-1]
-    priors, r = r, np.broadcast_to(r, (3, n_rows, n))
-    feasible = np.empty((n_rows, n), dtype=bool)
-    slack = np.empty((n_rows, n, 3))
-    witness = np.empty((n_rows, n), dtype=np.int8)
     lam = np.array([c.lam for c in channels]).reshape(n_rows, 3)
     boundary = _on_boundary(lam)
-    for i in np.flatnonzero(boundary):
-        feasible[i] = (_unscathed_residuals(lam[i], r[:, i]) <= _UNSCATHED_TOL).any(axis=0)
-        # The channel's own slacks; S only rides along in the report.
-        own = gamel_report(channels[i].choi, 0.0, tol).slack
-        slack[i] = np.where(feasible[i, :, None], own, -1.0)
-        witness[i] = np.where(feasible[i], 0, WITNESSES.index("not-unscathed"))
     interior = np.flatnonzero(~boundary)
     step = max(1, _PAIR_BLOCK // max(n, 1))
+    ws = np.empty((_WS_ROWS, max(1, min(step, len(interior))), n))
+    shared = r.shape[1] == 1
+    if shared:  # _candidate and _slacks never write a prior register
+        np.copyto(ws[_PRIOR : _PRIOR + 3], r)
+    slack = ws[_SLACK : _SLACK + 3]
+
+    def checked(rows, k, unscathed=None):
+        if not np.isfinite(slack[:, :k]).all():
+            raise ValueError("non-finite slack: every prior and eigenvalue must be finite")
+        return rows, slack[:, :k], unscathed
+
+    for i in np.flatnonzero(boundary):
+        ri = r[:, 0 if shared else i]
+        unscathed = (_unscathed_residuals(lam[i], ri) <= _UNSCATHED_TOL).any(axis=0)
+        # The channel's own slacks; S only rides along in the report.
+        own = gamel_report(channels[i].choi, 0.0, tol).slack
+        np.copyto(slack[:, 0], np.where(unscathed, own[:, None], -1.0))
+        yield checked(np.array([i]), 1, unscathed[None])
     lam_signed = lam * _CHOI_ROW_SIGNS
-    buf = np.empty(_WS_ROWS * min(step, len(interior)) * n)
     for start in range(0, len(interior), step):
         rows = interior[start : start + step]
         k = len(rows)
-        block = buf[: _WS_ROWS * k * n].reshape(_WS_ROWS, k * n)
-        np.copyto(block[_LAM : _LAM + 3].reshape(3, k, n), lam_signed[rows].T[:, :, None])
-        np.copyto(
-            block[_PRIOR : _PRIOR + 3].reshape(3, k, n),
-            priors if priors.shape[1] == 1 else priors[:, rows],
-        )
-        w = [*block, *_CONSTANTS]
+        np.copyto(ws[_LAM : _LAM + 3, :k], lam_signed[rows].T[:, :, None])
+        if not shared:
+            np.copyto(ws[_PRIOR : _PRIOR + 3, :k], r[:, rows])
+        w = [*ws[:, :k].reshape(_WS_ROWS, k * n), *_CONSTANTS]
         _candidate(w)
         _slacks(w)
-        block_slack = block[_SLACK : _SLACK + 3]
-        bad = block_slack < -tol
-        first_bad = np.zeros(k * n, dtype=np.int8)
+        yield checked(rows, k)
+
+
+def _verdict_rows(channels, r: np.ndarray, tol: float):
+    """Verdicts of Pauli channel i at the priors r[:, i], for every row i.
+
+    The batched form of :func:`pauli_frame_decision`, read from the blocks
+    of :func:`_verdict_blocks`; r and the errors are as there.
+
+    :param channels: M Pauli channels, one per row.
+    :return: (feasible, slack, witness) of shapes (M, n), (M, n, 3) and
+        (M, n); witness indexes :data:`WITNESSES`, and a prior that is not
+        unscathed gets slack (-1, -1, -1).
+    """
+    n_rows, n = len(channels), r.shape[-1]
+    feasible = np.empty((n_rows, n), dtype=bool)
+    slack = np.empty((n_rows, n, 3))
+    witness = np.empty((n_rows, n), dtype=np.int8)
+    for rows, block_slack, unscathed in _verdict_blocks(channels, r, tol):
+        slack[rows] = block_slack.transpose(1, 2, 0)
+        if unscathed is not None:
+            feasible[rows] = unscathed
+            witness[rows] = np.where(unscathed, 0, WITNESSES.index("not-unscathed"))
+            continue
+        first_bad = np.zeros(block_slack.shape[1:], dtype=np.int8)
         for j in (2, 1, 0):
-            np.copyto(first_bad, j + 1, where=bad[j])
-        feasible[rows] = (first_bad == 0).reshape(k, n)
-        slack[rows] = block_slack.T.reshape(k, n, 3)
-        witness[rows] = first_bad.reshape(k, n)
+            np.copyto(first_bad, j + 1, where=block_slack[j] < -tol)
+        feasible[rows] = first_bad == 0
+        witness[rows] = first_bad
     return feasible, slack, witness
 
 

@@ -2,7 +2,8 @@
 
 Every channel is held as its Pauli transfer matrix and reads the other
 forms back from it (a ChannelRep is built from Kraus operators, a Choi
-matrix or a transfer matrix; jam is only read):
+matrix or a transfer matrix, and keeps the Choi matrix that Kraus
+operators are converted through; jam is only read):
 
     ptm     T[i, j] = Tr[sigma_i N(sigma_j)] / 2
     jam     (id (x) N)(SWAP) = (1/2) sum_ij T[j, i] sigma_i (x) sigma_j
@@ -169,8 +170,10 @@ class ChannelRep(_TransferReadings):
     """A qubit channel held as its Pauli transfer matrix.
 
     Exactly one of kraus/choi/ptm is supplied and converted to ``ptm`` at
-    construction; ``jam`` and ``choi`` are read back from it. Supplied Kraus
-    operators are kept as given, others are extracted on first use.
+    construction; ``jam`` is read back from it. Supplied Kraus operators
+    are kept as given, others are extracted on first use. The Choi matrix
+    that Kraus operators are converted through is kept as ``choi``; for a
+    channel given another way it is read back from ``ptm``.
     """
 
     def __init__(self, *, kraus=None, choi=None, ptm=None):
@@ -200,6 +203,8 @@ class ChannelRep(_TransferReadings):
         if name == "choi":
             if np.abs(m - m.conj().T).max() > 1e-10:
                 raise NotHermitianError("choi matrix is not Hermitian to 1e-10")
+            if kraus is not None:
+                self.choi = _readonly(m)
             m = 2.0 * pauli_expand(partial_transpose(m, 0)).T
         self.ptm = _readonly(m)
 

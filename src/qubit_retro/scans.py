@@ -7,11 +7,13 @@ The two families, depolarizing and bb84, each with its default prior
 direction, sit in one table that the scans, :func:`boundary_chi` and the
 CLI read.
 Every batch of verdicts (region scans, the node and midpoint verdicts of
-:func:`boundary_chi`, and the three-entry channels against their Bloch
-samples, as many channels to a call as one block holds) is one call of
-the batched verdict in :mod:`qubit_retro.bayes`, which scores interior
-rows in blocks of (channel, prior) pairs and is bit-identical to one
-:func:`~qubit_retro.bayes.pauli_frame_verdicts` call per row. A scan
+:func:`boundary_chi`, and all three-entry channels against their Bloch
+samples) is one pass of the block iterator in :mod:`qubit_retro.bayes`,
+which scores interior rows in blocks of (channel, prior) pairs and is
+bit-identical to one :func:`~qubit_retro.bayes.pauli_frame_verdicts`
+call per row. The scans and :func:`boundary_chi` take its verdicts as
+assembled columns; the three-entry search reads each block's feasibility
+as it comes and keeps no slack or witness column. A scan
 returns a columnar :class:`ScanResult`, whose cells are row-major (p
 outer, t inner) so repeated runs produce byte-identical CSV output;
 :class:`RegionCell` objects are made only when a cell is read.
@@ -33,8 +35,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bayes import WITNESSES, InverseRecord, _verdict_rows, bayesian_inverse
-from .bayes import _PAIR_BLOCK, _UNSCATHED_TOL, _check_tol, _on_boundary, _unscathed_residuals
+from .bayes import WITNESSES, InverseRecord, _verdict_blocks, _verdict_rows, bayesian_inverse
+from .bayes import _UNSCATHED_TOL, _check_tol, _on_boundary, _unscathed_residuals
 from .channels import BlochState, PauliChannel, _readonly
 from .errors import MonotonicityWarning
 
@@ -366,20 +368,17 @@ def scan_three_entry(
                 vec[list(support)] = np.array([i, j, k]) / resolution
                 channels.append(PauliChannel(vec))
 
-    # Row 0 is the maximally mixed prior, tested in the same batch.
+    # Row 0 is the maximally mixed prior, tested in the same pass.
     priors = np.vstack([np.zeros((1, 3)), points])
     off_center = np.linalg.norm(points, axis=1) > 1e-6
     mu_feasible = hits = confirmed = 0
     examples: list[tuple] = []
-    # As many channels per kernel call as one block of pairs holds.
-    per_call = max(1, _PAIR_BLOCK // len(priors))
-    for start in range(0, len(channels), per_call):
-        batch = channels[start : start + per_call]
-        feasible = _verdict_rows(batch, priors.T[:, None], tol)[0]
+    for rows, slack, unscathed in _verdict_blocks(channels, priors.T[:, None], tol):
+        feasible = (slack >= -tol).all(axis=0) if unscathed is None else unscathed
         mu_feasible += int(feasible[:, 0].sum())
         for i, k in zip(*np.nonzero(feasible[:, 1:] & off_center)):
             hits += 1
-            pch, r = batch[i], points[k]
+            pch, r = channels[rows[i]], points[k]
             out = bayesian_inverse(pch, BlochState(r), tol)
             if isinstance(out, InverseRecord) and out.residual <= tol:
                 confirmed += 1

@@ -436,6 +436,51 @@ def test_kernel_slacks_equal_one_pair_calls():
             assert feasible[i, j] == (want >= -1e-9).all()
 
 
+def test_block_iterator_scores_every_row_in_one_workspace():
+    # Boundary rows 0, 3 and 6 come first, one to a block; the interior rows
+    # 1, 2, 4 | 5, 7, 8 | 9 follow at three rows of 1,200 priors a block.
+    rng = np.random.default_rng(SEED + 15)
+    priors = np.array([random_bloch(rng).r for _ in range(1200)])
+    priors[:3] = [[0.0, 0.0, 0.0], [0.7, 0.0, 0.0], [0.0, 0.4, 0.3]]
+    channels = [random_pauli(rng, 1e-3) for _ in range(10)]
+    for i in (0, 3, 6):
+        channels[i] = PauliChannel(np.array([0.6, 0.4, 0.0, 0.0]))
+    r = priors.T[:, None]
+    feasible, slack, _ = bayes._verdict_rows(channels, r, 1e-9)
+    blocks = [
+        (rows.tolist(), block_slack, unscathed)
+        for rows, block_slack, unscathed in bayes._verdict_blocks(channels, r, 1e-9)
+    ]
+    # Every yielded slack is a view of the one workspace, so a block's slacks
+    # are read before the next block is scored.
+    workspace = blocks[0][1].base
+    assert all(b[1].base is workspace for b in blocks)
+    assert [b[0] for b in blocks] == [[0], [3], [6], [1, 2, 4], [5, 7, 8], [9]]
+    assert [b[2] is None for b in blocks] == [False] * 3 + [True] * 3
+    assert [b[1].shape for b in blocks] == [(3, 1, 1200)] * 3 + [(3, 3, 1200)] * 2 + [(3, 1, 1200)]
+    assert blocks[0][2][0, :3].tolist() == [True, True, False]
+    assert feasible[[0, 3, 6], :3].tolist() == [[True, True, False]] * 3
+    # The last block's slacks are still in the workspace.
+    assert blocks[-1][1].transpose(1, 2, 0).tobytes() == slack[[9]].tobytes()
+
+
+def test_kernel_rejects_a_non_finite_slack():
+    # slack < -tol is False for NaN, so a NaN prior was once feasible with NaN
+    # slacks. Every block's slacks are checked before its verdicts are read.
+    depolarizing = PauliChannel.depolarizing(0.3)
+    with pytest.raises(ValueError, match="non-finite slack"):
+        bayes._verdict_rows([depolarizing], np.full((3, 1, 2), np.nan), 1e-9)
+    # 2,000 priors a row put two rows in a block: the NaN is in the second block.
+    priors = np.zeros((3, 3, 2000))
+    priors[1, 2, 1999] = np.nan
+    blocks = bayes._verdict_blocks([depolarizing] * 3, priors, 1e-9)
+    assert next(blocks)[0].tolist() == [0, 1]
+    with pytest.raises(ValueError, match="non-finite slack"):
+        next(blocks)
+    with pytest.raises(ValueError, match="non-finite slack"):
+        bayes._verdict_rows([depolarizing] * 3, priors, 1e-9)
+
+
 def test_singular_s_is_raised_from_inside_a_multi_row_block():
     # lambda_1 = 1 - 1.2e-12 is interior, and S reaches 1 - 1e-12 on a
     # prior of length 1 + 0.9e-12, which the Bloch-ball check still admits.

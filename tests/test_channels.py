@@ -5,6 +5,7 @@ import pytest
 from conftest import random_bloch, random_pauli, random_unital, random_unitary
 from oracles import fujiwara_algoet, jam_from_choi, ptm_from_kraus, rotation_from_su2
 
+from qubit_retro import channels
 from qubit_retro import (
     PAULIS,
     BlochState,
@@ -146,6 +147,31 @@ def test_conversion_roundtrips():
             assert np.abs(other.ptm - rep.ptm).max() < 1e-10
         rebuilt = ChannelRep.from_kraus(from_choi.kraus)
         assert np.abs(rebuilt.choi - rep.choi).max() < 1e-10
+
+
+def test_kraus_built_rep_keeps_its_choi(monkeypatch):
+    # The Choi matrix that the Kraus operators were summed into is the one
+    # is_cptp and kraus_from_choi read; none is rebuilt from the transfer matrix.
+    rng = np.random.default_rng(SEED + 24)
+    reps = []
+    for _ in range(20):
+        u, v = random_unitary(rng), random_unitary(rng)
+        pc = random_pauli(rng)
+        ops = [np.sqrt(w) * (u @ s @ v) for w, s in zip(pc.p, PAULIS)]
+        reps.append((ChannelRep.from_kraus(ops), ops))
+    calls = []
+    rebuild = channels.pauli_reconstruct
+    monkeypatch.setattr(channels, "pauli_reconstruct", lambda a: calls.append(1) or rebuild(a))
+    for rep, ops in reps:
+        assert is_cptp(rep)
+        assert kraus_from_choi(rep.choi)
+        want = sum(np.outer(k.T.ravel(), k.T.ravel().conj()) for k in ops)
+        assert rep.choi.tobytes() == want.tobytes()
+        assert not rep.choi.flags.writeable
+    assert calls == []
+    for rep, _ in reps:
+        assert np.abs(ChannelRep.from_ptm(rep.ptm).choi - rep.choi).max() < 1e-12
+    assert len(calls) == len(reps)
 
 
 def test_choi_trace_and_tp_flags():

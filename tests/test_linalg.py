@@ -15,6 +15,7 @@ from qubit_retro import (
     tensor,
 )
 from qubit_retro.errors import NotHermitianError
+from qubit_retro.linalg import _PAULI_PAIRS
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 6])
@@ -60,10 +61,25 @@ def test_not_hermitian_raises():
 
 
 def test_tensor_is_kronecker():
+    # tensor makes np.kron's products, so the two agree to the last bit, on
+    # real, complex and mixed inputs with signed zeros.
     rng = np.random.default_rng(11)
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    assert np.abs(tensor(a, b) - np.kron(a, b)).max() == 0.0
+    for k in range(2000):
+        a, b = rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))
+        a = a.real if k % 3 == 0 else a
+        b = b.real if k % 2 == 0 else b
+        a[rng.random((2, 2)) < 0.1] = -0.0
+        assert tensor(a, b).tobytes() == np.kron(a, b).tobytes(), k
+
+
+def test_pauli_reconstruct_is_tensordot():
+    # pauli_reconstruct makes the one dot call of np.tensordot, bit for bit.
+    rng = np.random.default_rng(13)
+    for k in range(2000):
+        c = rng.normal(size=(4, 4)) * 10.0 ** rng.integers(-3, 4)
+        c[rng.random((4, 4)) < 0.1] = -0.0
+        want = np.tensordot(c.ravel(), _PAULI_PAIRS, axes=1)
+        assert pauli_reconstruct(c).tobytes() == want.tobytes(), k
 
 
 def test_anticommutator_definition():

@@ -424,23 +424,54 @@ def test_three_entry_search_counts_and_determinism():
 
 
 def test_three_entry_scores_each_channel_in_one_kernel_call(monkeypatch):
-    candidates, frame_verdicts, kernel_rows = [], [], []
+    candidates, frame_verdicts, passes, blocks = [], [], [], []
 
     def kernel(channels, r, tol):
-        kernel_rows.append((len(channels), r.shape))
-        return bayes._verdict_rows(channels, r, tol)
+        passes.append((len(channels), r.shape))
+        for block in bayes._verdict_blocks(channels, r, tol):
+            blocks.append(len(block[0]))
+            yield block
+
+    def no_rows(*args):
+        raise AssertionError("the search reads blocks, not assembled rows")
 
     monkeypatch.setattr(bayes, "_candidate", _counting(candidates, bayes._candidate))
-    monkeypatch.setattr(scans, "_verdict_rows", kernel)
+    monkeypatch.setattr(scans, "_verdict_blocks", kernel)
+    monkeypatch.setattr(scans, "_verdict_rows", no_rows)
     per_channel = _counting(frame_verdicts, bayes.pauli_frame_verdicts)
     for module in (bayes, scans):
         monkeypatch.setattr(module, "pauli_frame_verdicts", per_channel, raising=False)
     summary = scan_three_entry(resolution=8, samples=1000)
-    # 84 channels, four to a call against the same 1,001 priors, one block
-    # per call; no hit is re-checked.
+    # One pass over the 84 channels against the same 1,001 priors: 21 blocks
+    # of four channels, one _candidate call each; no hit is re-checked.
     assert (summary.channels, summary.hits) == (84, 0)
-    assert kernel_rows == [(4, (3, 1, 1001))] * 21
+    assert passes == [(84, (3, 1, 1001))]
+    assert blocks == [4] * 21
     assert (len(candidates), len(frame_verdicts)) == (21, 0)
+
+
+@pytest.mark.parametrize("tol", [1e-9, 0.3])
+def test_three_entry_counts_match_per_channel_verdicts(tol):
+    # The same counts from an independent route: the channels enumerated
+    # here, each scored by its own pauli_frame_verdicts call over the
+    # search's priors. At tol = 0.3 most off-center priors pass.
+    resolution, samples, seed = 5, 50, 0
+    summary = scan_three_entry(resolution, samples, seed, tol)
+    points = scans._ball_samples(np.random.default_rng(seed), samples)
+    priors = np.vstack([np.zeros((1, 3)), points])
+    mu_feasible, hits = 0, []
+    for support in ([0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]):
+        for i in range(1, resolution):
+            for j in range(1, resolution - i):
+                vec = np.zeros(4)
+                vec[support] = np.array([i, j, resolution - i - j]) / resolution
+                feasible = pauli_frame_verdicts(PauliChannel(vec), priors, tol)[0]
+                mu_feasible += int(feasible[0])
+                hits += [(tuple(vec), tuple(points[k])) for k in np.flatnonzero(feasible[1:])]
+    assert summary.channels == 24
+    assert (summary.mu_feasible, summary.hits) == (mu_feasible, len(hits))
+    assert summary.hits_confirmed == len(hits) == (0 if tol < 1e-3 else 924)
+    assert summary.examples == tuple(hits[:5])
 
 
 def test_three_entry_resolution_validation():
