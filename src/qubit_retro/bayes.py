@@ -54,12 +54,11 @@ from .channels import (
 from .errors import (
     EigenvalueOnBoundaryError,
     InternalCPViolationError,
-    NotHermitianError,
     NotPSDError,
     SingularSError,
 )
 from .linalg import PAULIS, anticommutator, pauli_expand, pauli_reconstruct, tensor
-from .linalg import partial_transpose
+from .linalg import _check_hermitian, partial_transpose
 
 __all__ = [
     "FeasibilityReport",
@@ -285,9 +284,10 @@ def _pair_workspace() -> list:
 def _arith(w: list):
     """add, sub, mul, div on the registers of w: op(out, a, b) sets w[out] = w[a] op w[b].
 
-    Float and array registers round each operation alike (IEEE binary64).
+    Float and array registers round each operation alike (IEEE binary64);
+    any other number type (fractions.Fraction, say) takes its own operators.
     """
-    if isinstance(w[0], float):
+    if not isinstance(w[0], np.ndarray):
         def bind(f):
             def op(out, a, b):
                 w[out] = f(w[a], w[b])
@@ -322,7 +322,7 @@ def _candidate(w: list) -> None:
         mul(x, x, r + i)
         add(_S, _S, x)
     s, limit = w[_S], 1.0 - _BOUNDARY_EPS
-    if (s >= limit) if isinstance(s, float) else np.any(s >= limit):
+    if np.any(s >= limit) if isinstance(s, np.ndarray) else (s >= limit):
         raise SingularSError(f"S = {np.max(s)} is too close to 1")
     sub(x, _ONE, _S)
     for i in range(3):
@@ -415,8 +415,7 @@ def gamel_report(choi: np.ndarray, S: float, tol: float = 1e-9) -> FeasibilityRe
     c = np.asarray(choi, dtype=np.complex128)
     if not np.isfinite(c).all():
         raise ValueError("Choi matrix must have finite entries")
-    if np.abs(c - c.conj().T).max() > 1e-10:
-        raise NotHermitianError("Choi matrix must be Hermitian")
+    _check_hermitian(c, "Choi matrix")
     coeff = pauli_expand(c)
     if coeff[0, 0] <= 0.0:
         raise ValueError(f"Choi trace {4 * coeff[0, 0]} is not positive")
@@ -471,7 +470,7 @@ def analytic_inverse(p: PauliChannel, s: BlochState, tol: float = 1e-9) -> Inver
     a[0, 0] = 1.0
     a[0, 1:] = w[_V : _V + 3]
     a[1:, 1:] = np.reshape(w[_R : _R + 9], (3, 3))
-    choi = partial_transpose(pauli_reconstruct(a / 2.0), 0)  # the Choi matrix of ptm a^T
+    choi = partial_transpose(pauli_reconstruct(a / 2.0))  # the Choi matrix of ptm a^T
     report = gamel_report(choi, w[_S], tol)
     return InverseRecord(a=a, S=w[_S], choi=choi, kraus=(), report=report)
 
@@ -538,7 +537,8 @@ def _verdict_blocks(channels, r: np.ndarray, tol: float):
     :param r: (3, M, n) prior columns, or (3, 1, n) for the same n priors
         in every row.
     :raises SingularSError: when some S = sum lambda_i^2 r_i^2 >= 1 - 1e-12.
-    :raises ValueError: on a non-finite slack, before its block is yielded.
+    :raises ValueError: on a non-finite slack or, on a boundary row, a
+        non-finite unscathed residual, before its block is yielded.
     """
     n_rows, n = len(channels), r.shape[-1]
     lam = np.array([c.lam for c in channels]).reshape(n_rows, 3)
@@ -551,18 +551,18 @@ def _verdict_blocks(channels, r: np.ndarray, tol: float):
         np.copyto(ws[_PRIOR : _PRIOR + 3], r)
     slack = ws[_SLACK : _SLACK + 3]
 
-    def checked(rows, k, unscathed=None):
-        if not np.isfinite(slack[:, :k]).all():
-            raise ValueError("non-finite slack: every prior and eigenvalue must be finite")
+    def checked(rows, k, unscathed=None, residuals=0.0):
+        if not (np.isfinite(slack[:, :k]).all() and np.isfinite(residuals).all()):
+            raise ValueError("non-finite slack or residual: every prior must be finite")
         return rows, slack[:, :k], unscathed
 
     for i in np.flatnonzero(boundary):
-        ri = r[:, 0 if shared else i]
-        unscathed = (_unscathed_residuals(lam[i], ri) <= _UNSCATHED_TOL).any(axis=0)
+        residuals = _unscathed_residuals(lam[i], r[:, 0 if shared else i])
+        unscathed = (residuals <= _UNSCATHED_TOL).any(axis=0)
         # The channel's own slacks; S only rides along in the report.
         own = gamel_report(channels[i].choi, 0.0, tol).slack
         np.copyto(slack[:, 0], np.where(unscathed, own[:, None], -1.0))
-        yield checked(np.array([i]), 1, unscathed[None])
+        yield checked(np.array([i]), 1, unscathed[None], residuals)
     lam_signed = lam * _CHOI_ROW_SIGNS
     for start in range(0, len(interior), step):
         rows = interior[start : start + step]

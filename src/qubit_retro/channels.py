@@ -28,12 +28,11 @@ import numpy as np
 from .errors import (
     InternalCPViolationError,
     NotCPTPError,
-    NotHermitianError,
     NotPSDError,
     NotUnitalError,
 )
 from .linalg import PAULIS, herm_eig, partial_transpose, pauli_expand, pauli_reconstruct
-from .linalg import _pauli_matrix, _pauli_vector
+from .linalg import _check_hermitian, _pauli_matrix, _pauli_vector
 
 __all__ = [
     "BlochState",
@@ -88,15 +87,6 @@ class BlochState:
         return _pauli_matrix(np.concatenate(([1.0], self.r)) / 2.0)
 
     @classmethod
-    def from_matrix(cls, rho: np.ndarray) -> "BlochState":
-        rho = np.asarray(rho, dtype=np.complex128)
-        if np.abs(rho - rho.conj().T).max() > 1e-10:
-            raise NotHermitianError("density matrix is not Hermitian to 1e-10")
-        if abs(rho.trace().real - 1.0) > 1e-10:
-            raise ValueError("density matrix trace differs from 1 beyond 1e-10")
-        return cls(2.0 * _pauli_vector(rho)[1:].real)
-
-    @classmethod
     def maximally_mixed(cls) -> "BlochState":
         return cls(np.zeros(3))
 
@@ -112,7 +102,7 @@ class _TransferReadings:
     @cached_property
     def choi(self) -> np.ndarray:
         """Choi matrix, the partial transpose of jam on the first factor."""
-        return _readonly(partial_transpose(self.jam, 0))
+        return _readonly(partial_transpose(self.jam))
 
 
 @dataclass(frozen=True)
@@ -201,11 +191,10 @@ class ChannelRep(_TransferReadings):
         if not np.isfinite(m).all():
             raise ValueError(f"{name} must have finite entries")
         if name == "choi":
-            if np.abs(m - m.conj().T).max() > 1e-10:
-                raise NotHermitianError("choi matrix is not Hermitian to 1e-10")
+            _check_hermitian(m, "choi matrix")
             if kraus is not None:
                 self.choi = _readonly(m)
-            m = 2.0 * pauli_expand(partial_transpose(m, 0)).T
+            m = 2.0 * pauli_expand(partial_transpose(m)).T
         self.ptm = _readonly(m)
 
     # --- constructors ---
@@ -327,35 +316,23 @@ def is_cptp(e, tol: float = 1e-9) -> bool:
 def _su2_from_rotation(r: np.ndarray) -> np.ndarray:
     """Lift a proper rotation to SU(2) with non-negative trace.
 
-    Uses the standard branch-on-largest-diagonal quaternion extraction, so
-    angle-pi rotations (trace -1) stay well conditioned.
+    For the rotation of the unit quaternion q = (w, x, y, z), the symmetric
+    matrix k below equals 4 q q^T - 1, so q is its eigenvector for the
+    largest eigenvalue (Bar-Itzhack, J. Guid. Control Dyn. 23, 1085 (2000)).
+    Nothing is divided by an entry of q, so angle-pi rotations (w = 0) stay
+    well conditioned.
     """
-    r = np.asarray(r, dtype=np.float64)
-    tr = r[0, 0] + r[1, 1] + r[2, 2]
-    if tr > 0.0:
-        s = 2.0 * np.sqrt(1.0 + tr)
-        q = np.array(
-            [0.25 * s, (r[2, 1] - r[1, 2]) / s, (r[0, 2] - r[2, 0]) / s, (r[1, 0] - r[0, 1]) / s]
-        )
-    elif r[0, 0] >= r[1, 1] and r[0, 0] >= r[2, 2]:
-        s = 2.0 * np.sqrt(1.0 + r[0, 0] - r[1, 1] - r[2, 2])
-        q = np.array(
-            [(r[2, 1] - r[1, 2]) / s, 0.25 * s, (r[0, 1] + r[1, 0]) / s, (r[0, 2] + r[2, 0]) / s]
-        )
-    elif r[1, 1] >= r[2, 2]:
-        s = 2.0 * np.sqrt(1.0 + r[1, 1] - r[0, 0] - r[2, 2])
-        q = np.array(
-            [(r[0, 2] - r[2, 0]) / s, (r[0, 1] + r[1, 0]) / s, 0.25 * s, (r[1, 2] + r[2, 1]) / s]
-        )
-    else:
-        s = 2.0 * np.sqrt(1.0 + r[2, 2] - r[0, 0] - r[1, 1])
-        q = np.array(
-            [(r[1, 0] - r[0, 1]) / s, (r[0, 2] + r[2, 0]) / s, (r[1, 2] + r[2, 1]) / s, 0.25 * s]
-        )
-    q = q / np.linalg.norm(q)
-    if q[0] < 0.0:
-        q = -q
-    w, x, y, z = q
+    (a, b, c), (d, e, f), (g, h, i) = np.asarray(r, dtype=np.float64)
+    k = np.array(
+        [
+            [a + e + i, h - f, c - g, d - b],
+            [h - f, a - e - i, b + d, c + g],
+            [c - g, b + d, e - a - i, f + h],
+            [d - b, c + g, f + h, i - a - e],
+        ]
+    )
+    q = np.linalg.eigh(k)[1][:, -1]
+    w, x, y, z = q if q[0] >= 0.0 else -q
     return np.array(
         [[w - 1.0j * z, -1.0j * x - y], [-1.0j * x + y, w + 1.0j * z]], dtype=np.complex128
     )

@@ -1,7 +1,7 @@
 """Command line front end: invert, verify, classify, and scan.
 
 One table, _COMMANDS, lists each subcommand with its handler, help text,
-options and default --tol: the parser is built from it, main dispatches
+options and defaults: the parser is built from it, main dispatches
 through it, and each handler reads the parsed argparse.Namespace. main
 checks --tol once, before dispatch: it must be positive and finite. The
 CPTP tests of verify and kraus run at max(--tol, 1e-9), as invert's do.
@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .bayes import (
+    _UNSCATHED_TOL,
     InverseRecord,
     NoInverse,
     _check_tol,
@@ -204,14 +205,13 @@ def cmd_scan(args: argparse.Namespace) -> int:
     if not args.out:
         print("error: scan needs --out DIR for its CSV/SVG files", file=sys.stderr)
         return EXIT_INPUT
-    resolution = 201 if args.resolution is None else args.resolution
-    grid = ScanGrid.uniform(resolution, direction=_FAMILIES[args.family][1])
+    grid = ScanGrid.uniform(args.resolution, direction=_FAMILIES[args.family][1])
     scan = scan_bb84 if args.family == "bb84" else scan_depolarizing
     cells = scan(grid, args.tol)
     count = int(cells.feasible.sum())
-    print(f"family {args.family}, resolution {resolution}")
+    print(f"family {args.family}, resolution {args.resolution}")
     print(f"feasible cells: {count}/{len(cells)} ({count / len(cells):.6f})")
-    base = f"{args.family}_{resolution}"
+    base = f"{args.family}_{args.resolution}"
     _write(args.out, {
         f"{base}.csv": lambda: emit_csv(cells),
         f"{base}.svg": lambda: emit_svg(cells, title=args.family),
@@ -225,9 +225,9 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_three_entry(args: argparse.Namespace) -> int:
-    resolution = 8 if args.resolution is None else args.resolution
-    summary = scan_three_entry(resolution, samples=1000, seed=args.seed, tol=args.tol)
-    print(f"three-entry channels scanned: {summary.channels} (simplex resolution {resolution})")
+    summary = scan_three_entry(args.resolution, samples=1000, seed=args.seed, tol=args.tol)
+    print(f"three-entry channels scanned: {summary.channels} "
+          f"(simplex resolution {summary.resolution})")
     print(f"bloch samples per channel: {summary.samples_per_channel} (seed {summary.seed})")
     print(f"maximally mixed prior feasible: {summary.mu_feasible}/{summary.channels}")
     print(f"feasible cells with |r| > 1e-6: {summary.hits} (confirmed {summary.hits_confirmed})")
@@ -239,7 +239,7 @@ def cmd_three_entry(args: argparse.Namespace) -> int:
         examples = [{"p": list(map(float, p)), "r": list(map(float, r))}
                     for p, r in summary.examples]
         doc = {**asdict(summary), "examples": examples}
-        _write(args.out, {f"three-entry_{resolution}.json": doc})
+        _write(args.out, {f"three-entry_{summary.resolution}.json": doc})
     return EXIT_OK
 
 
@@ -278,22 +278,22 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
-# Each subcommand: its handler, help text, options in --help order, and
-# default --tol. _OPTIONS holds each option's add_argument keywords.
+# Each subcommand: its handler, help text, options in --help order, and its
+# --tol and --resolution defaults. _OPTIONS holds each option's add_argument keywords.
 _COMMANDS = {
     "invert": (cmd_invert, "construct the Bayesian inverse for (channel, state)",
-               ("channel", "state", "tol", "out"), 1e-9),
+               ("channel", "state", "tol", "out"), {"tol": 1e-9}),
     "unscathed": (cmd_unscathed,
                   "test whether some sigma_k conjugation reproduces the channel output",
-                  ("channel", "state", "tol"), 1e-10),
+                  ("channel", "state", "tol"), {"tol": _UNSCATHED_TOL}),
     "verify": (cmd_verify, "check two-time expectation symmetry of a candidate inverse",
-               ("channel", "state", "inverse", "tol", "out"), 1e-9),
+               ("channel", "state", "inverse", "tol", "out"), {"tol": 1e-9}),
     "scan": (cmd_scan, "sweep a channel family's feasibility region",
-             ("family", "resolution", "tol", "out"), 1e-9),
+             ("family", "resolution", "tol", "out"), {"tol": 1e-9, "resolution": 201}),
     "kraus": (cmd_kraus, "extract Kraus operators from a channel file",
-              ("channel", "tol", "out"), 1e-9),
+              ("channel", "tol", "out"), {"tol": 1e-9}),
     "three-entry": (cmd_three_entry, "search three-entry channels for feasible non-central priors",
-                    ("resolution", "seed", "tol", "out"), 1e-9),
+                    ("resolution", "seed", "tol", "out"), {"tol": 1e-9, "resolution": 8}),
 }
 
 _OPTIONS = {
@@ -301,7 +301,7 @@ _OPTIONS = {
     "state": {"required": True, "help": "state JSON file"},
     "inverse": {"required": True, "help": "candidate inverse channel JSON file"},
     "family": {"required": True, "choices": tuple(_FAMILIES)},
-    "resolution": {"type": int, "default": None},
+    "resolution": {"type": int},
     "seed": {"type": int, "default": 0},
     "tol": {"type": float},
     "out": {"default": None, "help": "output directory"},
@@ -317,11 +317,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Bayesian inverses of unital qubit channels: decide, construct, verify, scan.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, options, tol) in _COMMANDS.items():
+    for name, (_, help_text, options, defaults) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         for option in options:
             sp.add_argument(f"--{option}", **_OPTIONS[option])
-        sp.set_defaults(tol=tol)
+        sp.set_defaults(**defaults)
     return parser
 
 

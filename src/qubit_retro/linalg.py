@@ -61,20 +61,10 @@ def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b + b @ a
 
 
-def partial_transpose(m: np.ndarray, subsystem: int) -> np.ndarray:
-    """Transpose one tensor factor of a two-qubit operator.
-
-    :param m: (4, 4) operator on qubit_A (x) qubit_B.
-    :param subsystem: 0 transposes the A factor, 1 the B factor.
-    """
-    if subsystem not in (0, 1):
-        raise ValueError(f"subsystem must be 0 or 1, got {subsystem!r}")
+def partial_transpose(m: np.ndarray) -> np.ndarray:
+    """Transpose the first tensor factor of a (4, 4) operator on qubit_A (x) qubit_B."""
     t = np.asarray(m, dtype=np.complex128).reshape(2, 2, 2, 2)
-    if subsystem == 0:
-        t = t.transpose(2, 1, 0, 3)
-    else:
-        t = t.transpose(0, 3, 2, 1)
-    return t.reshape(4, 4)
+    return t.transpose(2, 1, 0, 3).reshape(4, 4)
 
 
 def _pauli_vector(m: np.ndarray) -> np.ndarray:
@@ -109,19 +99,25 @@ def pauli_reconstruct(a: np.ndarray) -> np.ndarray:
     return np.dot(a.reshape(1, 16), _PAULI_PAIRS.reshape(16, 16)).reshape(4, 4)
 
 
+def _check_hermitian(m: np.ndarray, name: str = "matrix") -> None:
+    """Raise NotHermitianError unless max |m - m^dag| <= 1e-10, so a NaN fails too."""
+    if not np.abs(m - m.conj().T).max() <= _HERM_TOL:
+        raise NotHermitianError(f"{name} is not Hermitian to 1e-10")
+
+
 def herm_eig(m: np.ndarray):
     """Eigendecomposition of a small Hermitian matrix.
 
     :param m: Hermitian square matrix (2x2 or 4x4 in this package).
     :return: (w, v) with eigenvalues w ascending and orthonormal columns v,
         such that m v[:, k] = w[k] v[:, k].
-    :raises NotHermitianError: if max |m - m^dag| exceeds 1e-10.
+    :raises NotHermitianError: unless max |m - m^dag| <= 1e-10, which a
+        non-finite entry also fails.
     """
     a = np.asarray(m, dtype=np.complex128)
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError(f"matrix must be square, got {a.shape}")
-    if np.abs(a - a.conj().T).max() > _HERM_TOL:
-        raise NotHermitianError("matrix is not Hermitian to 1e-10")
+    _check_hermitian(a)
     w, v = np.linalg.eigh(a)
     return w, v

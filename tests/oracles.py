@@ -6,11 +6,16 @@ an eigenbasis solve instead of the closed form, a per-Pauli Kraus sum
 instead of the Choi route, matrix conjugations instead of the closed-form
 unscathed residuals, a probe grid and bisection instead of the roots of
 the slack polynomials along a ray, one '%.17g' per float instead of the
-byte-matrix exports), so the tests can cross-check the two.
+byte-matrix exports, scalar closed forms in (lambda, t) instead of the
+depolarizing candidate's matrices, a density matrix's Pauli coefficients
+instead of its Bloch vector, rational arithmetic instead of float
+slacks), so the tests can cross-check the two.
 """
 
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,7 +32,8 @@ from qubit_retro import (
     partial_transpose,
     tensor,
 )
-from qubit_retro.bayes import _verdict_rows
+from qubit_retro.bayes import _CHOI_ROW_SIGNS, _CONSTANTS, _LAM, _PRIOR, _SLACK, _WS_ROWS
+from qubit_retro.bayes import _candidate, _slacks, _verdict_rows
 from qubit_retro.channels import _readonly
 from qubit_retro.errors import (
     MonotonicityWarning,
@@ -35,6 +41,7 @@ from qubit_retro.errors import (
     NotPSDError,
     QubitRetroError,
 )
+from qubit_retro.linalg import _check_hermitian, _pauli_vector
 from qubit_retro.scans import _FAMILIES, _unit
 
 _ID2 = np.eye(2, dtype=np.complex128)
@@ -61,9 +68,18 @@ def swap_matrix() -> np.ndarray:
 
 # === Channels ===
 
+def bloch_from_matrix(rho: np.ndarray) -> BlochState:
+    """The state of a density matrix, read from its Pauli coefficients."""
+    rho = np.asarray(rho, dtype=np.complex128)
+    _check_hermitian(rho, "density matrix")
+    if abs(rho.trace().real - 1.0) > 1e-10:
+        raise ValueError("density matrix trace differs from 1 beyond 1e-10")
+    return BlochState(2.0 * _pauli_vector(rho)[1:].real)
+
+
 def jam_from_choi(c: np.ndarray) -> np.ndarray:
     """Partial transpose on the first factor: Choi matrix to (id (x) N)(SWAP), and back."""
-    return partial_transpose(c, 0)
+    return partial_transpose(c)
 
 
 def ptm_from_kraus(ops) -> np.ndarray:
@@ -154,6 +170,49 @@ def unscathed_residuals_by_conjugation(p: PauliChannel, s: BlochState) -> np.nda
 def adjoint_is_inverse(p: PauliChannel, s: BlochState, tol: float = 1e-10) -> bool:
     """Whether the adjoint map is itself a Bayesian inverse for (p, s)."""
     return is_unscathed(p, s, tol) is not None
+
+
+# === Closed forms of the interior candidate ===
+
+class DepolarizingQuantities(NamedTuple):
+    """The five closed-form scalars entering the depolarizing feasibility test."""
+
+    norm_v2: float
+    norm_R2: float
+    norm_Rv2: float
+    detR: float
+    norm_adjR2: float
+
+
+def depolarizing_quantities(lam: float, t: float) -> DepolarizingQuantities:
+    """Closed forms for the candidate-inverse feasibility data of the
+    depolarizing channel with contraction lam at squared Bloch length t."""
+    s_scalar = lam * lam * t
+    d = 1.0 - s_scalar
+    one_m_l2 = 1.0 - lam * lam
+    return DepolarizingQuantities(
+        norm_v2=one_m_l2**2 * t / d**2,
+        norm_R2=lam**2 * ((2.0 * lam**4 + 1.0) * t * t - 2.0 * (2.0 * lam**2 + 1.0) * t + 3.0)
+        / d**2,
+        norm_Rv2=lam**2 * one_m_l2**2 * (1.0 - t) ** 2 * t / d**4,
+        detR=lam**3 * (t - 1.0) / d,
+        norm_adjR2=lam**4 * (2.0 * (1.0 - t) ** 2 + d * d) / d**2,
+    )
+
+
+def exact_slacks(lam, r) -> list[Fraction]:
+    """The three positivity slacks of the interior candidate at (lam, r), exactly.
+
+    Every float64 is a dyadic rational, so the kernel's own straight-line
+    arithmetic on Fraction registers gives the exact slacks for the given
+    floats. lambda's sigma_y entry is negated, as the batched kernel reads R.
+    """
+    w = [Fraction(0)] * _WS_ROWS + list(map(Fraction, _CONSTANTS))
+    w[_LAM : _LAM + 3] = map(Fraction, (np.asarray(lam) * _CHOI_ROW_SIGNS).tolist())
+    w[_PRIOR : _PRIOR + 3] = map(Fraction, np.asarray(r, dtype=np.float64).tolist())
+    _candidate(w)
+    _slacks(w)
+    return w[_SLACK : _SLACK + 3]
 
 
 # === Linear-algebra route to the interior inverse ===

@@ -13,7 +13,7 @@ from contextlib import contextmanager
 import conftest
 import numpy as np
 from conftest import random_bloch, random_pauli, random_unital
-from oracles import adjoint_is_inverse, solve_anticommutator
+from oracles import adjoint_is_inverse, depolarizing_quantities, solve_anticommutator
 
 from qubit_retro import (
     BlochState,
@@ -27,7 +27,6 @@ from qubit_retro import (
     bayes_residual,
     bayesian_inverse,
     compose,
-    depolarizing_quantities,
     is_unscathed,
     jamiolkowski,
     pauli_reconstruct,

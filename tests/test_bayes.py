@@ -16,6 +16,7 @@ from oracles import (
     PseudoDensityMatrix,
     RankDeficientError,
     adjoint_is_inverse,
+    exact_slacks,
     solve_anticommutator,
     star_product,
     swap_matrix,
@@ -479,6 +480,29 @@ def test_kernel_rejects_a_non_finite_slack():
         next(blocks)
     with pytest.raises(ValueError, match="non-finite slack"):
         bayes._verdict_rows([depolarizing] * 3, priors, 1e-9)
+
+
+def test_kernel_rejects_a_non_finite_prior_on_a_boundary_row():
+    # A NaN unscathed residual compares False and the slack is a finite -1,
+    # so a boundary row once read a NaN prior as "not unscathed".
+    boundary = PauliChannel([0.6, 0.4, 0.0, 0.0])
+    assert bayes._on_boundary(boundary.lam)
+    with pytest.raises(ValueError, match="non-finite"):
+        bayes._verdict_rows([boundary], np.full((3, 1, 2), np.nan), 1e-9)
+
+
+def test_kernel_slack_signs_match_exact_rational_slacks():
+    # The kernel's own arithmetic on Fraction registers gives the exact
+    # slacks of the given floats; away from 0 every float slack has its sign.
+    rng = np.random.default_rng(SEED + 31)
+    pairs = [(random_pauli(rng, 1e-3), random_bloch(rng)) for _ in range(300)]
+    r = np.array([s.r for _, s in pairs]).T[:, :, None]
+    slack = bayes._verdict_rows([pc for pc, _ in pairs], r, 1e-9)[1][:, 0]
+    for (pc, s), row in zip(pairs, slack.tolist()):
+        exact = exact_slacks(pc.lam, s.r)
+        for x, q in zip(row, exact):
+            if abs(x) > 1e-12:
+                assert (x > 0) == (q > 0), (pc.p, s.r)
 
 
 def test_singular_s_is_raised_from_inside_a_multi_row_block():

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 from conftest import random_bloch, random_pauli, random_unital, random_unitary
-from oracles import fujiwara_algoet, jam_from_choi, ptm_from_kraus, rotation_from_su2
+from oracles import (
+    bloch_from_matrix,
+    fujiwara_algoet,
+    jam_from_choi,
+    ptm_from_kraus,
+    rotation_from_su2,
+)
 
 from qubit_retro import channels
 from qubit_retro import (
@@ -34,7 +40,7 @@ def test_bloch_state_matrix_roundtrip():
     rng = np.random.default_rng(SEED)
     for _ in range(50):
         s = random_bloch(rng)
-        back = BlochState.from_matrix(s.matrix)
+        back = bloch_from_matrix(s.matrix)
         assert np.abs(back.r - s.r).max() < 1e-14
         assert abs(np.trace(s.matrix).real - 1.0) < 1e-14
 
@@ -236,6 +242,13 @@ def test_kraus_from_choi_rejects_negative():
         kraus_from_choi(bad)
 
 
+def test_kraus_from_choi_rejects_a_nan_above_the_diagonal():
+    choi = PauliChannel.depolarizing(0.3).choi.copy()
+    choi[1, 2] = np.nan
+    with pytest.raises(NotHermitianError):
+        kraus_from_choi(choi)
+
+
 # === Action, adjoint, composition ===
 
 def test_pauli_apply_contracts_componentwise():
@@ -320,7 +333,7 @@ def test_fujiwara_algoet_matches_choi_spectrum():
                 lam = np.array([l1, l2, l3])
                 coeff = np.diag(np.concatenate(([1.0], lam))) / 2.0
                 choi = partial_transpose(
-                    sum(c * tensor(PAULIS[i], PAULIS[i]) for i, c in enumerate(np.diag(coeff))), 0
+                    sum(c * tensor(PAULIS[i], PAULIS[i]) for i, c in enumerate(np.diag(coeff)))
                 )
                 min_eig = np.linalg.eigvalsh(choi)[0]
                 if abs(min_eig) < 1e-12:
@@ -372,15 +385,17 @@ def test_unital_to_pauli_reconstruction():
 
 
 def test_unital_to_pauli_handles_half_turn_conjugations():
-    # Conjugation by sigma_1 has Bloch rotation diag(1, -1, -1), whose trace
-    # -1 exercises the branch-on-largest-diagonal path of the SU(2) lift.
-    rep = ChannelRep.from_unitary(PAULIS[1])
-    u, pc, v = unital_to_pauli(rep)
-    rebuilt = compose(
-        ChannelRep.from_unitary(u),
-        compose(ChannelRep.from_pauli(pc), ChannelRep.from_unitary(v)),
-    )
-    assert np.abs(rebuilt.ptm - rep.ptm).max() < 1e-12
+    # Conjugation by n . sigma is the half turn about n: its Bloch rotation
+    # has trace -1, and its SU(2) lift has trace 0 (w = 0 in the quaternion).
+    for n in ([1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [0, 1, -1], [1, 1, 1]):
+        n = np.array(n) / np.linalg.norm(n)
+        rep = ChannelRep.from_unitary(sum(c * s for c, s in zip(n, PAULIS[1:])))
+        u, pc, v = unital_to_pauli(rep)
+        rebuilt = compose(
+            ChannelRep.from_unitary(u),
+            compose(ChannelRep.from_pauli(pc), ChannelRep.from_unitary(v)),
+        )
+        assert np.abs(rebuilt.ptm - rep.ptm).max() < 1e-12, n
 
 
 def test_unital_to_pauli_rejects_nonunital():

@@ -46,9 +46,9 @@ _MINIMAL = {
                   {"channel": "c", "state": "s", "tol": 1e-10}),
     "verify": (["--channel", "c", "--state", "s", "--inverse", "i"],
                {"channel": "c", "state": "s", "inverse": "i", "tol": 1e-9, "out": None}),
-    "scan": (["--family", "bb84"], {"family": "bb84", "resolution": None, "tol": 1e-9, "out": None}),
+    "scan": (["--family", "bb84"], {"family": "bb84", "resolution": 201, "tol": 1e-9, "out": None}),
     "kraus": (["--channel", "c"], {"channel": "c", "tol": 1e-9, "out": None}),
-    "three-entry": ([], {"resolution": None, "seed": 0, "tol": 1e-9, "out": None}),
+    "three-entry": ([], {"resolution": 8, "seed": 0, "tol": 1e-9, "out": None}),
 }
 
 

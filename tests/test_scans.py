@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 from conftest import scalar_verdict
-from oracles import bisection_chi
+from oracles import bisection_chi, depolarizing_quantities
 
 from qubit_retro import (
     BlochState,
@@ -18,7 +18,6 @@ from qubit_retro import (
     bb84_channel,
     boundary_chi,
     depolarizing_lambda,
-    depolarizing_quantities,
     emit_csv,
     emit_svg,
     pauli_frame_verdicts,
@@ -472,6 +471,14 @@ def test_three_entry_counts_match_per_channel_verdicts(tol):
     assert (summary.mu_feasible, summary.hits) == (mu_feasible, len(hits))
     assert summary.hits_confirmed == len(hits) == (0 if tol < 1e-3 else 924)
     assert summary.examples == tuple(hits[:5])
+
+
+def test_three_entry_counts_an_uncertified_hit_as_not_confirmed():
+    # At a loose tol the slacks (>= -tol) admit candidates whose Choi
+    # spectrum dips below -tol; their certification fails, and the search
+    # reports them as hits that are not confirmed instead of raising.
+    summary = scan_three_entry(5, 50, 0, 0.05)
+    assert (summary.hits, summary.hits_confirmed) == (84, 80)
 
 
 def test_three_entry_resolution_validation():
