@@ -83,7 +83,9 @@ _UNSCATHED_TOL = 1e-10
 #: Witness codes of :func:`pauli_frame_verdicts`: why a prior has no inverse.
 WITNESSES = (None, "slack-1", "slack-2", "slack-3", "not-unscathed")
 
-# The Choi matrix reads sigma_y^T = -sigma_y on its first factor.
+# The Choi matrix reads sigma_y^T = -sigma_y on its first factor, so an interior
+# candidate built from lambda * _CHOI_ROW_SIGNS has R as the Choi matrix reads
+# it (v and S do not change: lambda enters them squared).
 _CHOI_ROW_SIGNS = np.array([1.0, -1.0, 1.0])
 
 # Conjugation by sigma_k sends the Bloch vector r to _CONJUGATION_SIGNS[k] * r.
@@ -404,7 +406,8 @@ def gamel_report(choi: np.ndarray, S: float, tol: float = 1e-9) -> FeasibilityRe
 
     The matrix is normalized to unit trace before reading off the Pauli-pair
     coefficient block [[1, v^T], [0, R]]; the scalar S is carried through to
-    the report unchanged. Feasible means every slack >= -tol.
+    the report unchanged. Feasible means every slack >= -tol. The verdicts
+    score a boundary channel with it, and tests check the registers by it.
 
     :raises NotHermitianError: on a non-Hermitian input.
     :raises ValueError: on a non-finite entry, or if the first coefficient
@@ -426,16 +429,15 @@ def gamel_report(choi: np.ndarray, S: float, tol: float = 1e-9) -> FeasibilityRe
     w[_V : _V + 3] = block[0, 1:].tolist()
     w[_R : _R + 9] = block[1:, 1:].ravel().tolist()
     _slacks(w)
+    return _pair_report(w, S, tol)
+
+
+def _pair_report(w: list, S: float, tol: float) -> FeasibilityReport:
+    """The report of a pair workspace w that _slacks has scored."""
     slack = np.array(w[_SLACK : _SLACK + 3])
     return FeasibilityReport(
-        v=block[0, 1:],
-        R=block[1:, 1:],
-        eta=w[_ETA],
-        detR=w[_DET],
-        normRv2=w[_RV2],
-        normAdjR2=w[_ADJ2],
-        slack=slack,
-        feasible=bool((slack >= -tol).all()),
+        v=w[_V : _V + 3], R=np.reshape(w[_R : _R + 9], (3, 3)), eta=w[_ETA], detR=w[_DET],
+        normRv2=w[_RV2], normAdjR2=w[_ADJ2], slack=slack, feasible=bool((slack >= -tol).all()),
         S=float(S),
     )
 
@@ -450,10 +452,10 @@ def _on_boundary(lam: np.ndarray):
 def analytic_inverse(p: PauliChannel, s: BlochState, tol: float = 1e-9) -> InverseRecord:
     """Closed-form candidate inverse for a strictly contracting Pauli channel.
 
-    The defining identity is satisfied exactly by construction; the returned
-    report says whether the candidate is completely positive. No Kraus
-    operators are extracted (``kraus`` is empty); :func:`bayesian_inverse`
-    builds them for the certified result.
+    The defining identity is satisfied exactly by construction; the report,
+    scored on float registers as a batch scores it, says whether the
+    candidate is completely positive. ``kraus`` is empty: :func:`bayesian_inverse`
+    builds Kraus operators for the certified result.
 
     :raises EigenvalueOnBoundaryError: when some |lambda_i| >= 1 - 1e-12.
     :raises SingularSError: when S = sum lambda_i^2 r_i^2 >= 1 - 1e-12.
@@ -464,15 +466,15 @@ def analytic_inverse(p: PauliChannel, s: BlochState, tol: float = 1e-9) -> Inver
             f"|lambda| = {np.abs(lam).max()}; use the unscathed/adjoint route"
         )
     w = _pair_workspace()
-    w[_LAM : _LAM + 3], w[_PRIOR : _PRIOR + 3] = lam.tolist(), s.r.tolist()
+    w[_LAM : _LAM + 3], w[_PRIOR : _PRIOR + 3] = (lam * _CHOI_ROW_SIGNS).tolist(), s.r.tolist()
     _candidate(w)
+    _slacks(w)
     a = np.zeros((4, 4))
-    a[0, 0] = 1.0
-    a[0, 1:] = w[_V : _V + 3]
-    a[1:, 1:] = np.reshape(w[_R : _R + 9], (3, 3))
+    a[0] = 1.0, *w[_V : _V + 3]
+    a[1:, 1:] = np.reshape(w[_R : _R + 9], (3, 3)) * _CHOI_ROW_SIGNS[:, None]
+    a[2, 2] += 0.0  # a cancelling diagonal sums to +0 unsigned, to -0 negated
     choi = partial_transpose(pauli_reconstruct(a / 2.0))  # the Choi matrix of ptm a^T
-    report = gamel_report(choi, w[_S], tol)
-    return InverseRecord(a=a, S=w[_S], choi=choi, kraus=(), report=report)
+    return InverseRecord(a=a, S=w[_S], choi=choi, kraus=(), report=_pair_report(w, w[_S], tol))
 
 
 # === Full pipeline ===
@@ -483,10 +485,9 @@ def pauli_frame_decision(p: PauliChannel, s: BlochState, tol: float = 1e-9):
     The verdict behind single queries; batches take :func:`_verdict_rows`,
     its form on arrays. A boundary channel (some |lambda_i| = 1) has one
     exactly when the prior is unscathed, and it is then the channel's
-    adjoint, i.e. the channel itself. Otherwise the closed-form candidate is
-    tested for complete positivity.
-    Both branches score a Choi matrix with gamel_report: the candidate's, or
-    on the boundary the channel's own.
+    adjoint, i.e. the channel itself, and gamel_report scores its Choi
+    matrix. Otherwise the closed-form candidate is scored on the kernel's
+    registers, as in a batch.
 
     :return: the inverse in the Pauli frame as an InverseRecord with no
         Kraus operators and residual 0 (on the interior, the record of
@@ -529,10 +530,8 @@ def _verdict_blocks(channels, r: np.ndarray, tol: float):
     rows come first, one to a block: an unscathed prior takes the slacks
     of the channel's own Choi matrix, any other slack (-1, -1, -1).
     Interior rows follow in blocks of whole rows, up to _PAIR_BLOCK pairs
-    each. Their candidate is built from lambda with its sigma_y entry
-    negated, which reads R as the Choi matrix does (sigma_y^T = -sigma_y)
-    and leaves v and S alone (lambda enters them squared). Every operation
-    is elementwise per pair, so a verdict does not depend on its block.
+    each, built from lambda * _CHOI_ROW_SIGNS. Every operation is
+    elementwise per pair, so a verdict does not depend on its block.
 
     :param r: (3, M, n) prior columns, or (3, 1, n) for the same n priors
         in every row.

@@ -246,9 +246,11 @@ def kraus_from_choi(choi: np.ndarray, tol: float = 1e-9) -> list[np.ndarray]:
     before decomposition; eigenvalues below 1e-12 are truncated and the
     operators come back ordered by descending eigenvalue.
 
+    :raises NotHermitianError: on a non-finite or non-Hermitian input.
     :raises NotPSDError: if an eigenvalue is below -tol after rescaling.
     """
     c = np.asarray(choi, dtype=np.complex128)
+    _check_hermitian(c, "Choi matrix")  # before the rescale, which an inf makes NaN
     tr = c.trace().real
     if tr <= 0.0:
         raise NotPSDError(f"Choi trace {tr} is not positive")

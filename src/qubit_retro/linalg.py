@@ -100,8 +100,8 @@ def pauli_reconstruct(a: np.ndarray) -> np.ndarray:
 
 
 def _check_hermitian(m: np.ndarray, name: str = "matrix") -> None:
-    """Raise NotHermitianError unless max |m - m^dag| <= 1e-10, so a NaN fails too."""
-    if not np.abs(m - m.conj().T).max() <= _HERM_TOL:
+    """Raise NotHermitianError unless m is finite and max |m - m^dag| <= 1e-10."""
+    if not (np.isfinite(m).all() and np.abs(m - m.conj().T).max() <= _HERM_TOL):
         raise NotHermitianError(f"{name} is not Hermitian to 1e-10")
 
 
@@ -111,8 +111,7 @@ def herm_eig(m: np.ndarray):
     :param m: Hermitian square matrix (2x2 or 4x4 in this package).
     :return: (w, v) with eigenvalues w ascending and orthonormal columns v,
         such that m v[:, k] = w[k] v[:, k].
-    :raises NotHermitianError: unless max |m - m^dag| <= 1e-10, which a
-        non-finite entry also fails.
+    :raises NotHermitianError: unless m is finite and max |m - m^dag| <= 1e-10.
     """
     a = np.asarray(m, dtype=np.complex128)
     n = a.shape[0]

@@ -3,7 +3,15 @@ terminal summary that prints one line per acceptance guarantee."""
 
 import numpy as np
 
-from qubit_retro import BlochState, ChannelRep, NoInverse, PauliChannel, compose, pauli_frame_decision
+from qubit_retro import (
+    BlochState,
+    ChannelRep,
+    PauliChannel,
+    analytic_inverse,
+    compose,
+    gamel_report,
+    is_unscathed,
+)
 
 ACCEPTANCE_RESULTS: list = []
 
@@ -59,15 +67,19 @@ def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def scalar_verdict(pc: PauliChannel, s: BlochState, tol: float = 1e-9):
-    """(feasible, slack, witness) of one pair by the scalar decision route.
+    """(feasible, slack, witness) of one pair by the Choi route.
 
-    The oracle for the batched kernel: an infeasible interior pair names its
-    first failed slack, a boundary pair that is not unscathed gets slack
-    (-1, -1, -1).
+    The oracle for the register kernel, which single queries share: the
+    slacks are gamel_report's reading of a Choi matrix, the candidate's on
+    the interior and the channel's own on the boundary. An infeasible
+    interior pair names its first failed slack, a boundary pair that is not
+    unscathed gets slack (-1, -1, -1).
     """
-    out = pauli_frame_decision(pc, s, tol)
-    if not isinstance(out, NoInverse):
-        return True, out.report.slack, None
-    if out.report is None:
-        return False, np.full(3, -1.0), out.reason
-    return False, out.report.slack, f"slack-{int(np.argmax(out.report.slack < -tol)) + 1}"
+    if np.abs(pc.lam).max() >= 1.0 - 1e-12:
+        if is_unscathed(pc, s) is None:
+            return False, np.full(3, -1.0), "not-unscathed"
+        return True, gamel_report(pc.choi, 0.0, tol).slack, None
+    report = gamel_report(analytic_inverse(pc, s).choi, 0.0, tol)
+    if report.feasible:
+        return True, report.slack, None
+    return False, report.slack, f"slack-{int(np.argmax(report.slack < -tol)) + 1}"

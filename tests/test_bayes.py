@@ -311,6 +311,24 @@ def test_analytic_inverse_known_feasible_and_infeasible():
     assert np.linalg.eigvalsh(far.choi)[0] < -1e-6
 
 
+def test_analytic_inverse_reads_a_back_from_the_kernel_registers():
+    # The kernel negates lambda's sigma_y entry, so a reads R's sigma_y row
+    # back negated: the unsigned candidate byte for byte, zeros' signs too.
+    rng = np.random.default_rng(SEED + 26)
+    pairs = [(random_pauli(rng, 1e-3), random_bloch(rng)) for _ in range(200)]
+    pairs += [(PauliChannel(np.array(p)), BlochState(np.array(r)))
+              for p in ([0.25, 0.25, 0.25, 0.25], [0.5, 0.25, 0.0, 0.25])  # lambda_2 = 0
+              for r in ([0.0, 0.4, 0.0], [0.2, -0.3, 0.1], [-0.0, -0.0, -0.0])]
+    for pc, s in pairs:
+        w = bayes._pair_workspace()
+        w[bayes._LAM : bayes._LAM + 3] = pc.lam.tolist()
+        w[bayes._PRIOR : bayes._PRIOR + 3] = s.r.tolist()
+        bayes._candidate(w)
+        a = analytic_inverse(pc, s).a
+        assert a[0, 1:].tobytes() == np.array(w[bayes._V : bayes._V + 3]).tobytes()
+        assert a[1:, 1:].tobytes() == np.reshape(w[bayes._R : bayes._R + 9], (3, 3)).tobytes()
+
+
 def test_analytic_inverse_boundary_raises():
     with pytest.raises(EigenvalueOnBoundaryError):
         analytic_inverse(PauliChannel(np.array([0.6, 0.4, 0.0, 0.0])),
@@ -367,6 +385,37 @@ def test_verdicts_match_scalar_decision_on_g07_pairs():
         ref_feasible, ref_slack, ref_witness = scalar_verdict(pc, s)
         assert (bool(feasible[0]), WITNESSES[witness[0]]) == (ref_feasible, ref_witness), pc.p
         assert np.abs(slack[0] - ref_slack).max() <= 1e-12, (pc.p, s.r)
+        # A single query scores its candidate with the kernel's own arithmetic.
+        assert pauli_frame_decision(pc, s).report.slack.tobytes() == slack[0].tobytes()
+
+
+def test_single_and_batch_verdicts_agree_at_bisected_boundary_priors():
+    # Bisect the kernel verdict along 300 seeded rays r = t d down to adjacent
+    # floats t, every ray at once with one _verdict_rows call per step. At the
+    # last feasible and the first infeasible prior a slack sits within
+    # roundoff of -tol, so a single query agrees with the batch only if it
+    # runs the same arithmetic on the same inputs.
+    rng = np.random.default_rng(SEED + 27)
+    channels, directions = [], []
+    while len(channels) < 300:
+        pc, d = random_pauli(rng, 1e-3), rng.normal(size=3)
+        d /= np.linalg.norm(d)
+        if not pauli_frame_verdicts(pc, d[None])[0][0]:
+            channels.append(pc)
+            directions.append(d)
+    d = np.array(directions).T[:, :, None]
+    lo, hi = np.zeros(300), np.ones(300)
+    assert bayes._verdict_rows(channels, d * lo[:, None], 1e-9)[0].all()
+    while (np.nextafter(lo, 2.0) < hi).any():
+        mid = (lo + hi) / 2.0
+        feasible = bayes._verdict_rows(channels, d * mid[:, None], 1e-9)[0][:, 0]
+        lo, hi = np.where(feasible, mid, lo), np.where(feasible, hi, mid)
+    for t in (lo, hi):
+        feasible, slack, _ = bayes._verdict_rows(channels, d * t[:, None], 1e-9)
+        for i, pc in enumerate(channels):
+            out = pauli_frame_decision(pc, BlochState(d[:, i, 0] * t[i]))
+            assert isinstance(out, InverseRecord) == feasible[i, 0], (pc.p, t[i])
+            assert out.report.slack.tobytes() == slack[i, 0].tobytes(), (pc.p, t[i])
 
 
 def test_verdicts_do_not_depend_on_batch_size():
@@ -406,16 +455,6 @@ def test_verdicts_contract():
     assert slack[1].tolist() == [-1.0, -1.0, -1.0]
 
 
-def _one_pair_slacks(lam, r):
-    """Slacks of one (channel, prior) pair from its own float workspace."""
-    w = bayes._pair_workspace()
-    w[bayes._LAM : bayes._LAM + 3] = (lam * bayes._CHOI_ROW_SIGNS).tolist()
-    w[bayes._PRIOR : bayes._PRIOR + 3] = r.tolist()
-    bayes._candidate(w)
-    bayes._slacks(w)
-    return np.array(w[bayes._SLACK : bayes._SLACK + 3])
-
-
 def test_kernel_slacks_equal_one_pair_calls():
     # 1,001 priors a row put four rows in a block. The 13 rows hold three
     # boundary rows, so the interior rows 1, 2, 4, 5 | 6, 7, 8, 9 | 11, 12
@@ -432,7 +471,7 @@ def test_kernel_slacks_equal_one_pair_calls():
     columns = [*range(8), 500, 998, 999, 1000]
     for i in (1, 2, 4, 5, 6, 7, 8, 9, 11, 12):
         for j in columns:
-            want = _one_pair_slacks(channels[i].lam, priors[j])
+            want = analytic_inverse(channels[i], BlochState(priors[j])).report.slack
             assert slack[i, j].tobytes() == want.tobytes(), (i, j)
             assert feasible[i, j] == (want >= -1e-9).all()
 
@@ -805,3 +844,28 @@ def test_rotation_covariance(weights, axis, angle, r):
         assert np.abs(ChannelRep.from_choi(out.choi).ptm - b @ ref.a.T @ b.T).max() < 1e-9
     if _margin(ref) > 1e-9:
         assert np.abs(out.report.slack - ref.report.slack).max() < 1e-12
+
+
+_interior_weights = st.lists(st.floats(0.01, 1.0), min_size=4, max_size=4)
+
+
+def _kernel_slack(p: np.ndarray, r: np.ndarray) -> np.ndarray:
+    return pauli_frame_verdicts(PauliChannel(p / p.sum()), r[None])[1][0]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(_interior_weights, _vectors, st.lists(st.sampled_from((1.0, -1.0)), min_size=3, max_size=3))
+def test_kernel_slacks_do_not_change_under_prior_sign_flips(weights, r, signs):
+    # Flipping r_i negates row and column i of R and entry i of v exactly,
+    # and every slack term is even in those signs.
+    p, r = np.array(weights), np.array(r) / max(1.0, np.linalg.norm(r))
+    assert _kernel_slack(p, r * signs).tobytes() == _kernel_slack(p, r).tobytes()
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(_interior_weights, _vectors, st.permutations(range(3)))
+def test_kernel_slacks_do_not_change_under_joint_axis_permutations(weights, r, perm):
+    # lambda_k = 2 (p_0 + p_k) - 1, so permuting p[1:] permutes lambda.
+    p, r = np.array(weights), np.array(r) / max(1.0, np.linalg.norm(r))
+    permuted = _kernel_slack(np.concatenate((p[:1], p[1:][perm])), r[perm])
+    assert np.abs(permuted - _kernel_slack(p, r)).max() <= 1e-12

@@ -1,5 +1,7 @@
 """Channel representations, conversions, and structure maps."""
 
+import warnings
+
 import numpy as np
 import pytest
 from conftest import random_bloch, random_pauli, random_unital, random_unitary
@@ -247,6 +249,19 @@ def test_kraus_from_choi_rejects_a_nan_above_the_diagonal():
     choi[1, 2] = np.nan
     with pytest.raises(NotHermitianError):
         kraus_from_choi(choi)
+
+
+def test_kraus_from_choi_rejects_an_infinite_entry_without_a_warning():
+    # An infinite entry must not reach the rescale to trace 2, which makes it NaN.
+    for value in (np.inf, -np.inf):
+        for entries in (((0, 0),), ((1, 2),), ((1, 2), (2, 1))):
+            choi = PauliChannel.depolarizing(0.3).choi.copy()
+            for i, j in entries:
+                choi[i, j] = value
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NotHermitianError):
+                    kraus_from_choi(choi)
 
 
 # === Action, adjoint, composition ===

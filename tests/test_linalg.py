@@ -1,5 +1,7 @@
 """Pauli/tensor helpers and the Hermitian eigensolver."""
 
+import warnings
+
 import numpy as np
 import pytest
 from conftest import random_hermitian
@@ -68,6 +70,19 @@ def test_nan_entry_raises():
         m[i, j] = np.nan
         with pytest.raises(NotHermitianError):
             herm_eig(m)
+
+
+def test_infinite_entry_raises_without_a_warning():
+    # inf - inf in the Hermiticity defect is NaN, so a finiteness test goes first.
+    for value in (np.inf, -np.inf):
+        for entries in (((0, 0),), ((1, 2),), ((1, 2), (2, 1))):
+            m = np.eye(4)
+            for i, j in entries:
+                m[i, j] = value
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NotHermitianError):
+                    herm_eig(m)
 
 
 def test_tensor_is_kronecker():
