@@ -521,6 +521,21 @@ def pauli_frame_decision(p: PauliChannel, s: BlochState, tol: float = 1e-9):
 _PAIR_BLOCK = 4096
 
 
+def _aligned_empty(shape) -> np.ndarray:
+    """np.empty(shape) of doubles whose data starts on a 64-byte boundary.
+
+    NumPy's allocator promises 16 bytes, so where the heap placed a
+    workspace decided whether its register rows suit 32-byte vector loads.
+    scan_three_entry(8, 1000) took ~16.5 ms with the workspace at 16 or 48
+    bytes past a 64-byte boundary and ~14.5 ms at 0 or 32 (2-CPU VM, NumPy
+    2.4.6), and unrelated allocations at import moved it from one to the other.
+    """
+    size = int(np.prod(shape))
+    buf = np.empty(size + 8)
+    start = (-buf.ctypes.data % 64) // 8
+    return buf[start : start + size].reshape(shape)
+
+
 def _verdict_blocks(channels, r: np.ndarray, tol: float):
     """Score Pauli channel i at the priors r[:, i], for every row i, a block at a time.
 
@@ -544,7 +559,7 @@ def _verdict_blocks(channels, r: np.ndarray, tol: float):
     boundary = _on_boundary(lam)
     interior = np.flatnonzero(~boundary)
     step = max(1, _PAIR_BLOCK // max(n, 1))
-    ws = np.empty((_WS_ROWS, max(1, min(step, len(interior))), n))
+    ws = _aligned_empty((_WS_ROWS, max(1, min(step, len(interior))), n))
     shared = r.shape[1] == 1
     if shared:  # _candidate and _slacks never write a prior register
         np.copyto(ws[_PRIOR : _PRIOR + 3], r)

@@ -530,6 +530,16 @@ def test_kernel_rejects_a_non_finite_prior_on_a_boundary_row():
         bayes._verdict_rows([boundary], np.full((3, 1, 2), np.nan), 1e-9)
 
 
+def test_verdict_workspace_starts_on_a_64_byte_boundary():
+    # Its register rows then suit 32-byte vector loads wherever the heap
+    # placed the buffer; the blocks of these scans are (4, 1001) and (20, 201).
+    for shape in ((bayes._WS_ROWS, 4, 1001), (bayes._WS_ROWS, 20, 201), (bayes._WS_ROWS, 1, 1)):
+        for _ in range(8):
+            ws = bayes._aligned_empty(shape)
+            assert ws.shape == shape and ws.dtype == np.float64
+            assert ws.ctypes.data % 64 == 0 and ws.flags.c_contiguous
+
+
 def test_kernel_slack_signs_match_exact_rational_slacks():
     # The kernel's own arithmetic on Fraction registers gives the exact
     # slacks of the given floats; away from 0 every float slack has its sign.
