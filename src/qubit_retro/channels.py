@@ -176,10 +176,18 @@ class ChannelRep(_TransferReadings):
             ops = [np.asarray(k, dtype=np.complex128) for k in value]
             if not ops or any(k.shape != (2, 2) for k in ops):
                 raise ValueError("kraus must be a non-empty list of 2x2 operators")
-            if not all(np.isfinite(k).all() for k in ops):
-                raise ValueError("kraus operators must have finite entries")
+            # Row k is K_k's column-major vec. The Choi matrix sums their outer
+            # products in operator order starting from 0, as a sequential sum
+            # does, so signed zeros and rounding match it bit for bit.
+            vecs = np.array(ops).transpose(0, 2, 1).reshape(-1, 4)
+            with np.errstate(over="ignore", invalid="ignore"):
+                value = (vecs[:, :, None] * vecs[:, None, :].conj()).sum(axis=0, initial=0.0)
+            if not np.isfinite(value).all():
+                if not np.isfinite(vecs).all():
+                    raise ValueError("kraus operators must have finite entries")
+                raise ValueError("kraus operators are too large: their Choi matrix overflows")
             self.kraus = tuple(_readonly(k) for k in ops)
-            name, value = "choi", sum(np.outer(k.T.ravel(), k.T.ravel().conj()) for k in ops)
+            name = "choi"
         m = np.asarray(value)
         if name == "ptm" and np.iscomplexobj(m):
             if (m.imag != 0.0).any():

@@ -48,6 +48,8 @@ from .scans import (
     scan_three_entry,
 )
 from .serialize import (
+    _json_text,
+    _JSONText,
     channel_to_json,
     dump_json,
     load_channel,
@@ -80,7 +82,8 @@ def _print_complex_matrix(m) -> None:
 def _write(out: str, files: dict) -> None:
     """Write each named file into out, and say so.
 
-    A dict is written as a JSON document. A callable returns the bytes to
+    A dict, or a _JSONText already encoded, is written as a JSON document
+    through dump_json. A callable returns the bytes to
     write, so that only one rendered file is held at a time.
 
     :raises ValueError: if the directory, made if missing, or a file cannot be written.
@@ -141,7 +144,9 @@ def cmd_invert(args: argparse.Namespace) -> int:
     for k in rec.kraus:
         _print_complex_matrix(k)
     if args.out:
-        inverse_doc = {"kind": "kraus", "ops": [matrix_to_pairs(k) for k in rec.kraus]}
+        # Encoded once, for inverse.json and for the report that embeds it.
+        ops = [matrix_to_pairs(k) for k in rec.kraus]
+        inverse = _JSONText(_json_text({"kind": "kraus", "ops": ops}))
         doc = {
             "verdict": "inverse",
             "tol": args.tol,
@@ -150,9 +155,9 @@ def cmd_invert(args: argparse.Namespace) -> int:
             "unique": bool(rec.unique),
             "residual": float(rec.residual),
             "report": _report_doc(rec.report),
-            "inverse": inverse_doc,
+            "inverse": inverse,
         }
-        _write(args.out, {"inverse.json": inverse_doc, "invert_report.json": doc})
+        _write(args.out, {"inverse.json": inverse, "invert_report.json": doc})
     return EXIT_OK
 
 
@@ -322,11 +327,22 @@ def _build_parser() -> argparse.ArgumentParser:
         for option in options:
             sp.add_argument(f"--{option}", **_OPTIONS[option])
         sp.set_defaults(**defaults)
+    parser._subcommands = sub.choices
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # A known subcommand is parsed by its own parser, as the top-level parser
+    # would hand it the rest of argv. Anything else (--help, an unknown
+    # command, "--", arguments left over) takes the top-level parse, which
+    # prints the same usage and errors.
+    command = parser._subcommands.get(argv[0]) if argv and "--" not in argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if command is None or rest:
+        args = parser.parse_args(argv)
     try:
         _check_tol(args.tol)
         return _COMMANDS[args.command][0](args)

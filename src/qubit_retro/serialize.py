@@ -8,11 +8,16 @@ Channel documents carry a "kind" tag:
 
 States are {"bloch": [r1, r2, r3]}. Complex numbers always serialize as
 [re, im] pairs, matrices row-major.
+
+Every document is written as json.dumps(doc, indent=2) plus a newline, by a
+writer that gives the same bytes without going through json's pure-Python
+indenting encoder.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 import numpy as np
@@ -153,5 +158,66 @@ def load_state(path) -> BlochState:
     return state_from_json(_load(path))
 
 
+class _JSONText(str):
+    """JSON text that _json_text already wrote, embedded as it stands in a larger document."""
+
+
+_INF = float("inf")
+
+
+def _json_text(value, newline: str = "\n") -> str:
+    """json.dumps(value, indent=2), with each line break written as newline.
+
+    Finite floats, ints, strings, bools, None, and lists, tuples and
+    str-keyed dicts of them are written here; a _JSONText is re-indented by
+    its line prefix; anything else (non-finite floats, other types or keys)
+    goes to json.dumps, re-indented the same way. json.dumps(x, indent=2)
+    nested at any depth is its top-level text with every line prefixed, so
+    the pieces join into the bytes json.dumps(value, indent=2) gives.
+    """
+    kind = type(value)
+    if kind is float:
+        if -_INF < value < _INF:
+            return float.__repr__(value)
+    elif kind is str:
+        return _quote(value)
+    elif kind is _JSONText:
+        return value.replace("\n", newline)
+    elif kind is int:
+        return int.__repr__(value)
+    elif kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        separator = "," + inner
+        items = None
+        if type(value[0]) is float:
+            # A row of floats in one join. Of float reprs only nan and inf
+            # have an "n", and json writes those as NaN and Infinity.
+            try:
+                items = separator.join(map(float.__repr__, value))
+            except TypeError:  # an item that is not a float
+                pass
+        if items is None or "n" in items:
+            items = separator.join([_json_text(v, inner) for v in value])
+        return "[" + inner + items + newline + "]"
+    elif kind is dict:
+        if not value:
+            return "{}"
+        if all(type(key) is str for key in value):
+            inner = newline + "  "
+            return "{" + inner + ("," + inner).join(
+                [_quote(key) + ": " + _json_text(v, inner) for key, v in value.items()]
+            ) + newline + "}"
+    elif value is None:
+        return "null"
+    elif value is True:
+        return "true"
+    elif value is False:
+        return "false"
+    return json.dumps(value, indent=2).replace("\n", newline)
+
+
 def dump_json(path, doc: dict) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    """Write doc as json.dumps(doc, indent=2) plus a newline."""
+    Path(path).write_text(_json_text(doc) + "\n", encoding="utf-8")

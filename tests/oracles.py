@@ -9,9 +9,11 @@ the slack polynomials along a ray, one '%.17g' per float instead of the
 byte-matrix exports, scalar closed forms in (lambda, t) instead of the
 depolarizing candidate's matrices, a density matrix's Pauli coefficients
 instead of its Bloch vector, rational arithmetic instead of float
-slacks), so the tests can cross-check the two.
+slacks, json.dumps instead of the package's JSON writer), so the tests
+can cross-check the two.
 """
 
+import json
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -326,6 +328,11 @@ def bisection_chi(
 
 
 # === Exports ===
+
+def json_document(doc) -> str:
+    """The text of a JSON file the package writes: json.dumps with a 2-space indent."""
+    return json.dumps(doc, indent=2) + "\n"
+
 
 def _g17(x: float) -> str:
     return format(float(x), ".17g")

@@ -31,9 +31,11 @@ from qubit_retro import (
     NoInverse,
     PauliChannel,
     WITNESSES,
+    adjoint,
     analytic_inverse,
     anticommutator,
     apply,
+    apply_operator,
     bayes,
     bayes_residual,
     bayesian_inverse,
@@ -648,6 +650,28 @@ def test_solver_rank_deficient_paths():
 def test_solver_rejects_negative_mass():
     with pytest.raises(NotPSDError):
         solve_anticommutator(np.diag([1.0, -0.5]), np.eye(4))
+
+
+def test_inverting_the_inverse_returns_the_channel():
+    # Involution: when F is the unique Bayesian inverse of E at rho, E is the
+    # Bayesian inverse of F at E(rho). F is not unital, so its inverse is
+    # solved from {F(E(rho)) (x) I, J[G]} = {I (x) E(rho), J[F^dag]}.
+    rng = np.random.default_rng(SEED + 32)
+    eye = np.eye(2)
+    done = 0
+    for k in range(400):
+        e = random_pauli(rng, 1e-3) if k % 2 else random_unital(rng)[0]
+        s = random_bloch(rng, rmax=0.95)
+        rec = bayesian_inverse(e, s)
+        if isinstance(rec, NoInverse) or not rec.unique:
+            continue
+        f = ChannelRep.from_choi(rec.choi)
+        sigma = apply(e, s).matrix
+        rhs = anticommutator(tensor(eye, sigma), jamiolkowski(adjoint(f)))
+        g = solve_anticommutator(apply_operator(f, sigma), rhs)
+        assert np.abs(g - jamiolkowski(e)).max() <= 1e-10, (k, s.r)
+        done += 1
+    assert done >= 100, done
 
 
 # === Full pipeline ===

@@ -182,6 +182,21 @@ def test_kraus_built_rep_keeps_its_choi(monkeypatch):
     assert len(calls) == len(reps)
 
 
+def test_stacked_kraus_choi_equals_the_sequential_sum_bit_for_bit():
+    # Random 1-8 operators, some with zero and negative-zero entries, whose
+    # signs a sum that starts from the first product would keep.
+    rng = np.random.default_rng(SEED + 40)
+    for trial in range(2000):
+        shape = (trial % 8 + 1, 2, 2)
+        ops = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        if trial % 2:
+            ops[rng.random(ops.shape) < 0.3] = 0.0
+            ops.real[rng.random(ops.shape) < 0.2] *= -0.0
+            ops.imag[rng.random(ops.shape) < 0.2] *= -0.0
+        want = sum(np.outer(k.T.ravel(), k.T.ravel().conj()) for k in ops)
+        assert ChannelRep(kraus=list(ops)).choi.tobytes() == want.tobytes(), trial
+
+
 def test_choi_trace_and_tp_flags():
     rng = np.random.default_rng(SEED + 4)
     rep, _, _, _ = random_unital(rng)

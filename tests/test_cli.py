@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from oracles import json_document
 
 from qubit_retro import ChannelRep, bayes, boundary_chi, cli, dump_json, is_cptp
 from qubit_retro.cli import main
@@ -355,6 +356,19 @@ def test_kraus_rejects_non_trace_preserving_kraus_file(files, tmp_path, capsys):
     assert not (files["out"] / "kraus.json").exists()
 
 
+def test_kraus_file_whose_products_overflow_is_rejected_by_name(tmp_path, capsys):
+    # Finite entries whose outer products overflow a float: the error names
+    # the Kraus operators, and NumPy's overflow warning stays silent.
+    huge = tmp_path / "huge.json"
+    dump_json(huge, {"kind": "kraus", "ops": [[[[1e200, 0], [0, 0]], [[0, 0], [1e200, 0]]]]})
+    state = tmp_path / "state.json"
+    dump_json(state, {"bloch": [0.0, 0.0, 0.0]})
+    for argv in (["invert", "--state", str(state)], ["kraus"]):
+        assert main([*argv, "--channel", str(huge)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: kraus operators are too large: their Choi matrix overflows\n"
+
+
 def test_scan_requires_out_directory(capsys):
     assert main(["scan", "--family", "depolarizing", "--resolution", "11"]) == 1
     assert "--out" in capsys.readouterr().err
@@ -413,6 +427,14 @@ def test_three_entry_command(tmp_path, capsys):
     doc = json.loads((tmp_path / "three-entry_4.json").read_text())
     assert doc["channels"] == 12
     assert doc["hits_confirmed"] == 0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_three_entry_file_is_indented_json_dumps(seed, tmp_path, capsys):
+    assert main(["three-entry", "--resolution", "5", "--seed", str(seed),
+                 "--out", str(tmp_path)]) == 0
+    text = (tmp_path / "three-entry_5.json").read_text(encoding="utf-8")
+    assert text == json_document(json.loads(text))
 
 
 def test_scan_family_three_entry_alias(tmp_path, capsys):

@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import random_bloch, random_pauli, random_unitary
+from oracles import json_document
 
 from qubit_retro import BlochState, ChannelRep, dump_json, matrix_to_pairs
 from qubit_retro.cli import main
@@ -108,6 +109,30 @@ def test_query_matches_recorded_transcript(case, tmp_path):
         skeleton0, numbers0 = _split(text0)
         assert skeleton == skeleton0, command
         assert np.abs(np.subtract(numbers, numbers0)).max(initial=0.0) <= TOL, command
+
+
+@pytest.mark.parametrize("case", _RECORDED, ids=[c["name"] for c in _RECORDED])
+def test_written_files_are_indented_json_dumps(case, tmp_path):
+    # Every file invert, verify and kraus write is json.dumps(doc, indent=2)
+    # plus a newline, and the report embeds inverse.json's document.
+    channel, state, out = tmp_path / "c.json", tmp_path / "s.json", tmp_path / "out"
+    dump_json(channel, case["channel"])
+    dump_json(state, case["state"])
+    common = ["--channel", str(channel), "--state", str(state)]
+    code = _run(["invert", *common, "--out", str(out)])[0]
+    candidate = out / "inverse.json" if code == 0 else channel
+    _run(["verify", *common, "--inverse", str(candidate), "--out", str(out)])
+    _run(["kraus", "--channel", str(channel), "--out", str(out)])
+    docs = {}
+    for path in out.iterdir():
+        text = path.read_text(encoding="utf-8")
+        docs[path.name] = json.loads(text)
+        assert text == json_document(docs[path.name]), path.name
+    expected = {"invert_report.json", "verify_report.json", "kraus.json"}
+    if code == 0:
+        expected.add("inverse.json")
+        assert docs["invert_report.json"]["inverse"] == docs["inverse.json"]
+    assert set(docs) == expected
 
 
 def test_recorded_transcript_covers_every_kind_and_exit_code():

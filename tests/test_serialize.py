@@ -5,6 +5,9 @@ import json
 import numpy as np
 import pytest
 from conftest import random_pauli, random_unital
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import json_document
 
 from qubit_retro import (
     BlochState,
@@ -21,6 +24,7 @@ from qubit_retro import (
     state_from_json,
     state_to_json,
 )
+from qubit_retro.serialize import _json_text, _JSONText
 
 SEED = 20260825
 
@@ -145,6 +149,33 @@ def test_load_helpers_and_dump(tmp_path):
     assert isinstance(pc, PauliChannel) and abs(pc.p[0] - 0.7) < 1e-15
     assert abs(s.r[2] - 0.5) < 1e-15
     assert cpath.read_bytes().endswith(b"\n")
+
+
+_SPECIAL_FLOATS = (-0.0, 5e-324, 1e16, 1e22, 1e-5, float("nan"), float("inf"), -float("inf"))
+_leaves = (
+    st.sampled_from(_SPECIAL_FLOATS) | st.floats() | st.integers() | st.booleans() | st.none()
+    | st.text(st.sampled_from('"\\/\n\tab\u00e9\u2603\U0001f600\x00'), max_size=8)
+)
+_documents = st.recursive(
+    _leaves,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(_documents, _documents)
+def test_json_writer_matches_json_dumps(tmp_path_factory, doc, part):
+    # dump_json writes json.dumps(doc, indent=2) plus a newline, and a part
+    # encoded once embeds at any depth as if it were encoded in place.
+    path = tmp_path_factory.getbasetemp() / "doc.json"
+    dump_json(path, doc)
+    assert path.read_text(encoding="utf-8") == json_document(doc)
+    encoded = _JSONText(_json_text(part))
+    assert _json_text({"a": [doc, {"b": encoded}]}) + "\n" == json_document(
+        {"a": [doc, {"b": part}]}
+    )
 
 
 def test_load_errors_mention_the_path(tmp_path):
