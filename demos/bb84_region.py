@@ -25,23 +25,18 @@ out_dir.mkdir(exist_ok=True)
 
 direction = np.ones(3) / np.sqrt(3.0)
 resolution = 101
-cells = scan_bb84(ScanGrid.uniform(resolution, direction=direction))
-feasible = sum(c.feasible for c in cells)
-print(f"grid {resolution} x {resolution}: {feasible}/{len(cells)} cells feasible")
+scan = scan_bb84(ScanGrid.uniform(resolution, direction=direction))
+print(f"grid {resolution} x {resolution}: {scan.feasible.sum()}/{len(scan)} cells feasible")
 
-columns = [cells[resolution * k : resolution * (k + 1)] for k in range(resolution)]
-mirrored = all(
-    [c.feasible for c in columns[k]] == [c.feasible for c in columns[resolution - 1 - k]]
-    for k in range(resolution)
-)
-print("verdicts mirror under p <-> 1 - p:", mirrored)
+# Cells are row-major: row k of the reshaped feasible column is p = p_axis[k].
+columns = scan.feasible.reshape(resolution, resolution)
+print("verdicts mirror under p <-> 1 - p:", np.array_equal(columns, columns[::-1]))
 
 for p in (0.0, 0.5, 1.0):
     k = round(p * (resolution - 1))
     lam = bb84_channel(p).lam
-    ok = all(c.feasible for c in columns[k])
     print(f"p = {p:.1f}: lambdas = ({lam[0]:+.2f}, {lam[1]:+.2f}, {lam[2]:+.2f}), "
-          f"column fully feasible: {ok}")
+          f"column fully feasible: {columns[k].all()}")
 print()
 
 # The boundary curve inherits the mirror symmetry.
@@ -54,7 +49,7 @@ print()
 
 csv_path = out_dir / f"bb84_{resolution}.csv"
 svg_path = out_dir / f"bb84_{resolution}.svg"
-csv_path.write_bytes(emit_csv(cells))
-svg_path.write_bytes(emit_svg(cells, title="bb84"))
+csv_path.write_bytes(emit_csv(scan))
+svg_path.write_bytes(emit_svg(scan, title="bb84"))
 print("wrote", csv_path)
 print("wrote", svg_path)

@@ -23,17 +23,16 @@ out_dir = Path(__file__).resolve().parent / "output"
 out_dir.mkdir(exist_ok=True)
 
 resolution = 101
-cells = scan_depolarizing(ScanGrid.uniform(resolution))
-feasible = sum(c.feasible for c in cells)
-print(f"grid {resolution} x {resolution}: {feasible}/{len(cells)} cells feasible")
+scan = scan_depolarizing(ScanGrid.uniform(resolution))
+print(f"grid {resolution} x {resolution}: {scan.feasible.sum()}/{len(scan)} cells feasible")
 
 # Landmarks: the identity column (p = 0), the lambda = 0 column (p = 0.75),
-# and the maximally mixed row (t = 0) are feasible end to end.
-columns = [cells[resolution * k : resolution * (k + 1)] for k in range(resolution)]
-p_axis = np.linspace(0.0, 1.0, resolution)
-print("p = 0 column fully feasible:   ", all(c.feasible for c in columns[0]))
-print("p = 0.75 column fully feasible:", all(c.feasible for c in columns[75]))
-print("t = 0 row fully feasible:      ", all(col[0].feasible for col in columns))
+# and the maximally mixed row (t = 0) are feasible end to end. Cells are
+# row-major, so row k of the reshaped feasible column is p = p_axis[k].
+columns = scan.feasible.reshape(resolution, resolution)
+print("p = 0 column fully feasible:   ", columns[0].all())
+print("p = 0.75 column fully feasible:", columns[75].all())
+print("t = 0 row fully feasible:      ", columns[:, 0].all())
 print()
 
 # The boundary chi(p): largest prior length the channel can still undo.
@@ -45,7 +44,7 @@ print()
 
 csv_path = out_dir / f"depolarizing_{resolution}.csv"
 svg_path = out_dir / f"depolarizing_{resolution}.svg"
-csv_path.write_bytes(emit_csv(cells))
-svg_path.write_bytes(emit_svg(cells, title="depolarizing"))
+csv_path.write_bytes(emit_csv(scan))
+svg_path.write_bytes(emit_svg(scan, title="depolarizing"))
 print("wrote", csv_path)
 print("wrote", svg_path)

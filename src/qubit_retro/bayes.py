@@ -19,16 +19,18 @@ matrix, Kraus operators and residual with the certified ones.
 
 Every Pauli-frame verdict, for one prior or a batch, reads three closed
 forms of (lambda, r): the candidate inverse, its positivity slacks and the
-unscathed residuals. The candidate and the slacks are written once, as
-straight-line arithmetic on the registers of a workspace: floats for a
-single query, rows of one array allocated per pass over a batch, which
-_verdict_blocks scores a block of pairs at a time, so a batch makes no
-temporaries and each pair's slacks are bit-identical to its single-query
-slacks. The two-time expectations that certify an inverse
-are read straight from a transfer matrix T, <sigma_i, sigma_j> =
-r_i T[j, 0] + T[j, i] (two_time_matrix); two_time_projector keeps the
-projective-measurement formula it reduces from. Other channel action goes
-through channels.apply_operator. The independent routes that check this
+unscathed residuals. A batch is given as arrays, an (M, 3) table of signed
+eigenvalues lambda and the priors of each row, with no channel objects.
+The candidate and the slacks are written once, as straight-line
+arithmetic on the registers of a workspace: floats for a single query,
+rows of one array allocated per pass over a batch, which _verdict_blocks
+scores a block of pairs at a time, so a batch makes no temporaries and
+each pair's slacks are bit-identical to its single-query slacks. The
+two-time expectations that certify an inverse are read straight from a
+transfer matrix T, <sigma_i, sigma_j> = r_i T[j, 0] + T[j, i]
+(two_time_matrix); two_time_projector keeps the projective-measurement
+formula it reduces from. Other channel action goes through
+channels.apply_operator. The independent routes that check this
 module (matrix conjugation residuals, the pseudo-density matrix, the
 anticommutator solver) live with the tests, in tests/oracles.py.
 """
@@ -536,26 +538,27 @@ def _aligned_empty(shape) -> np.ndarray:
     return buf[start : start + size].reshape(shape)
 
 
-def _verdict_blocks(channels, r: np.ndarray, tol: float):
-    """Score Pauli channel i at the priors r[:, i], for every row i, a block at a time.
+def _verdict_blocks(lam: np.ndarray, r: np.ndarray, tol: float):
+    """Score the Pauli channel lam[i] at the priors r[:, i], for every row i, a block at a time.
 
     Yields (rows, slack, unscathed): the block's row indices, its (3, k, n)
     slacks, a view of the one workspace that the next block overwrites,
     and None or, for a boundary row, its (1, n) unscathed mask. Boundary
     rows come first, one to a block: an unscathed prior takes the slacks
-    of the channel's own Choi matrix, any other slack (-1, -1, -1).
-    Interior rows follow in blocks of whole rows, up to _PAIR_BLOCK pairs
-    each, built from lambda * _CHOI_ROW_SIGNS. Every operation is
-    elementwise per pair, so a verdict does not depend on its block.
+    of the Choi matrix of diag(1, lambda), read as PauliChannel.choi reads
+    it, and any other prior (-1, -1, -1). Interior rows follow in blocks
+    of whole rows, up to _PAIR_BLOCK pairs each, built from
+    lambda * _CHOI_ROW_SIGNS. Every operation is elementwise per pair, so
+    a verdict does not depend on its block.
 
+    :param lam: (M, 3) signed eigenvalues, one channel per row.
     :param r: (3, M, n) prior columns, or (3, 1, n) for the same n priors
         in every row.
     :raises SingularSError: when some S = sum lambda_i^2 r_i^2 >= 1 - 1e-12.
     :raises ValueError: on a non-finite slack or, on a boundary row, a
         non-finite unscathed residual, before its block is yielded.
     """
-    n_rows, n = len(channels), r.shape[-1]
-    lam = np.array([c.lam for c in channels]).reshape(n_rows, 3)
+    n = r.shape[-1]
     boundary = _on_boundary(lam)
     interior = np.flatnonzero(~boundary)
     step = max(1, _PAIR_BLOCK // max(n, 1))
@@ -574,7 +577,7 @@ def _verdict_blocks(channels, r: np.ndarray, tol: float):
         residuals = _unscathed_residuals(lam[i], r[:, 0 if shared else i])
         unscathed = (residuals <= _UNSCATHED_TOL).any(axis=0)
         # The channel's own slacks; S only rides along in the report.
-        own = gamel_report(channels[i].choi, 0.0, tol).slack
+        own = gamel_report(ChannelRep.from_ptm(np.diag([1.0, *lam[i]])).choi, 0.0, tol).slack
         np.copyto(slack[:, 0], np.where(unscathed, own[:, None], -1.0))
         yield checked(np.array([i]), 1, unscathed[None], residuals)
     lam_signed = lam * _CHOI_ROW_SIGNS
@@ -590,22 +593,21 @@ def _verdict_blocks(channels, r: np.ndarray, tol: float):
         yield checked(rows, k)
 
 
-def _verdict_rows(channels, r: np.ndarray, tol: float):
-    """Verdicts of Pauli channel i at the priors r[:, i], for every row i.
+def _verdict_rows(lam: np.ndarray, r: np.ndarray, tol: float):
+    """Verdicts of the Pauli channel lam[i] at the priors r[:, i], for every row i.
 
     The batched form of :func:`pauli_frame_decision`, read from the blocks
-    of :func:`_verdict_blocks`; r and the errors are as there.
+    of :func:`_verdict_blocks`; lam, r and the errors are as there.
 
-    :param channels: M Pauli channels, one per row.
     :return: (feasible, slack, witness) of shapes (M, n), (M, n, 3) and
         (M, n); witness indexes :data:`WITNESSES`, and a prior that is not
         unscathed gets slack (-1, -1, -1).
     """
-    n_rows, n = len(channels), r.shape[-1]
+    n_rows, n = len(lam), r.shape[-1]
     feasible = np.empty((n_rows, n), dtype=bool)
     slack = np.empty((n_rows, n, 3))
     witness = np.empty((n_rows, n), dtype=np.int8)
-    for rows, block_slack, unscathed in _verdict_blocks(channels, r, tol):
+    for rows, block_slack, unscathed in _verdict_blocks(lam, r, tol):
         slack[rows] = block_slack.transpose(1, 2, 0)
         if unscathed is not None:
             feasible[rows] = unscathed
@@ -642,7 +644,7 @@ def pauli_frame_verdicts(p: PauliChannel, r, tol: float = 1e-9):
     x, y, z = r.T
     if not (np.sqrt(x * x + y * y + z * z) <= 1.0 + 1e-12).all():
         raise ValueError("every prior must be a finite Bloch vector with length <= 1")
-    return tuple(_readonly(col[0]) for col in _verdict_rows([p], r.T[:, None], tol))
+    return tuple(_readonly(col[0]) for col in _verdict_rows(p.lam[None], r.T[:, None], tol))
 
 
 def bayesian_inverse(e, s: BlochState, tol: float = 1e-9):

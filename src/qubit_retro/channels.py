@@ -202,7 +202,11 @@ class ChannelRep(_TransferReadings):
             _check_hermitian(m, "choi matrix")
             if kraus is not None:
                 self.choi = _readonly(m)
-            m = 2.0 * pauli_expand(partial_transpose(m)).T
+            with np.errstate(over="ignore", invalid="ignore"):
+                m = 2.0 * pauli_expand(partial_transpose(m)).T
+            if not np.isfinite(m).all():  # a finite Choi matrix whose Pauli sums overflow
+                what = "kraus operators are" if kraus is not None else "choi matrix is"
+                raise ValueError(f"{what} too large: the transfer matrix overflows")
         self.ptm = _readonly(m)
 
     # --- constructors ---

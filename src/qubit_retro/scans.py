@@ -8,15 +8,16 @@ direction, sit in one table that the scans, :func:`boundary_chi` and the
 CLI read.
 Every batch of verdicts (region scans, the node and midpoint verdicts of
 :func:`boundary_chi`, and all three-entry channels against their Bloch
-samples) is one pass of the block iterator in :mod:`qubit_retro.bayes`,
-which scores interior rows in blocks of (channel, prior) pairs and is
-bit-identical to one :func:`~qubit_retro.bayes.pauli_frame_verdicts`
-call per row. The scans and :func:`boundary_chi` take its verdicts as
-assembled columns; the three-entry search reads each block's feasibility
-as it comes and keeps no slack or witness column. A scan
-returns a columnar :class:`ScanResult`, whose cells are row-major (p
-outer, t inner) so repeated runs produce byte-identical CSV output;
-:class:`RegionCell` objects are made only when a cell is read.
+samples) is one pass of the block iterator in :mod:`qubit_retro.bayes`
+over rows of signed eigenvalues lambda, which scores interior rows in
+blocks of (channel, prior) pairs and is bit-identical to one
+:func:`~qubit_retro.bayes.pauli_frame_verdicts` call per row. The scans
+and :func:`boundary_chi` read lambda from their family's channels and take
+the verdicts as assembled columns. The three-entry search reads lambda
+from one probability table, reads each block's feasibility as it comes,
+and builds a PauliChannel only for a hit that it re-verifies. A scan
+returns a :class:`ScanResult` of columns, one entry per cell, row-major
+(p outer, t inner), so repeated runs produce byte-identical CSV output.
 
 :func:`emit_csv` renders a scan as byte matrices, one CSV row per matrix
 row, in blocks of cells, and drops the NUL padding in one pass. The CSV
@@ -34,14 +35,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bayes import WITNESSES, InverseRecord, _verdict_blocks, _verdict_rows, bayesian_inverse
+from .bayes import InverseRecord, _verdict_blocks, _verdict_rows, bayesian_inverse
 from .bayes import _UNSCATHED_TOL, _check_tol, _on_boundary, _unscathed_residuals
-from .channels import BlochState, PauliChannel, _readonly
+from .channels import _LAMBDA_OF_P, BlochState, PauliChannel, _readonly
 from .errors import InternalCPViolationError, MonotonicityWarning
 
 __all__ = [
     "ScanGrid",
-    "RegionCell",
     "ScanResult",
     "ThreeEntrySummary",
     "depolarizing_lambda",
@@ -92,24 +92,6 @@ class ScanGrid:
         return cls(p_axis=axis, t_axis=axis.copy(), direction=np.asarray(direction, float))
 
 
-@dataclass(frozen=True)
-class RegionCell:
-    """Verdict for one (p, t) grid point."""
-
-    p: float
-    t: float
-    feasible: bool
-    slack: np.ndarray
-    witness: str | None = None
-
-    def __post_init__(self) -> None:
-        s = np.asarray(self.slack, dtype=np.float64).reshape(3)
-        if not np.isfinite(s).all():
-            raise ValueError(f"slack must be finite, got {s}")
-        s.flags.writeable = False
-        object.__setattr__(self, "slack", s)
-
-
 def _frozen(a: np.ndarray) -> bool:
     """Whether a and every array it views are read-only, so no caller can write its data."""
     while isinstance(a, np.ndarray) and not a.flags.writeable:
@@ -122,10 +104,10 @@ class ScanResult:
     """Verdicts of a region scan as columns, one entry per cell, row-major.
 
     Cell k sits at p = grid.p_axis[k // len(grid.t_axis)] and
-    t = grid.t_axis[k % len(grid.t_axis)]. Indexing, slicing and iterating
-    give :class:`RegionCell` views made on demand. A column is kept as
-    given when it is frozen (read-only, as is every array it views), and
-    copied to a read-only array otherwise.
+    t = grid.t_axis[k % len(grid.t_axis)]; witness indexes
+    :data:`~qubit_retro.bayes.WITNESSES`. A column is kept as given when it
+    is frozen (read-only, as is every array it views), and copied to a
+    read-only array otherwise.
     """
 
     grid: ScanGrid
@@ -149,24 +131,6 @@ class ScanResult:
 
     def __len__(self) -> int:
         return len(self.feasible)
-
-    def __getitem__(self, key):
-        if isinstance(key, slice):
-            return [self._cell(k) for k in range(len(self))[key]]
-        return self._cell(range(len(self))[key])
-
-    def __iter__(self):
-        return map(self._cell, range(len(self)))
-
-    def _cell(self, k: int) -> RegionCell:
-        i, j = divmod(k, len(self.grid.t_axis))
-        return RegionCell(
-            p=float(self.grid.p_axis[i]),
-            t=float(self.grid.t_axis[j]),
-            feasible=bool(self.feasible[k]),
-            slack=self.slack[k],
-            witness=WITNESSES[self.witness[k]],
-        )
 
 
 def depolarizing_lambda(p: float) -> float:
@@ -195,9 +159,9 @@ _FAMILIES = {
 def _scan_family(grid: ScanGrid, family: str, tol: float) -> ScanResult:
     _check_tol(tol)
     channel_of = _FAMILIES[family][0]
-    channels = [channel_of(float(p)) for p in grid.p_axis]
+    lam = np.array([channel_of(float(p)).lam for p in grid.p_axis])
     r = (grid.direction[:, None] * np.sqrt(grid.t_axis))[:, None]
-    feasible, slack, witness = _verdict_rows(channels, r, tol)
+    feasible, slack, witness = _verdict_rows(lam, r, tol)
     for col in (feasible, slack, witness):
         col.flags.writeable = False  # fresh, so the result keeps them uncopied
     return ScanResult(grid, feasible.ravel(), slack.reshape(-1, 3), witness.ravel())
@@ -251,16 +215,15 @@ def boundary_chi(
     if np.ndim(p) > 1:
         raise ValueError(f"p must be one value or a 1-D sequence, got shape {np.shape(p)}")
     ps = [float(q) for q in np.atleast_1d(p)]
-    channels = [channel_of(q) for q in ps]
-    lam = np.array([c.lam for c in channels]).reshape(len(ps), 3)
+    lam = np.array([channel_of(q).lam for q in ps]).reshape(len(ps), 3)
     boundary = _on_boundary(lam)
     chi = np.ones(len(ps))
     for i in np.flatnonzero(boundary):
         chi[i] = (_UNSCATHED_TOL / max(_unscathed_residuals(lam[i], d).min(), _UNSCATHED_TOL)) ** 2
     rows = np.flatnonzero(~boundary)
-    inner, ray = [channels[i] for i in rows], d[:, None, None]
+    inner, ray = lam[rows], d[:, None, None]
     at_nodes, slack, _ = _verdict_rows(inner, ray * np.sqrt(_CHI_NODES), tol)
-    D = 1.0 - ((lam[rows] * d) ** 2).sum(axis=1)[:, None, None] * _CHI_NODES[:, None]
+    D = 1.0 - ((inner * d) ** 2).sum(axis=1)[:, None, None] * _CHI_NODES[:, None]
     values = (slack + tol) * D ** np.arange(2, 5)
     # The inverse Vandermonde matrix maps the values to the coefficients. It is
     # built here: a LAPACK call at import would add ~0.4 MB to every process.
@@ -329,27 +292,23 @@ def scan_three_entry(
         raise ValueError("resolution must be >= 3 to place three positive entries")
     rng = np.random.default_rng(seed)
     points = _ball_samples(rng, samples)
-    supports = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
-    channels = []
-    for support in supports:
-        for i in range(1, resolution - 1):
-            for j in range(1, resolution - i):
-                k = resolution - i - j
-                vec = np.zeros(4)
-                vec[list(support)] = np.array([i, j, k]) / resolution
-                channels.append(PauliChannel(vec))
+    parts = np.array([(i, j, resolution - i - j) for i in range(1, resolution - 1)
+                      for j in range(1, resolution - i)]) / resolution
+    # One probability row per channel: supports (0, 1, 2) to (1, 2, 3), each composition.
+    probs = np.concatenate([np.insert(parts, zero, 0.0, axis=1) for zero in (3, 2, 1, 0)])
+    lam = np.array([_LAMBDA_OF_P @ p for p in probs])  # as PauliChannel.lam reads it
 
     # Row 0 is the maximally mixed prior, tested in the same pass.
     priors = np.vstack([np.zeros((1, 3)), points])
     off_center = np.linalg.norm(points, axis=1) > 1e-6
     mu_feasible = hits = confirmed = 0
     examples: list[tuple] = []
-    for rows, slack, unscathed in _verdict_blocks(channels, priors.T[:, None], tol):
+    for rows, slack, unscathed in _verdict_blocks(lam, priors.T[:, None], tol):
         feasible = (slack >= -tol).all(axis=0) if unscathed is None else unscathed
         mu_feasible += int(feasible[:, 0].sum())
         for i, k in zip(*np.nonzero(feasible[:, 1:] & off_center)):
             hits += 1
-            pch, r = channels[rows[i]], points[k]
+            pch, r = PauliChannel(probs[rows[i]]), points[k]
             try:
                 out = bayesian_inverse(pch, BlochState(r), tol)
             except InternalCPViolationError:
@@ -361,9 +320,9 @@ def scan_three_entry(
     return ThreeEntrySummary(
         resolution=resolution,
         seed=seed,
-        channels=len(channels),
+        channels=len(probs),
         samples_per_channel=samples,
-        queries=len(channels) * samples,
+        queries=len(probs) * samples,
         mu_feasible=mu_feasible,
         hits=hits,
         hits_confirmed=confirmed,

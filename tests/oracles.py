@@ -293,11 +293,11 @@ def bisection_chi(
     if np.ndim(p) > 1:
         raise ValueError(f"p must be one value or a 1-D sequence, got shape {np.shape(p)}")
     ps = [float(q) for q in np.atleast_1d(p)]
-    channels = [channel_of(q) for q in ps]
+    lam = np.array([channel_of(q).lam for q in ps]).reshape(len(ps), 3)
 
     def feasible(rows, t) -> np.ndarray:
         r = d[:, None, None] * np.sqrt(t)
-        return _verdict_rows([channels[i] for i in rows], r, 1e-9)[0]
+        return _verdict_rows(lam[rows], r, 1e-9)[0]
 
     probes = np.linspace(0.0, 1.0, 33)
     chi = np.empty(len(ps))

@@ -193,17 +193,18 @@ def test_g04_depolarizing_region_caption_facts():
         "interior columns mixed (< 30 s)"
     ):
         start = time.perf_counter()
-        cells = scan_depolarizing(ScanGrid.uniform(201))
+        result = scan_depolarizing(ScanGrid.uniform(201))
         elapsed = time.perf_counter() - start
-        assert len(cells) == 201 * 201
-        columns = [cells[201 * k : 201 * (k + 1)] for k in range(201)]
+        assert len(result) == 201 * 201
+        # Row k of the row-major feasible column, reshaped, is p = p_axis[k].
+        columns = result.feasible.reshape(201, 201)
         p_axis = np.linspace(0.0, 1.0, 201)
 
-        assert all(c.feasible for c in columns[0])            # p = 0 (identity)
-        assert all(c.feasible for c in columns[150])          # p = 0.75 (lambda = 0)
-        assert all(col[0].feasible for col in columns)        # t = 0 row
+        assert columns[0].all()                               # p = 0 (identity)
+        assert columns[150].all()                             # p = 0.75 (lambda = 0)
+        assert columns[:, 0].all()                            # t = 0 row
         for k in range(1, 150):
-            count = sum(c.feasible for c in columns[k])
+            count = int(columns[k].sum())
             assert 0 < count < 201, (p_axis[k], count)
         assert elapsed < 30.0, f"took {elapsed:.2f} s"
 
@@ -212,14 +213,12 @@ def test_g04_depolarizing_region_caption_facts():
 
 def test_g05_bb84_region_caption_facts():
     with gate("G05 bb84 201x201: verdicts mirror under p <-> 1-p; p in {0, 0.5, 1} feasible"):
-        cells = scan_bb84(ScanGrid.uniform(201, direction=np.ones(3) / np.sqrt(3.0)))
-        columns = [cells[201 * k : 201 * (k + 1)] for k in range(201)]
+        result = scan_bb84(ScanGrid.uniform(201, direction=np.ones(3) / np.sqrt(3.0)))
+        columns = result.feasible.reshape(201, 201)
         for k in range(201):
-            left = [c.feasible for c in columns[k]]
-            right = [c.feasible for c in columns[200 - k]]
-            assert left == right, k
+            assert np.array_equal(columns[k], columns[200 - k]), k
         for k in (0, 100, 200):
-            assert all(c.feasible for c in columns[k]), k
+            assert columns[k].all(), k
 
 
 # === 6. Closed-form feasibility scalars match the matrix pipeline ===

@@ -406,14 +406,15 @@ def test_single_and_batch_verdicts_agree_at_bisected_boundary_priors():
             channels.append(pc)
             directions.append(d)
     d = np.array(directions).T[:, :, None]
+    lam = np.array([pc.lam for pc in channels])
     lo, hi = np.zeros(300), np.ones(300)
-    assert bayes._verdict_rows(channels, d * lo[:, None], 1e-9)[0].all()
+    assert bayes._verdict_rows(lam, d * lo[:, None], 1e-9)[0].all()
     while (np.nextafter(lo, 2.0) < hi).any():
         mid = (lo + hi) / 2.0
-        feasible = bayes._verdict_rows(channels, d * mid[:, None], 1e-9)[0][:, 0]
+        feasible = bayes._verdict_rows(lam, d * mid[:, None], 1e-9)[0][:, 0]
         lo, hi = np.where(feasible, mid, lo), np.where(feasible, hi, mid)
     for t in (lo, hi):
-        feasible, slack, _ = bayes._verdict_rows(channels, d * t[:, None], 1e-9)
+        feasible, slack, _ = bayes._verdict_rows(lam, d * t[:, None], 1e-9)
         for i, pc in enumerate(channels):
             out = pauli_frame_decision(pc, BlochState(d[:, i, 0] * t[i]))
             assert isinstance(out, InverseRecord) == feasible[i, 0], (pc.p, t[i])
@@ -457,6 +458,36 @@ def test_verdicts_contract():
     assert slack[1].tolist() == [-1.0, -1.0, -1.0]
 
 
+def test_boundary_rows_read_from_lambda_take_the_channels_own_slacks():
+    # A boundary row is given only lambda; its unscathed priors must take the
+    # slacks of gamel_report on the PauliChannel's own Choi matrix, byte for
+    # byte, and every other prior (-1, -1, -1). Two-entry channels all sit on
+    # the boundary; the priors hold the center, the three half axes and
+    # random points.
+    rng = np.random.default_rng(SEED + 19)
+    probs = [np.eye(4)[k] for k in range(4)]
+    for _ in range(2000):
+        p = np.zeros(4)
+        p[rng.choice(4, size=2, replace=False)] = rng.dirichlet(np.ones(2))
+        probs.append(p)
+    channels = [PauliChannel(p) for p in probs]
+    lam = np.array([pc.lam for pc in channels])
+    assert bayes._on_boundary(lam).all()
+    priors = np.vstack([np.zeros(3), 0.5 * np.eye(3), [random_bloch(rng).r for _ in range(4)]])
+    feasible, slack, _ = bayes._verdict_rows(lam, priors.T[:, None], 1e-9)
+    seen = set()
+    for i, pc in enumerate(channels):
+        own = gamel_report(pc.choi, 0.0, 1e-9).slack
+        unscathed = [is_unscathed(pc, BlochState(r)) is not None for r in priors]
+        want = np.where(np.array(unscathed)[:, None], own, -1.0)
+        assert feasible[i].tolist() == unscathed, pc.p
+        assert slack[i].tobytes() == want.tobytes(), pc.p
+        one = pauli_frame_verdicts(pc, priors)
+        assert (one[0].tobytes(), one[1].tobytes()) == (feasible[i].tobytes(), want.tobytes())
+        seen.update(unscathed)
+    assert seen == {True, False}
+
+
 def test_kernel_slacks_equal_one_pair_calls():
     # 1,001 priors a row put four rows in a block. The 13 rows hold three
     # boundary rows, so the interior rows 1, 2, 4, 5 | 6, 7, 8, 9 | 11, 12
@@ -469,7 +500,8 @@ def test_kernel_slacks_equal_one_pair_calls():
     for i in (0, 3, 10):
         channels[i] = PauliChannel(np.array([0.25, 0.75, 0.0, 0.0]))
     assert bayes._PAIR_BLOCK // len(priors) == 4
-    feasible, slack, _ = bayes._verdict_rows(channels, priors.T[:, None], 1e-9)
+    lam = np.array([pc.lam for pc in channels])
+    feasible, slack, _ = bayes._verdict_rows(lam, priors.T[:, None], 1e-9)
     columns = [*range(8), 500, 998, 999, 1000]
     for i in (1, 2, 4, 5, 6, 7, 8, 9, 11, 12):
         for j in columns:
@@ -487,11 +519,11 @@ def test_block_iterator_scores_every_row_in_one_workspace():
     channels = [random_pauli(rng, 1e-3) for _ in range(10)]
     for i in (0, 3, 6):
         channels[i] = PauliChannel(np.array([0.6, 0.4, 0.0, 0.0]))
-    r = priors.T[:, None]
-    feasible, slack, _ = bayes._verdict_rows(channels, r, 1e-9)
+    r, lam = priors.T[:, None], np.array([pc.lam for pc in channels])
+    feasible, slack, _ = bayes._verdict_rows(lam, r, 1e-9)
     blocks = [
         (rows.tolist(), block_slack, unscathed)
-        for rows, block_slack, unscathed in bayes._verdict_blocks(channels, r, 1e-9)
+        for rows, block_slack, unscathed in bayes._verdict_blocks(lam, r, 1e-9)
     ]
     # Every yielded slack is a view of the one workspace, so a block's slacks
     # are read before the next block is scored.
@@ -509,18 +541,18 @@ def test_block_iterator_scores_every_row_in_one_workspace():
 def test_kernel_rejects_a_non_finite_slack():
     # slack < -tol is False for NaN, so a NaN prior was once feasible with NaN
     # slacks. Every block's slacks are checked before its verdicts are read.
-    depolarizing = PauliChannel.depolarizing(0.3)
+    depolarizing = PauliChannel.depolarizing(0.3).lam[None]
     with pytest.raises(ValueError, match="non-finite slack"):
-        bayes._verdict_rows([depolarizing], np.full((3, 1, 2), np.nan), 1e-9)
+        bayes._verdict_rows(depolarizing, np.full((3, 1, 2), np.nan), 1e-9)
     # 2,000 priors a row put two rows in a block: the NaN is in the second block.
     priors = np.zeros((3, 3, 2000))
     priors[1, 2, 1999] = np.nan
-    blocks = bayes._verdict_blocks([depolarizing] * 3, priors, 1e-9)
+    blocks = bayes._verdict_blocks(depolarizing.repeat(3, axis=0), priors, 1e-9)
     assert next(blocks)[0].tolist() == [0, 1]
     with pytest.raises(ValueError, match="non-finite slack"):
         next(blocks)
     with pytest.raises(ValueError, match="non-finite slack"):
-        bayes._verdict_rows([depolarizing] * 3, priors, 1e-9)
+        bayes._verdict_rows(depolarizing.repeat(3, axis=0), priors, 1e-9)
 
 
 def test_kernel_rejects_a_non_finite_prior_on_a_boundary_row():
@@ -529,7 +561,7 @@ def test_kernel_rejects_a_non_finite_prior_on_a_boundary_row():
     boundary = PauliChannel([0.6, 0.4, 0.0, 0.0])
     assert bayes._on_boundary(boundary.lam)
     with pytest.raises(ValueError, match="non-finite"):
-        bayes._verdict_rows([boundary], np.full((3, 1, 2), np.nan), 1e-9)
+        bayes._verdict_rows(boundary.lam[None], np.full((3, 1, 2), np.nan), 1e-9)
 
 
 def test_verdict_workspace_starts_on_a_64_byte_boundary():
@@ -548,7 +580,7 @@ def test_kernel_slack_signs_match_exact_rational_slacks():
     rng = np.random.default_rng(SEED + 31)
     pairs = [(random_pauli(rng, 1e-3), random_bloch(rng)) for _ in range(300)]
     r = np.array([s.r for _, s in pairs]).T[:, :, None]
-    slack = bayes._verdict_rows([pc for pc, _ in pairs], r, 1e-9)[1][:, 0]
+    slack = bayes._verdict_rows(np.array([pc.lam for pc, _ in pairs]), r, 1e-9)[1][:, 0]
     for (pc, s), row in zip(pairs, slack.tolist()):
         exact = exact_slacks(pc.lam, s.r)
         for x, q in zip(row, exact):
@@ -567,7 +599,7 @@ def test_singular_s_is_raised_from_inside_a_multi_row_block():
     channels = [PauliChannel.depolarizing(p) for p in (0.1, 0.2, 0.3, 0.4, 0.5)]
     channels.insert(2, near)
     with pytest.raises(SingularSError):
-        bayes._verdict_rows(channels, priors.T[:, None], 1e-9)
+        bayes._verdict_rows(np.array([pc.lam for pc in channels]), priors.T[:, None], 1e-9)
     with pytest.raises(SingularSError):
         pauli_frame_verdicts(near, priors)
 

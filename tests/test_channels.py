@@ -133,6 +133,16 @@ def test_rep_rejects_non_hermitian_choi_and_jam():
     assert not hasattr(ChannelRep, "from_jam")
 
 
+def test_rep_rejects_a_choi_matrix_whose_transfer_matrix_overflows():
+    # The Choi matrix is finite, but the Pauli sums of its transfer matrix
+    # are not: the error names the form and the overflow, with no warning.
+    for choi in (np.diag([1.7e308, 0.0, 0.0, 1.7e308]), np.full((4, 4), 1e308)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="choi matrix is too large: the transfer"):
+                ChannelRep(choi=choi)
+
+
 def test_rep_rejects_complex_ptm():
     m = np.eye(4, dtype=np.complex128)
     m[1, 1] = 0.5 + 0.3j

@@ -1,6 +1,7 @@
 """Command line interface: exit codes, files written, and report contents."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -357,16 +358,29 @@ def test_kraus_rejects_non_trace_preserving_kraus_file(files, tmp_path, capsys):
 
 
 def test_kraus_file_whose_products_overflow_is_rejected_by_name(tmp_path, capsys):
-    # Finite entries whose outer products overflow a float: the error names
-    # the Kraus operators, and NumPy's overflow warning stays silent.
-    huge = tmp_path / "huge.json"
-    dump_json(huge, {"kind": "kraus", "ops": [[[[1e200, 0], [0, 0]], [[0, 0], [1e200, 0]]]]})
+    # The error names the Kraus operators, and NumPy's overflow warning stays silent.
     state = tmp_path / "state.json"
     dump_json(state, {"bloch": [0.0, 0.0, 0.0]})
-    for argv in (["invert", "--state", str(state)], ["kraus"]):
-        assert main([*argv, "--channel", str(huge)]) == 1
-        err = capsys.readouterr().err
-        assert err == "error: kraus operators are too large: their Choi matrix overflows\n"
+    inverse = tmp_path / "inverse.json"
+    dump_json(inverse, {"kind": "pauli", "p": [1.0, 0.0, 0.0, 0.0]})
+    huge = tmp_path / "huge.json"
+    for entry, message in (
+        # Finite entries whose outer products overflow a float.
+        (1e200, "their Choi matrix overflows"),
+        # Products of 1.69e308 fit a float; the Pauli sums of the transfer matrix do not.
+        (1.3e154, "the transfer matrix overflows"),
+    ):
+        dump_json(huge, {"kind": "kraus", "ops": [[[[entry, 0], [0, 0]], [[0, 0], [entry, 0]]]]})
+        for argv in (
+            ["invert", "--state", str(state)],
+            ["kraus"],
+            ["verify", "--state", str(state), "--inverse", str(inverse)],
+        ):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main([*argv, "--channel", str(huge)]) == 1
+            err = capsys.readouterr().err
+            assert err == f"error: kraus operators are too large: {message}\n", (entry, argv)
 
 
 def test_scan_requires_out_directory(capsys):

@@ -14,6 +14,7 @@ from qubit_retro import (
     PauliChannel,
     ScanGrid,
     ScanResult,
+    WITNESSES,
     analytic_inverse,
     bb84_channel,
     boundary_chi,
@@ -98,39 +99,31 @@ def test_depolarizing_quantities_match_matrix_pipeline():
 # === Region scans ===
 
 def test_depolarizing_scan_small_grid():
-    cells = scan_depolarizing(ScanGrid.uniform(21))
-    assert len(cells) == 441
-    by_key = {(round(c.p, 10), round(c.t, 10)): c for c in cells}
-    # Cells are row-major: p outer, t inner.
-    assert cells[0].p == 0.0 and cells[0].t == 0.0 and cells[1].t == 0.05
-    for t in np.linspace(0.0, 1.0, 21):
-        assert by_key[(0.0, round(float(t), 10))].feasible      # identity column
-        assert by_key[(0.75, round(float(t), 10))].feasible     # lambda = 0 column
-    for p in np.linspace(0.0, 1.0, 21):
-        assert by_key[(round(float(p), 10), 0.0)].feasible      # central-state row
+    result = scan_depolarizing(ScanGrid.uniform(21))
+    assert len(result) == 441
+    # Cells are row-major: row k of the (p, t) reshape is p = p_axis[k].
+    feasible = result.feasible.reshape(21, 21)
+    assert feasible[0].all()        # identity column, p = 0
+    assert feasible[15].all()       # lambda = 0 column, p = 0.75
+    assert feasible[:, 0].all()     # central-state row, t = 0
     # Witnesses from these families only ever name a failed slack.
-    for c in cells:
-        assert c.witness is None or c.witness.startswith("slack-")
+    names = {WITNESSES[w] for w in result.witness.tolist()}
+    assert None in names and all(n is None or n.startswith("slack-") for n in names)
 
 
 def test_depolarizing_scan_columns_are_monotone_in_t():
-    cells = scan_depolarizing(ScanGrid.uniform(21))
-    for k in range(21):
-        column = cells[21 * k : 21 * (k + 1)]
-        flags = [c.feasible for c in column]
-        # Once infeasible, a column never becomes feasible again.
-        assert flags == sorted(flags, reverse=True)
+    feasible = scan_depolarizing(ScanGrid.uniform(21)).feasible.reshape(21, 21)
+    # Once infeasible, a column never becomes feasible again.
+    assert (np.diff(feasible.astype(int), axis=1) <= 0).all()
 
 
 def test_bb84_scan_mirror_symmetry():
-    cells = scan_bb84(ScanGrid.uniform(21, direction=np.ones(3) / np.sqrt(3.0)))
-    grid = {}
-    for c in cells:
-        grid[(round(c.p, 10), round(c.t, 10))] = c
-    for c in cells:
-        mirror = grid[(round(1.0 - c.p, 10), round(c.t, 10))]
-        assert c.feasible == mirror.feasible
-        assert np.abs(c.slack - mirror.slack).max() < 1e-9
+    result = scan_bb84(ScanGrid.uniform(21, direction=np.ones(3) / np.sqrt(3.0)))
+    feasible = result.feasible.reshape(21, 21)
+    slack = result.slack.reshape(21, 21, 3)
+    # p_axis[20 - k] = 1 - p_axis[k]: the mirror reverses the p rows.
+    assert np.array_equal(feasible, feasible[::-1])
+    assert np.abs(slack - slack[::-1]).max() < 1e-9
 
 
 def test_scans_match_scalar_decision_cell_by_cell():
@@ -141,11 +134,14 @@ def test_scans_match_scalar_decision_cell_by_cell():
     )
     for scan, channel_of, direction in families:
         grid = ScanGrid.uniform(21, direction=direction)
-        for cell in scan(grid):
-            state = BlochState(np.sqrt(cell.t) * grid.direction)
-            feasible, slack, witness = scalar_verdict(channel_of(cell.p), state)
-            assert (cell.feasible, cell.witness) == (feasible, witness), (cell.p, cell.t)
-            assert np.abs(cell.slack - slack).max() <= 1e-12, (cell.p, cell.t)
+        result = scan(grid)
+        for k in range(len(result)):
+            p, t = float(grid.p_axis[k // 21]), float(grid.t_axis[k % 21])
+            feasible, slack, witness = scalar_verdict(
+                channel_of(p), BlochState(np.sqrt(t) * grid.direction)
+            )
+            assert (result.feasible[k], WITNESSES[result.witness[k]]) == (feasible, witness), (p, t)
+            assert np.abs(result.slack[k] - slack).max() <= 1e-12, (p, t)
 
 
 def _row_by_row(grid, channel_of, tol=1e-9):
@@ -206,28 +202,6 @@ def test_scan_scores_interior_rows_in_blocks(monkeypatch):
     scan_bb84(ScanGrid.uniform(201, direction=np.ones(3) / np.sqrt(3.0)))
     # 199 interior rows, the last block short; p = 0 and p = 1 are boundary channels.
     assert (len(candidates), len(slacks), len(boundary_rows)) == (10, 12, 2)
-
-
-def _cell_key(c):
-    return c.p, c.t, c.feasible, c.slack.tobytes(), c.witness
-
-
-def test_scan_result_views_agree():
-    grid = ScanGrid.uniform(7, direction=np.ones(3) / np.sqrt(3.0))
-    result = scan_bb84(grid)
-    cells = list(result)
-    assert len(result) == len(cells) == 49
-    keys = [_cell_key(c) for c in cells]
-    assert [_cell_key(result[k]) for k in range(49)] == keys
-    assert [_cell_key(c) for c in result[7:14]] == keys[7:14]
-    assert [_cell_key(c) for c in result[::-5]] == keys[::-5]
-    assert _cell_key(result[-1]) == keys[-1]
-    with pytest.raises(IndexError):
-        result[49]
-    # Cell k is (p_axis[k // 7], t_axis[k % 7]), with the columns' entries.
-    assert (cells[9].p, cells[9].t) == (grid.p_axis[1], grid.t_axis[2])
-    assert [c.feasible for c in cells] == result.feasible.tolist()
-    assert np.array_equal(np.array([c.slack for c in cells]), result.slack)
 
 
 def test_scan_result_rejects_non_finite_slack_and_bad_shapes():
@@ -304,17 +278,16 @@ def test_boundary_chi_empty_and_bad_sequences(monkeypatch):
 def test_boundary_chi_warns_once_per_non_monotone_p(monkeypatch):
     zigzag = {0.2, 0.4}
 
-    def fake_verdicts(channels, r, tol):
+    def fake_verdicts(lam, r, tol):
         # (slack_k + tol) D^(k + 2) is 1 for every k, except that the first
         # is (t - 0.3)(t - 0.6) for the zigzag p: feasible on [0, 0.3] and
-        # again on [0.6, 1].
-        r = np.broadcast_to(r, (3, len(channels), r.shape[-1]))
-        lam = np.array([pch.lam for pch in channels]).T[:, :, None]
+        # again on [0.6, 1]. A depolarizing row has lambda_1 = 1 - 4p/3.
+        r = np.broadcast_to(r, (3, len(lam), r.shape[-1]))
         t = (r * r).sum(axis=0)
-        D = 1.0 - (lam * lam * r * r).sum(axis=0)
+        D = 1.0 - (lam.T[:, :, None] ** 2 * r * r).sum(axis=0)
         poly = np.ones(t.shape + (3,))
-        for i, pch in enumerate(channels):
-            if round(3.0 * pch.p[1], 12) in zigzag:
+        for i, row in enumerate(lam):
+            if round(0.75 * (1.0 - row[0]), 12) in zigzag:
                 poly[i, :, 0] = (t[i] - 0.3) * (t[i] - 0.6)
         slack = poly / D[..., None] ** np.arange(2, 5) - tol
         return ~(slack < -tol).any(axis=-1), slack, None
@@ -348,14 +321,13 @@ def test_five_node_polynomials_match_ray_slacks():
     # Along r = sqrt(t) d, slack_k D^(k + 2) is a polynomial of degree
     # k + 2 <= 4 in t, so its values at the five nodes give it everywhere.
     rng = np.random.default_rng(SEED)
-    channels = [PauliChannel(rng.dirichlet(np.ones(4))) for _ in range(300)]
+    lam = np.array([PauliChannel(rng.dirichlet(np.ones(4))).lam for _ in range(300)])
     d = rng.normal(size=(3, 300, 1))
     d /= np.linalg.norm(d, axis=0)
-    lam = np.array([pch.lam for pch in channels]).T[:, :, None]
-    s_unit = (lam * lam * d * d).sum(axis=0)
+    s_unit = (lam.T[:, :, None] ** 2 * d * d).sum(axis=0)
 
     def scaled_slacks(t):
-        slack = bayes._verdict_rows(channels, d * np.sqrt(t), 1e-9)[1]
+        slack = bayes._verdict_rows(lam, d * np.sqrt(t), 1e-9)[1]
         return slack * (1.0 - s_unit * t)[..., None] ** np.arange(2, 5)
 
     fit = np.linalg.inv(np.vander(scans._CHI_NODES, increasing=True))
@@ -400,7 +372,7 @@ def test_boundary_chi_on_a_boundary_channel(monkeypatch):
     chi = boundary_chi([0.0, 0.3], family="flip", direction=d)
     assert chi[0] == 1.0 and 0.0 < chi[1] < 1e-18
     r = d[:, None, None] * np.sqrt([chi[1] * (1.0 - 1e-9), chi[1] * (1.0 + 1e-6)])
-    assert bayes._verdict_rows([flip(0.3)], r, 1e-9)[0].tolist() == [[True, False]]
+    assert bayes._verdict_rows(flip(0.3).lam[None], r, 1e-9)[0].tolist() == [[True, False]]
 
 
 def test_boundary_chi_rejects_unknown_family():
@@ -425,9 +397,9 @@ def test_three_entry_search_counts_and_determinism():
 def test_three_entry_scores_each_channel_in_one_kernel_call(monkeypatch):
     candidates, frame_verdicts, passes, blocks = [], [], [], []
 
-    def kernel(channels, r, tol):
-        passes.append((len(channels), r.shape))
-        for block in bayes._verdict_blocks(channels, r, tol):
+    def kernel(lam, r, tol):
+        passes.append((lam.shape, r.shape))
+        for block in bayes._verdict_blocks(lam, r, tol):
             blocks.append(len(block[0]))
             yield block
 
@@ -444,9 +416,21 @@ def test_three_entry_scores_each_channel_in_one_kernel_call(monkeypatch):
     # One pass over the 84 channels against the same 1,001 priors: 21 blocks
     # of four channels, one _candidate call each; no hit is re-checked.
     assert (summary.channels, summary.hits) == (84, 0)
-    assert passes == [(84, (3, 1, 1001))]
+    assert passes == [((84, 3), (3, 1, 1001))]
     assert blocks == [4] * 21
     assert (len(candidates), len(frame_verdicts)) == (21, 0)
+
+
+def test_three_entry_builds_a_channel_only_for_a_hit_it_reverifies(monkeypatch):
+    # The search scores probability rows; a PauliChannel is made only to
+    # re-verify a hit with the full construction.
+    built = []
+    monkeypatch.setattr(PauliChannel, "__post_init__", _counting(built, PauliChannel.__post_init__))
+    summary = scan_three_entry(8, 1000)
+    assert (summary.channels, summary.hits, len(built)) == (84, 0, 0)
+    built.clear()
+    summary = scan_three_entry(5, 50, 0, 0.05)
+    assert (summary.hits, len(built)) == (84, 84)
 
 
 @pytest.mark.parametrize("tol", [1e-9, 0.3])
