@@ -514,13 +514,32 @@ def pauli_frame_decision(p: PauliChannel, s: BlochState, tol: float = 1e-9):
 
 # Interior pairs are scored in blocks of whole rows with at most this many
 # pairs (a row longer than that is a block of its own). The workspace holds
-# 28 doubles a pair, 0.9 MB at this size, and is allocated once per pass
-# over the rows, so scan_three_entry(8, 1000) makes one for its 21 blocks.
-# Larger blocks pay NumPy's per-call cost less often but raise the peak:
-# scan_three_entry(8, 1000) took a median of 34, 23, 19 and 16 ms at 1,536,
-# 2,048, 4,096 and 8,192 pairs, and peaked 6.2, 6.3, 6.8 and 7.6 MB above
-# the import (2-CPU VM, NumPy 2.4.6).
-_PAIR_BLOCK = 4096
+# 28 doubles a pair, 1.8 MB at this size, and is allocated once per pass
+# over the rows, so scan_three_entry(8, 1000) makes one for its 11 blocks.
+# A block makes the same 142 ufunc calls whatever its width, and a wider
+# block raises the peak. Median time of scan_three_entry(8, 1000) and of a
+# 201 x 201 depolarizing and bb84 scan pair (widths alternated, 20 rounds
+# of 5 calls each, one process), and peak MB above the import (a fresh
+# process per width and workload, 3 calls):
+#
+#     pairs   three-entry        scan pair
+#     4,096   12.0 ms   6.7 MB   21.8 ms   2.9 MB
+#     6,144   11.5 ms   7.0 MB   21.0 ms   3.3 MB
+#     8,192    8.5 ms   7.6 MB   17.8 ms   3.7 MB
+#    12,288    9.3 ms   8.5 MB   20.0 ms   4.6 MB
+#    16,384    7.9 ms   9.3 MB   19.7 ms   5.5 MB
+#    24,576    8.1 ms  11.1 MB   19.1 ms   7.3 MB
+#
+# The times follow where each register row starts more than the number of
+# blocks. A row of a block of k rows of n priors holds k n doubles: at
+# 8,192 (8 x 1,001 and 40 x 201) every row starts on a 64-byte boundary,
+# while at 4,096, 6,144 and 12,288 some rows start 16, 32 or 48 bytes past
+# one. A trial kernel that padded each row to a multiple of 8 doubles took
+# 8.5 and 10.7 ms at 4,096 and 8.3 and 10.7 ms at 8,192, against 11.8 and
+# 13.9 ms and 8.2 and 10.9 ms for this one, in the same process. 8,192 is
+# fastest on the scans and within 0.6 ms of the fastest search at 1.7 MB
+# less peak (2-CPU VM, Python 3.11.7, NumPy 2.4.6).
+_PAIR_BLOCK = 8192
 
 
 def _aligned_empty(shape) -> np.ndarray:

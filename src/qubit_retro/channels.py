@@ -60,6 +60,20 @@ _LAMBDA_OF_P = np.array(
 )
 
 
+def _lambda_rows(probs: np.ndarray) -> np.ndarray:
+    """(n, 3) signed eigenvalues of n probability rows, each read as PauliChannel.lam reads it.
+
+    One matrix-vector product a row: an (n, 4) @ (4, 3) product rounds differently.
+    """
+    return np.array([_LAMBDA_OF_P @ p for p in probs]).reshape(len(probs), 3)
+
+
+def _depolarizing_probs(strength):
+    """Probabilities (1 - s, s/3, s/3, s/3) of the depolarizing channel, a row per strength s."""
+    q = strength / 3.0
+    return np.stack([1.0 - strength, q, q, q], axis=-1)
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     out = np.array(a)
     out.flags.writeable = False
@@ -147,8 +161,7 @@ class PauliChannel(_TransferReadings):
         """Depolarizing channel with error weight spread evenly over X, Y, Z."""
         if not 0.0 <= strength <= 1.0:
             raise ValueError(f"depolarizing strength must lie in [0, 1], got {strength}")
-        q = strength / 3.0
-        return cls(np.array([1.0 - strength, q, q, q]))
+        return cls(_depolarizing_probs(strength))
 
     @cached_property
     def ptm(self) -> np.ndarray:

@@ -11,11 +11,12 @@ Every batch of verdicts (region scans, the node and midpoint verdicts of
 samples) is one pass of the block iterator in :mod:`qubit_retro.bayes`
 over rows of signed eigenvalues lambda, which scores interior rows in
 blocks of (channel, prior) pairs and is bit-identical to one
-:func:`~qubit_retro.bayes.pauli_frame_verdicts` call per row. The scans
-and :func:`boundary_chi` read lambda from their family's channels and take
-the verdicts as assembled columns. The three-entry search reads lambda
-from one probability table, reads each block's feasibility as it comes,
-and builds a PauliChannel only for a hit that it re-verifies. A scan
+:func:`~qubit_retro.bayes.pauli_frame_verdicts` call per row. Every
+batch reads lambda from a table of probability rows, as PauliChannel.lam
+reads it, and builds no channel to do so. The scans and
+:func:`boundary_chi` take the verdicts as assembled columns. The
+three-entry search reads each block's feasibility as it comes, and builds
+a PauliChannel only for a hit that it re-verifies. A scan
 returns a :class:`ScanResult` of columns, one entry per cell, row-major
 (p outer, t inner), so repeated runs produce byte-identical CSV output.
 
@@ -37,7 +38,7 @@ import numpy as np
 
 from .bayes import InverseRecord, _verdict_blocks, _verdict_rows, bayesian_inverse
 from .bayes import _UNSCATHED_TOL, _check_tol, _on_boundary, _unscathed_residuals
-from .channels import _LAMBDA_OF_P, BlochState, PauliChannel, _readonly
+from .channels import BlochState, PauliChannel, _depolarizing_probs, _lambda_rows, _readonly
 from .errors import InternalCPViolationError, MonotonicityWarning
 
 __all__ = [
@@ -138,19 +139,26 @@ def depolarizing_lambda(p: float) -> float:
     return 1.0 - 4.0 * p / 3.0
 
 
+def _bb84_probs(p):
+    """Probabilities of the intercept-resend channel, a row per flip rate p."""
+    q = 1.0 - p
+    vec = np.stack([q * q, p * q, p * p, p * q], axis=-1)
+    return vec / vec.sum(axis=-1, keepdims=True)
+
+
 def bb84_channel(p: float) -> PauliChannel:
     """Pauli channel of an intercept-resend eavesdropping attack with flip rate p."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"flip rate must lie in [0, 1], got {p}")
-    q = 1.0 - p
-    vec = np.array([q * q, p * q, p * p, p * q])
-    return PauliChannel(vec / vec.sum())
+    return PauliChannel(_bb84_probs(p))
 
 
-# Each scan family: its channel at p, and the default direction of its priors.
+# Each scan family: the probability rows of its channels at an array of p in
+# [0, 1], and the default direction of its priors. Scans read lambda from the
+# rows (_lambda_rows) and build no channel.
 _FAMILIES = {
-    "depolarizing": (PauliChannel.depolarizing, _readonly(np.array([1.0, 0.0, 0.0]))),
-    "bb84": (bb84_channel, _readonly(np.ones(3) / np.sqrt(3.0))),
+    "depolarizing": (_depolarizing_probs, _readonly(np.array([1.0, 0.0, 0.0]))),
+    "bb84": (_bb84_probs, _readonly(np.ones(3) / np.sqrt(3.0))),
 }
 
 
@@ -158,8 +166,7 @@ _FAMILIES = {
 
 def _scan_family(grid: ScanGrid, family: str, tol: float) -> ScanResult:
     _check_tol(tol)
-    channel_of = _FAMILIES[family][0]
-    lam = np.array([channel_of(float(p)).lam for p in grid.p_axis])
+    lam = _lambda_rows(_FAMILIES[family][0](grid.p_axis))
     r = (grid.direction[:, None] * np.sqrt(grid.t_axis))[:, None]
     feasible, slack, witness = _verdict_rows(lam, r, tol)
     for col in (feasible, slack, witness):
@@ -205,17 +212,20 @@ def boundary_chi(
     entry the float that its p alone gives). tol is the verdict tolerance,
     as in a region scan; direction defaults to the family's prior direction.
 
-    :raises ValueError: unless 0 < tol < inf, or for an unknown family.
+    :raises ValueError: unless 0 < tol < inf, for an unknown family, or for
+        a p outside [0, 1].
     """
     _check_tol(tol)
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    channel_of, default = _FAMILIES[family]
+    probs_of, default = _FAMILIES[family]
     d = _unit(default if direction is None else direction)
     if np.ndim(p) > 1:
         raise ValueError(f"p must be one value or a 1-D sequence, got shape {np.shape(p)}")
     ps = [float(q) for q in np.atleast_1d(p)]
-    lam = np.array([channel_of(q).lam for q in ps]).reshape(len(ps), 3)
+    if not all(0.0 <= q <= 1.0 for q in ps):
+        raise ValueError(f"p must lie in [0, 1], got {p}")
+    lam = _lambda_rows(probs_of(np.array(ps)))
     boundary = _on_boundary(lam)
     chi = np.ones(len(ps))
     for i in np.flatnonzero(boundary):
@@ -285,18 +295,22 @@ def scan_three_entry(
     fails its certification (at a loose tol the slacks admit candidates
     whose Choi spectrum dips below -tol) counts as not confirmed.
 
-    :raises ValueError: if resolution < 3, or unless 0 < tol < inf.
+    :raises ValueError: if resolution < 3, samples < 0 or seed < 0, or
+        unless 0 < tol < inf.
     """
     _check_tol(tol)
     if resolution < 3:
         raise ValueError("resolution must be >= 3 to place three positive entries")
+    for name, value in (("samples", samples), ("seed", seed)):
+        if value < 0:
+            raise ValueError(f"{name} must be a non-negative integer, got {value}")
     rng = np.random.default_rng(seed)
     points = _ball_samples(rng, samples)
     parts = np.array([(i, j, resolution - i - j) for i in range(1, resolution - 1)
                       for j in range(1, resolution - i)]) / resolution
     # One probability row per channel: supports (0, 1, 2) to (1, 2, 3), each composition.
     probs = np.concatenate([np.insert(parts, zero, 0.0, axis=1) for zero in (3, 2, 1, 0)])
-    lam = np.array([_LAMBDA_OF_P @ p for p in probs])  # as PauliChannel.lam reads it
+    lam = _lambda_rows(probs)
 
     # Row 0 is the maximally mixed prior, tested in the same pass.
     priors = np.vstack([np.zeros((1, 3)), points])

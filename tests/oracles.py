@@ -36,7 +36,7 @@ from qubit_retro import (
 )
 from qubit_retro.bayes import _CHOI_ROW_SIGNS, _CONSTANTS, _LAM, _PRIOR, _SLACK, _WS_ROWS
 from qubit_retro.bayes import _candidate, _slacks, _verdict_rows
-from qubit_retro.channels import _readonly
+from qubit_retro.channels import _lambda_rows, _readonly
 from qubit_retro.errors import (
     MonotonicityWarning,
     NotHermitianError,
@@ -288,12 +288,14 @@ def bisection_chi(
         raise ValueError(f"bisection tolerance must be positive and finite, got {tol}")
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    channel_of, default = _FAMILIES[family]
+    probs_of, default = _FAMILIES[family]
     d = _unit(default if direction is None else direction)
     if np.ndim(p) > 1:
         raise ValueError(f"p must be one value or a 1-D sequence, got shape {np.shape(p)}")
     ps = [float(q) for q in np.atleast_1d(p)]
-    lam = np.array([channel_of(q).lam for q in ps]).reshape(len(ps), 3)
+    if not all(0.0 <= q <= 1.0 for q in ps):
+        raise ValueError(f"p must lie in [0, 1], got {p}")
+    lam = _lambda_rows(probs_of(np.array(ps)))
 
     def feasible(rows, t) -> np.ndarray:
         r = d[:, None, None] * np.sqrt(t)

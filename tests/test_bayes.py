@@ -488,10 +488,11 @@ def test_boundary_rows_read_from_lambda_take_the_channels_own_slacks():
     assert seen == {True, False}
 
 
-def test_kernel_slacks_equal_one_pair_calls():
-    # 1,001 priors a row put four rows in a block. The 13 rows hold three
-    # boundary rows, so the interior rows 1, 2, 4, 5 | 6, 7, 8, 9 | 11, 12
-    # make a first block across a boundary row and a short last block.
+def test_kernel_slacks_equal_one_pair_calls(monkeypatch):
+    # At 4,096 pairs a block, 1,001 priors a row put four rows in a block.
+    # The 13 rows hold three boundary rows, so the interior rows
+    # 1, 2, 4, 5 | 6, 7, 8, 9 | 11, 12 make a first block across a boundary
+    # row and a short last block.
     rng = np.random.default_rng(SEED + 13)
     priors = np.array([random_bloch(rng).r for _ in range(1001)])
     priors[:5] = [[0.0, 0.0, 0.0], [-0.0, -0.0, -0.0], [-0.0, 0.5, 0.0],
@@ -499,6 +500,7 @@ def test_kernel_slacks_equal_one_pair_calls():
     channels = [random_pauli(rng, 1e-3) for _ in range(13)]
     for i in (0, 3, 10):
         channels[i] = PauliChannel(np.array([0.25, 0.75, 0.0, 0.0]))
+    monkeypatch.setattr(bayes, "_PAIR_BLOCK", 4096)
     assert bayes._PAIR_BLOCK // len(priors) == 4
     lam = np.array([pc.lam for pc in channels])
     feasible, slack, _ = bayes._verdict_rows(lam, priors.T[:, None], 1e-9)
@@ -510,9 +512,11 @@ def test_kernel_slacks_equal_one_pair_calls():
             assert feasible[i, j] == (want >= -1e-9).all()
 
 
-def test_block_iterator_scores_every_row_in_one_workspace():
+def test_block_iterator_scores_every_row_in_one_workspace(monkeypatch):
     # Boundary rows 0, 3 and 6 come first, one to a block; the interior rows
-    # 1, 2, 4 | 5, 7, 8 | 9 follow at three rows of 1,200 priors a block.
+    # 1, 2, 4 | 5, 7, 8 | 9 follow at three rows of 1,200 priors a block of
+    # 4,096 pairs.
+    monkeypatch.setattr(bayes, "_PAIR_BLOCK", 4096)
     rng = np.random.default_rng(SEED + 15)
     priors = np.array([random_bloch(rng).r for _ in range(1200)])
     priors[:3] = [[0.0, 0.0, 0.0], [0.7, 0.0, 0.0], [0.0, 0.4, 0.3]]
@@ -538,13 +542,15 @@ def test_block_iterator_scores_every_row_in_one_workspace():
     assert blocks[-1][1].transpose(1, 2, 0).tobytes() == slack[[9]].tobytes()
 
 
-def test_kernel_rejects_a_non_finite_slack():
+def test_kernel_rejects_a_non_finite_slack(monkeypatch):
     # slack < -tol is False for NaN, so a NaN prior was once feasible with NaN
     # slacks. Every block's slacks are checked before its verdicts are read.
     depolarizing = PauliChannel.depolarizing(0.3).lam[None]
     with pytest.raises(ValueError, match="non-finite slack"):
         bayes._verdict_rows(depolarizing, np.full((3, 1, 2), np.nan), 1e-9)
-    # 2,000 priors a row put two rows in a block: the NaN is in the second block.
+    # 2,000 priors a row put two rows in a block of 4,096 pairs: the NaN is
+    # in the second block.
+    monkeypatch.setattr(bayes, "_PAIR_BLOCK", 4096)
     priors = np.zeros((3, 3, 2000))
     priors[1, 2, 1999] = np.nan
     blocks = bayes._verdict_blocks(depolarizing.repeat(3, axis=0), priors, 1e-9)
@@ -566,8 +572,9 @@ def test_kernel_rejects_a_non_finite_prior_on_a_boundary_row():
 
 def test_verdict_workspace_starts_on_a_64_byte_boundary():
     # Its register rows then suit 32-byte vector loads wherever the heap
-    # placed the buffer; the blocks of these scans are (4, 1001) and (20, 201).
-    for shape in ((bayes._WS_ROWS, 4, 1001), (bayes._WS_ROWS, 20, 201), (bayes._WS_ROWS, 1, 1)):
+    # placed the buffer; the blocks of scan_three_entry(8, 1000) and of the
+    # 201 x 201 scans are (8, 1001) and (40, 201).
+    for shape in ((bayes._WS_ROWS, 8, 1001), (bayes._WS_ROWS, 40, 201), (bayes._WS_ROWS, 1, 1)):
         for _ in range(8):
             ws = bayes._aligned_empty(shape)
             assert ws.shape == shape and ws.dtype == np.float64

@@ -80,6 +80,14 @@ def test_usage_errors_exit_1_never_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_three_entry_names_a_negative_seed(tmp_path, capsys):
+    # NumPy's own error for it, "expected non-negative integer", names no option.
+    out = tmp_path / "out"
+    assert main(["three-entry", "--resolution", "4", "--seed", "-1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
+    assert not out.exists()
+
+
 def test_non_finite_tol_is_rejected(tmp_path, capsys):
     # At the default tol this prior has no inverse (slack3 < 0); an infinite
     # tol would accept the candidate and call any inverse symmetric.

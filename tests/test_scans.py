@@ -27,6 +27,7 @@ from qubit_retro import (
     scan_three_entry,
 )
 from qubit_retro import bayes, scans
+from qubit_retro.channels import _lambda_rows
 
 SEED = 20260825
 
@@ -156,13 +157,14 @@ def _row_by_row(grid, channel_of, tol=1e-9):
     [
         (scan_depolarizing, PauliChannel.depolarizing, ScanGrid.uniform(201)),
         (scan_bb84, bb84_channel, ScanGrid.uniform(201, direction=np.ones(3) / np.sqrt(3.0))),
-        # 300 priors per row: 5 rows per block, and 49 interior rows leave a short last block.
+        # 300 priors per row: 27 rows per block, and 48 interior rows leave a short last block.
         (
             scan_bb84,
             bb84_channel,
             ScanGrid(np.linspace(0.0, 1.0, 50), np.linspace(0.0, 1.0, 300), (0.0, 0.6, 0.8)),
         ),
-        # Rows longer than a block: one row per block.
+        # 2,001 priors per row, four rows to a block. A row longer than a
+        # block is checked at width 1 by test_verdicts_do_not_depend_on_the_block_width.
         (
             scan_depolarizing,
             PauliChannel.depolarizing,
@@ -195,13 +197,52 @@ def test_scan_scores_interior_rows_in_blocks(monkeypatch):
     monkeypatch.setattr(bayes, "_slacks", _counting(slacks, bayes._slacks))
     monkeypatch.setattr(bayes, "gamel_report", _counting(boundary_rows, bayes.gamel_report))
     scan_depolarizing(ScanGrid.uniform(201))
-    # 200 interior rows at 20 rows per block; the identity row p = 0 on its own.
-    assert (len(candidates), len(slacks), len(boundary_rows)) == (10, 11, 1)
+    # 200 interior rows at 40 rows per block; the identity row p = 0 on its own.
+    assert (len(candidates), len(slacks), len(boundary_rows)) == (5, 6, 1)
     for calls in (candidates, slacks, boundary_rows):
         calls.clear()
     scan_bb84(ScanGrid.uniform(201, direction=np.ones(3) / np.sqrt(3.0)))
     # 199 interior rows, the last block short; p = 0 and p = 1 are boundary channels.
-    assert (len(candidates), len(slacks), len(boundary_rows)) == (10, 12, 2)
+    assert (len(candidates), len(slacks), len(boundary_rows)) == (5, 7, 2)
+
+
+def test_verdicts_do_not_depend_on_the_block_width(monkeypatch):
+    # Every register operation is elementwise per pair, so no verdict byte
+    # moves with the width: a row per block (1), several rows (1001 to 8192)
+    # or every row in one block (1 << 20).
+    grids = {
+        scan_depolarizing: ScanGrid.uniform(201),
+        scan_bb84: ScanGrid.uniform(201, direction=np.ones(3) / np.sqrt(3.0)),
+    }
+    runs = {}
+    for width in (1, 1001, 4096, 8192, 1 << 20):
+        monkeypatch.setattr(bayes, "_PAIR_BLOCK", width)
+        columns = [
+            getattr(result, name).tobytes()
+            for result in (scan(grid) for scan, grid in grids.items())
+            for name in ("feasible", "slack", "witness")
+        ]
+        runs[width] = (columns, scan_three_entry(8, 1000))
+    assert all(run == runs[8192] for run in runs.values())
+
+
+def test_region_scans_read_lambda_without_channel_objects(monkeypatch):
+    # Each family's probability rows give the lambda of its channel bit for
+    # bit, on the scan axes and on random p.
+    p = np.concatenate([np.linspace(0.0, 1.0, n) for n in (201, 21, 11)]
+                       + [np.random.default_rng(SEED).uniform(size=20000)])
+    for family, channel_of in (("depolarizing", PauliChannel.depolarizing),
+                               ("bb84", bb84_channel)):
+        want = np.array([channel_of(q).lam for q in p.tolist()])
+        got = _lambda_rows(scans._FAMILIES[family][0](p))
+        assert got.tobytes() == want.tobytes(), family
+    built = []
+    monkeypatch.setattr(PauliChannel, "__post_init__", _counting(built, PauliChannel.__post_init__))
+    scan_depolarizing(ScanGrid.uniform(201))
+    scan_bb84(ScanGrid.uniform(201, direction=np.ones(3) / np.sqrt(3.0)))
+    for family in ("depolarizing", "bb84"):
+        boundary_chi(np.linspace(0.0, 1.0, 11), family=family)
+    assert built == []
 
 
 def test_scan_result_rejects_non_finite_slack_and_bad_shapes():
@@ -265,6 +306,10 @@ def test_boundary_chi_empty_and_bad_sequences(monkeypatch):
     assert boundary_chi([]) == []
     with pytest.raises(ValueError):
         boundary_chi([[0.1, 0.2]])
+    for family in ("depolarizing", "bb84"):
+        for p in (-0.1, 1.1, np.nan, [0.5, 1.5]):
+            with pytest.raises(ValueError, match=r"p must lie in \[0, 1\]"):
+                boundary_chi(p, family=family)
 
     def no_verdicts(*args, **kwargs):
         raise AssertionError("a verdict was made before tol was checked")
@@ -365,14 +410,15 @@ def test_boundary_chi_on_a_boundary_channel(monkeypatch):
     # A bit flip keeps lambda_1 = 1: a prior off the x axis is feasible only
     # while sqrt(t) times its least unscathed residual is at most 1e-10.
     def flip(p):
-        return PauliChannel([1.0 - p, p, 0.0, 0.0])
+        return np.stack([1.0 - p, p, 0.0 * p, 0.0 * p], axis=-1)
 
     monkeypatch.setitem(scans._FAMILIES, "flip", (flip, None))
     d = np.array([0.0, 0.6, 0.8])
     chi = boundary_chi([0.0, 0.3], family="flip", direction=d)
     assert chi[0] == 1.0 and 0.0 < chi[1] < 1e-18
     r = d[:, None, None] * np.sqrt([chi[1] * (1.0 - 1e-9), chi[1] * (1.0 + 1e-6)])
-    assert bayes._verdict_rows(flip(0.3).lam[None], r, 1e-9)[0].tolist() == [[True, False]]
+    lam = PauliChannel(flip(0.3)).lam[None]
+    assert bayes._verdict_rows(lam, r, 1e-9)[0].tolist() == [[True, False]]
 
 
 def test_boundary_chi_rejects_unknown_family():
@@ -413,12 +459,13 @@ def test_three_entry_scores_each_channel_in_one_kernel_call(monkeypatch):
     for module in (bayes, scans):
         monkeypatch.setattr(module, "pauli_frame_verdicts", per_channel, raising=False)
     summary = scan_three_entry(resolution=8, samples=1000)
-    # One pass over the 84 channels against the same 1,001 priors: 21 blocks
-    # of four channels, one _candidate call each; no hit is re-checked.
+    # One pass over the 84 channels against the same 1,001 priors: ten blocks
+    # of eight channels and a short last block of four, one _candidate call
+    # each; no hit is re-checked.
     assert (summary.channels, summary.hits) == (84, 0)
     assert passes == [((84, 3), (3, 1, 1001))]
-    assert blocks == [4] * 21
-    assert (len(candidates), len(frame_verdicts)) == (21, 0)
+    assert blocks == [8] * 10 + [4]
+    assert (len(candidates), len(frame_verdicts)) == (11, 0)
 
 
 def test_three_entry_builds_a_channel_only_for_a_hit_it_reverifies(monkeypatch):
@@ -468,6 +515,15 @@ def test_three_entry_counts_an_uncertified_hit_as_not_confirmed():
 def test_three_entry_resolution_validation():
     with pytest.raises(ValueError):
         scan_three_entry(resolution=2)
+
+
+def test_three_entry_rejects_a_negative_seed_or_sample_count_by_name():
+    # NumPy's own errors ("expected non-negative integer", "negative
+    # dimensions are not allowed") name neither parameter.
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+        scan_three_entry(4, seed=-1)
+    with pytest.raises(ValueError, match="samples must be a non-negative integer, got -1"):
+        scan_three_entry(4, samples=-1)
 
 
 @pytest.mark.parametrize(
