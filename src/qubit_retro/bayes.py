@@ -532,13 +532,14 @@ def pauli_frame_decision(p: PauliChannel, s: BlochState, tol: float = 1e-9):
 #
 # The times follow where each register row starts more than the number of
 # blocks. A row of a block of k rows of n priors holds k n doubles: at
-# 8,192 (8 x 1,001 and 40 x 201) every row starts on a 64-byte boundary,
-# while at 4,096, 6,144 and 12,288 some rows start 16, 32 or 48 bytes past
-# one. A trial kernel that padded each row to a multiple of 8 doubles took
-# 8.5 and 10.7 ms at 4,096 and 8.3 and 10.7 ms at 8,192, against 11.8 and
-# 13.9 ms and 8.2 and 10.9 ms for this one, in the same process. 8,192 is
-# fastest on the scans and within 0.6 ms of the fastest search at 1.7 MB
-# less peak (2-CPU VM, Python 3.11.7, NumPy 2.4.6).
+# 8,192 (8 x 1,001 and 40 x 201) every row started on a 64-byte boundary,
+# while at 4,096, 6,144 and 12,288 some rows started 16, 32 or 48 bytes
+# past one. A trial kernel that padded each row to a multiple of 8 doubles
+# took 8.5 and 10.7 ms at 4,096 and 8.3 and 10.7 ms at 8,192, against 11.8
+# and 13.9 ms and 8.2 and 10.9 ms unpadded, in the same process, so
+# _verdict_blocks now pads its rows. 8,192 is fastest on the scans and
+# within 0.6 ms of the fastest search at 1.7 MB less peak (2-CPU VM,
+# Python 3.11.7, NumPy 2.4.6).
 _PAIR_BLOCK = 8192
 
 
@@ -581,7 +582,11 @@ def _verdict_blocks(lam: np.ndarray, r: np.ndarray, tol: float):
     boundary = _on_boundary(lam)
     interior = np.flatnonzero(~boundary)
     step = max(1, _PAIR_BLOCK // max(n, 1))
-    ws = _aligned_empty((_WS_ROWS, max(1, min(step, len(interior))), n))
+    k_max = max(1, min(step, len(interior)))
+    # Each register row is padded to a multiple of 8 doubles, so that every
+    # row of every block starts on a 64-byte boundary.
+    flat = _aligned_empty((_WS_ROWS, -(-k_max * n // 8) * 8))
+    ws = flat[:, : k_max * n].reshape(_WS_ROWS, k_max, n)
     shared = r.shape[1] == 1
     if shared:  # _candidate and _slacks never write a prior register
         np.copyto(ws[_PRIOR : _PRIOR + 3], r)
@@ -606,7 +611,7 @@ def _verdict_blocks(lam: np.ndarray, r: np.ndarray, tol: float):
         np.copyto(ws[_LAM : _LAM + 3, :k], lam_signed[rows].T[:, :, None])
         if not shared:
             np.copyto(ws[_PRIOR : _PRIOR + 3, :k], r[:, rows])
-        w = [*ws[:, :k].reshape(_WS_ROWS, k * n), *_CONSTANTS]
+        w = [*flat[:, : k * n], *_CONSTANTS]
         _candidate(w)
         _slacks(w)
         yield checked(rows, k)

@@ -20,12 +20,15 @@ a PauliChannel only for a hit that it re-verifies. A scan
 returns a :class:`ScanResult` of columns, one entry per cell, row-major
 (p outer, t inner), so repeated runs produce byte-identical CSV output.
 
-:func:`emit_csv` renders a scan as byte matrices, one CSV row per matrix
-row, in blocks of cells, and drops the NUL padding in one pass. The CSV
-floats are the exact bytes of ``'%.17g' % x``, computed a column at a
-time; the few values the vectorized route cannot decide are formatted by
-``'%.17g'`` itself. :func:`emit_svg` joins each p column's ``<rect>``
-lines from its x key and one of two precomputed tails per t.
+:func:`emit_csv` renders a scan a block of cells at a time as fixed-width
+records, one per CSV row, whose bytes are the row's text with runs of NUL
+between its fields; each block's NULs are dropped straight into one output
+buffer. A slack's field holds the bytes of ``'%.17g' % x`` in fixed
+places (head, digits, exponent), each written from a lookup table a column
+at a time, so that no byte is moved; the few values the vectorized route
+cannot decide are formatted by ``'%.17g'`` itself. :func:`emit_svg` joins
+each p column's ``<rect>`` lines from its x key and one of two byte tails
+per t, precomputed.
 """
 
 from __future__ import annotations
@@ -350,49 +353,34 @@ def _g17(x: float) -> str:
     return format(float(x), ".17g")
 
 
-# _g17_rows writes '%.17g' % v for a column of floats as a byte matrix. A
+# _g17_fields writes '%.17g' % v for a column of floats as a byte matrix. A
 # value with 1e-270 <= |v| < 1e270 is scaled by a double-double power of ten
 # to y = |v| 10^(16 - X), X its decimal exponent, and y = p + r with p an
 # integer double and |r| < 20 (Dekker's exact product, error < 1e-14). Its
-# 17 digits are p + round(r) unless r lies within 2^-24 of a half-integer or
-# the digits fall outside (10^16, 10^17); such values, and zeros,
-# subnormals, non-finite and out-of-range values, are formatted by '%.17g'
-# itself.
+# 17 digits d0..d16 are p + round(r) unless r lies within 2^-24 of a
+# half-integer or the digits fall outside (10^16, 10^17). The value's row
+# is three fixed fields of 8, 16 and 8 bytes, each written from a table:
+#   - the head, right-aligned: a lead byte, the sign, "0." and -X - 1 zeros
+#     for -4 <= X < 0, d0, and "." for X = 0 and the exponent form;
+#   - d1..d16 as four "dddd" groups, the trailing zeros written as NUL;
+#   - "e±XX" for the exponent form, X < -4 or X > 16.
+# So the row's bytes, NULs dropped, are the value's text, and no byte is
+# moved. A zero takes the head "0." or "-0." and no digits, and d0 alone
+# drops its ".". Values with 1 <= X <= 16 (10 <= |v| < 1e17: a "." among
+# the digits), ties, subnormals, non-finite and out-of-range values are
+# formatted by '%.17g' itself.
 _G17_WIDTH = 24  # len("-1.2345678901234567e-100")
+_G17_FIELD = 32  # bytes of a _g17_fields row
 _G17_RANGE = (1e-270, 1e270)
+_X_MIN = -270  # least decimal exponent X over the fast range
 _POW10_MIN, _POW10_MAX = -260, 290  # covers 16 - X over the fast range
 _SPLIT = 134217729.0  # 2^27 + 1, Dekker's splitter for 53-bit doubles
-# Each value's source row is eight 4-byte words: its six digit groups, each
-# "ddd." from the three-digit table, the exponent's "ddd" and sign, and the
-# constant bytes. A layout lists the source bytes of each output byte.
-_DIGIT = [1, 2, *(4 + 4 * (i // 3) + i % 3 for i in range(15))]
-_DOT, _EXP_DIGITS, _EXP_SIGN = 3, (24, 25, 26), 27
-_CONSTANTS = b"\0e-0"
-_NUL, _E, _MINUS, _ZERO = range(28, 32)
-# Layout classes: X + 4 for the fixed form, -4 <= X < 17, then the
-# exponent form with two and with three exponent digits.
-_EXP2, _EXP3 = 21, 22
-
-
-def _g17_layout(neg: int, cls: int, s: int) -> list:
-    """Source bytes of the '%.17g' bytes of a value with s significant digits."""
-    d = _DIGIT
-    out = [_MINUS] * neg
-    x = cls - 4
-    if cls >= _EXP2:
-        out += [d[0], _DOT, *d[1:s]] if s > 1 else [d[0]]
-        out += [_E, _EXP_SIGN, *_EXP_DIGITS[cls == _EXP2 :]]
-    elif x < 0:
-        out += [_ZERO, _DOT, *[_ZERO] * (-x - 1), *d[:s]]
-    else:
-        # Digits past the s-th are zeros, so the integer part reads them as such.
-        out += [*d[: x + 1], _DOT, *d[x + 1 : s]] if s > x + 1 else d[: x + 1]
-    return out + [_NUL] * (_G17_WIDTH - len(out))
+_LEADS = (b"", b",")  # the lead bytes a head can carry
 
 
 @functools.cache
 def _g17_tables():
-    """Scale, digit and layout tables of :func:`_g17_rows`, built on first use."""
+    """Scale, digit, head and exponent tables of :func:`_g17_fields`, built on first use."""
     hi, lo = [], []
     for k in range(_POW10_MIN, _POW10_MAX + 1):
         num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
@@ -403,30 +391,90 @@ def _g17_tables():
     hi = np.array(hi)
     c = hi * _SPLIT
     hi_hi = c - (c - hi)
-    scale = np.stack([hi, hi_hi, hi - hi_hi, lo], axis=1)
-    three_digits = np.frombuffer(b"".join(b"%03d." % i for i in range(1000)), dtype=np.uint32)
-    i = np.arange(1000)
-    trailing_zeros = sum((i % 10**j == 0).astype(np.intp) for j in (1, 2, 3))
-    layouts = np.array(
-        [_g17_layout(neg, cls, s) for neg in (0, 1) for cls in range(23) for s in range(1, 18)],
-        dtype=np.intp,
+    groups = [b"%04d" % i for i in range(10**4)]
+    stripped = [g.rstrip(b"0").ljust(4, b"\0") for g in groups]
+    # Heads at 100 lead + 20 z + 2 d0 + sign, z = -X for -4 <= X < 0 and 0 otherwise.
+    heads = [
+        (lead + b"-" * neg + (b"0." + b"0" * (z - 1) + b"%d" % d if z else b"%d." % d)).rjust(8, b"\0")
+        for lead in _LEADS for z in range(5) for d in range(10) for neg in (0, 1)
+    ]
+    # By X - _X_MIN: the head key 20 z, and the exponent field.
+    x = np.arange(_X_MIN, -_X_MIN)
+    z = np.where((x >= -4) & (x < 0), -x, 0)
+    exponents = [(b"e%+03d" % e if e < -4 or e > 16 else b"").ljust(8, b"\0") for e in x.tolist()]
+    tables = (
+        hi, hi_hi, hi - hi_hi, np.array(lo),
+        *(np.frombuffer(b"".join(t), dtype=np.uint32) for t in (groups, stripped)),
+        *(np.frombuffer(b"".join(t), dtype=np.uint64) for t in (heads, exponents)),
+        20 * z,
     )
     # Read-only: every caller shares the cached tables.
-    return tuple(map(_readonly, (scale, three_digits, trailing_zeros, layouts)))
+    return tuple(map(_readonly, tables))
 
 
-def _g17_digits(v: np.ndarray, x: np.ndarray, scale) -> tuple:
-    """round(v 10^(16 - x)) as int64, and whether it lies within 2^-24 of a tie."""
-    hi, hi_hi, hi_lo, lo = np.take(scale, 16 - x - _POW10_MIN, axis=0).T
-    p = v * hi
+def _g17_fields(values, lead: bytes = b"") -> np.ndarray:
+    """lead + '%.17g' % v for each v of a column, as an (n, 32) uint8 matrix.
+
+    Row k holds the bytes of value k in order, with NULs before, among and
+    after them (see the comment above); lead is one of _LEADS.
+    """
+    hi, hi_hi, hi_lo, lo, four, four_stripped, heads, exponents, z_key = _g17_tables()
+    values = np.asarray(values, dtype=np.float64).reshape(-1)
+    n = len(values)
+    v = np.abs(values)
+    fast = (v >= _G17_RANGE[0]) & (v < _G17_RANGE[1])
+    zero = v == 0.0
+    v[~fast] = 1.0
+    # Near a power of ten log10 may put X one off, or the digits may round
+    # to the next power; either way they leave (10^16, 10^17) and fall back.
+    x = np.floor(np.log10(v)).astype(np.int64)
+    k = 16 - _POW10_MIN - x
+    h, hh = hi[k], hi_hi[k]
+    p = v * h
     c = v * _SPLIT
     v_hi = c - (c - v)
     v_lo = v - v_hi
-    r = (((v_hi * hi_hi - p) + v_hi * hi_lo + v_lo * hi_hi) + v_lo * hi_lo) + v * lo
+    r = (((v_hi * hh - p) + v_hi * hi_lo[k] + v_lo * hh) + v_lo * hi_lo[k]) + v * lo[k]
     whole = np.floor(r)
     frac = r - whole
     digits = p.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
-    return digits, np.abs(frac - 0.5) < 2.0**-24
+    fast &= (np.abs(frac - 0.5) >= 2.0**-24) & (digits > 10**16) & (digits < 10**17)
+    fast &= (x <= 0) | (x > 16)
+    fast |= zero
+    # Rows that fall back get the bytes of a zero; they are replaced at the end.
+    x[~fast] = 0
+    digits[~fast | zero] = 0
+
+    # Floor division and a product: np.divmod on integers is twice as slow.
+    top = digits // 10**8
+    d0 = top // 10**8
+    groups = []  # d1..d4, d5..d8, d9..d12, d13..d16
+    for part in (top - d0 * 10**8, digits - top * 10**8):
+        high = part // 10**4
+        groups += [high, part - high * 10**4]
+    x -= _X_MIN
+    z20 = z_key[x]
+    out = np.empty((n, _G17_FIELD), dtype=np.uint8)
+    out.view(np.uint64)[:, 0] = heads[100 * _LEADS.index(lead) + z20 + 2 * d0 + np.signbit(values)]
+    out.view(np.uint64)[:, 3] = exponents[x]
+    words = out.view(np.uint32)
+    for j in range(3):
+        words[:, 2 + j] = four[groups[j]]
+    # The trailing zeros: the last group is always stripped, and an earlier
+    # one is where every group after it is zero.
+    words[:, 5] = four_stripped[groups[3]]
+    rows = np.flatnonzero(groups[3] == 0)
+    for j in (2, 1, 0):
+        g = groups[j][rows]
+        words[rows, 2 + j] = four_stripped[g]
+        rows = rows[g == 0]
+    out[rows[z20[rows] == 0], 7] = 0  # d0 alone: drop the "."
+
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = b"".join((lead + b"%.17g" % f).rjust(_G17_FIELD, b"\0") for f in values[slow].tolist())
+        out[slow] = np.frombuffer(text, dtype=np.uint8).reshape(-1, _G17_FIELD)
+    return out
 
 
 def _g17_rows(values) -> np.ndarray:
@@ -434,66 +482,14 @@ def _g17_rows(values) -> np.ndarray:
 
     Row k holds the ASCII bytes of value k, left-aligned and padded with NUL.
     """
-    scale, three_digits, trailing_zeros, layouts = _g17_tables()
-    values = np.asarray(values, dtype=np.float64).reshape(-1)
-    n = len(values)
-    v = np.abs(values)
-    fast = (v >= _G17_RANGE[0]) & (v < _G17_RANGE[1])
-    v[~fast] = 1.0
-    # Near a power of ten log10 may put X one off, or the digits may round
-    # to the next power; either way they leave (10^16, 10^17) and fall back.
-    x = np.floor(np.log10(v)).astype(np.int64)
-    digits, tie = _g17_digits(v, x, scale)
-    fast &= ~tie & (digits > 10**16) & (digits < 10**17)
-    # Rows that fall back are given the digits of 1, so that every row meets
-    # the layout's assumptions below; their bytes are replaced at the end.
-    digits[~fast], x[~fast] = 10**16, 0
-
-    groups = np.empty((n, 6), dtype=np.int32)  # "0dd" and five "ddd"
-    for at, part in zip((0, 3), np.divmod(digits, 10**9)):
-        part = part.astype(np.int32)
-        for j in (2, 1):
-            part, groups[:, at + j] = np.divmod(part, 1000)
-        groups[:, at] = part
-    words = np.empty((n, 8), dtype=np.uint32)
-    words[:, :6] = np.take(three_digits, groups)
-    words[:, 6] = np.take(three_digits, np.abs(x))
-    words[:, 7] = np.frombuffer(_CONSTANTS, dtype=np.uint32)
-    src = words.view(np.uint8)
-    src[:, _EXP_SIGN] = np.where(x < 0, ord("-"), ord("+"))
-    # s significant digits: 17 less the trailing zeros, counted group by group
-    # from the last one; few values end in a 000 group, and group 0 is >= 10.
-    s = 17 - np.take(trailing_zeros, groups[:, 5])
-    rows = np.flatnonzero(groups[:, 5] == 0)
-    for j in range(4, -1, -1):
-        g = groups[rows, j]
-        s[rows] -= np.take(trailing_zeros, g)
-        rows = rows[g == 0]
-    cls = np.where((x >= -4) & (x < 17), x + 4, np.where(np.abs(x) < 100, _EXP2, _EXP3))
-    index = np.take(layouts, ((values < 0) * 23 + cls) * 17 + s - 1, axis=0)
-    index += np.arange(0, 32 * n, 32)[:, None]
-    out = np.take(src.reshape(-1), index)
-
-    slow = np.flatnonzero(~fast)
-    if slow.size:
-        text = "".join(("%.17g" % f).ljust(_G17_WIDTH, "\0") for f in values[slow].tolist())
-        out[slow] = np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(-1, _G17_WIDTH)
-    return out
+    fields = _g17_fields(values)
+    order = np.argsort(fields == 0, axis=1, kind="stable")[:, :_G17_WIDTH]
+    return np.take_along_axis(fields, order, axis=1)
 
 
-def _rows_bytes(*columns) -> bytes:
-    """Byte matrices side by side, read row by row without their NUL padding.
-
-    A bytes constant stands for the same bytes in every row.
-    """
-    m = next(len(c) for c in columns if not isinstance(c, bytes))
-    widths = [len(c) if isinstance(c, bytes) else c.shape[1] for c in columns]
-    rows = np.empty((m, sum(widths)), dtype=np.uint8)
-    at = 0
-    for c, w in zip(columns, widths):
-        rows[:, at : at + w] = np.frombuffer(c, dtype=np.uint8) if isinstance(c, bytes) else c
-        at += w
-    return rows[rows != 0].tobytes()
+def _items(rows: np.ndarray) -> np.ndarray:
+    """A C-contiguous (n, w) uint8 matrix as n items of w bytes."""
+    return rows.view(f"V{rows.shape[1]}").reshape(-1)
 
 
 # Cells rendered per block; bounds the scratch memory of emit_csv.
@@ -510,16 +506,36 @@ def _blocks(scan: ScanResult):
 
 def emit_csv(scan: ScanResult) -> bytes:
     """Render a scan as CSV with 17-significant-digit floats (byte stable)."""
-    p_rows, t_rows = _g17_rows(scan.grid.p_axis), _g17_rows(scan.grid.t_axis)
-    parts = [b"p,t,feasible,slack1,slack2,slack3\n"]
+    # A CSV row is one record: p, then ",t,flag" right-aligned, then the
+    # slacks' fields, each led by ",", then "\n". Between the texts sit runs
+    # of NUL, dropped a block at a time into one buffer.
+    p_items = _items(_g17_rows(scan.grid.p_axis))
+    t_texts = [row.tobytes().rstrip(b"\0") for row in _g17_rows(scan.grid.t_axis)]
+    tf_width = _G17_WIDTH + 3
+    tf_items = np.frombuffer(
+        b"".join((b",%s,%d" % (t, f)).rjust(tf_width, b"\0") for t in t_texts for f in (0, 1)),
+        dtype=f"V{tf_width}",
+    )
+    record = np.dtype([
+        ("p", f"V{_G17_WIDTH}"), ("tf", f"V{tf_width}"), ("slack", f"V{3 * _G17_FIELD}"),
+        ("end", "u1"),
+    ])
+    lines = np.empty(min(_BLOCK, len(scan)), dtype=record)
+    lines["end"] = ord("\n")
+    header = b"p,t,feasible,slack1,slack2,slack3\n"
+    out = np.empty(len(header) + len(scan) * record.itemsize, dtype=np.uint8)
+    out[: len(header)] = np.frombuffer(header, dtype=np.uint8)
+    end = len(header)
     for cells, i, j in _blocks(scan):
-        flags = scan.feasible[cells, None].view(np.uint8) + np.uint8(ord("0"))
-        slack = _g17_rows(scan.slack[cells]).reshape(len(i), 3, _G17_WIDTH)
-        parts.append(_rows_bytes(
-            p_rows[i], b",", t_rows[j], b",", flags, b",",
-            slack[:, 0], b",", slack[:, 1], b",", slack[:, 2], b"\n",
-        ))
-    return b"".join(parts)
+        block = lines[: len(i)]
+        block["p"] = p_items[i]
+        block["tf"] = tf_items[2 * j + scan.feasible[cells]]
+        block["slack"] = _items(_g17_fields(scan.slack[cells], b",").reshape(len(i), -1))
+        text = block.view(np.uint8)
+        text = text[text != 0]
+        out[end : end + len(text)] = text
+        end += len(text)
+    return out[:end].tobytes()
 
 
 def emit_svg(scan: ScanResult, title: str = "") -> bytes:
@@ -545,17 +561,18 @@ def emit_svg(scan: ScanResult, title: str = "") -> bytes:
             f'text-anchor="middle">{title}</text>'
         )
     # Each <rect> line is its p column's x key and a tail, one of two per t
-    # row: a p column is x_key + x_key.join(its tails).
+    # row, at 2 t + flag in one flat list: a p column is x_key + x_key.join(its
+    # tails).
     size = f'width="{cw:.2f}" height="{ch:.2f}"'
     tails = [
-        tuple(f'y="{mt + plot_h - (j + 1) * ch:.2f}" {size} fill="{fill}"/>\n'
-              for fill in ("#efecf4", "#7b52a8"))
-        for j in range(n_t)
+        f'y="{mt + plot_h - (j + 1) * ch:.2f}" {size} fill="{fill}"/>\n'.encode("ascii")
+        for j in range(n_t) for fill in ("#efecf4", "#7b52a8")
     ]
+    picks = scan.feasible.reshape(n_p, n_t) + np.arange(0, 2 * n_t, 2)
     rects = []
-    for i, flags in enumerate(scan.feasible.reshape(n_p, n_t).tolist()):
-        x_key = f'<rect x="{ml + i * cw:.2f}" '
-        rects.append((x_key + x_key.join(map(tuple.__getitem__, tails, flags))).encode("ascii"))
+    for i, row in enumerate(picks.tolist()):
+        x_key = b'<rect x="%.2f" ' % (ml + i * cw)
+        rects.append(x_key + x_key.join([tails[k] for k in row]))
     ax = (
         f'<path d="M {ml:.1f} {mt:.1f} L {ml:.1f} {mt + plot_h:.1f} '
         f'L {ml + plot_w:.1f} {mt + plot_h:.1f}" fill="none" stroke="black" stroke-width="1.5"/>'

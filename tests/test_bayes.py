@@ -581,6 +581,21 @@ def test_verdict_workspace_starts_on_a_64_byte_boundary():
             assert ws.ctypes.data % 64 == 0 and ws.flags.c_contiguous
 
 
+def test_every_register_row_starts_on_a_64_byte_boundary(monkeypatch):
+    # 1,001 priors at 4,096 pairs a block are blocks of 4 x 1,001 doubles,
+    # not a multiple of 8, so each register row is padded; the short last
+    # block keeps the padded rows.
+    monkeypatch.setattr(bayes, "_PAIR_BLOCK", 4096)
+    rng = np.random.default_rng(SEED + 17)
+    priors = np.array([random_bloch(rng).r for _ in range(1001)]).T[:, None]
+    lam = np.array([random_pauli(rng, 1e-3).lam for _ in range(6)])
+    shapes = []
+    for _, block_slack, _ in bayes._verdict_blocks(lam, priors, 1e-9):
+        shapes.append(block_slack.shape)
+        assert all(row.ctypes.data % 64 == 0 for row in block_slack)
+    assert shapes == [(3, 4, 1001), (3, 2, 1001)]
+
+
 def test_kernel_slack_signs_match_exact_rational_slacks():
     # The kernel's own arithmetic on Fraction registers gives the exact
     # slacks of the given floats; away from 0 every float slack has its sign.

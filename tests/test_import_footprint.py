@@ -25,3 +25,19 @@ def test_import_loads_no_heavy_module():
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.split() == []
+
+
+def test_import_builds_no_export_table():
+    # The '%.17g' tables of the CSV export are built on first use: importing
+    # the package and its CLI leaves their cache empty.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    code = (
+        "import qubit_retro, qubit_retro.cli\n"
+        "print(qubit_retro.scans._g17_tables.cache_info().currsize)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == ["0"]

@@ -4,6 +4,7 @@ import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
+import oracles
 import pytest
 from conftest import scalar_verdict
 from oracles import bisection_chi, depolarizing_quantities
@@ -209,13 +210,17 @@ def test_scan_scores_interior_rows_in_blocks(monkeypatch):
 def test_verdicts_do_not_depend_on_the_block_width(monkeypatch):
     # Every register operation is elementwise per pair, so no verdict byte
     # moves with the width: a row per block (1), several rows (1001 to 8192)
-    # or every row in one block (1 << 20).
+    # or every row in one block (1 << 20). At 3000 and 4096 a full block of
+    # 201 or 1,001 priors is k n doubles with k n not a multiple of 8, so
+    # its register rows are padded.
+    for width, n in ((3000, 201), (3000, 1001), (4096, 201), (4096, 1001)):
+        assert (width // n) * n % 8 != 0
     grids = {
         scan_depolarizing: ScanGrid.uniform(201),
         scan_bb84: ScanGrid.uniform(201, direction=np.ones(3) / np.sqrt(3.0)),
     }
     runs = {}
-    for width in (1, 1001, 4096, 8192, 1 << 20):
+    for width in (1, 1001, 3000, 4096, 8192, 1 << 20):
         monkeypatch.setattr(bayes, "_PAIR_BLOCK", width)
         columns = [
             getattr(result, name).tobytes()
@@ -556,6 +561,26 @@ def test_emit_csv_layout_and_determinism():
     first = lines[1].split(",")
     assert first[0] == "0" and first[1] == "0" and first[2] == "1"
     assert data.endswith(b"\n")
+
+
+def test_emit_csv_does_not_depend_on_the_block_width(monkeypatch):
+    # 13 x 11 = 143 cells on a non-uniform grid: a cell per block, blocks of
+    # 7 with a last block of 3, and one block wider than the grid. A block
+    # boundary falls inside a p row, and the slacks hold zeros, -1, values
+    # of every decimal form and ones the '%.17g' fallback writes.
+    rng = np.random.default_rng(SEED + 7)
+    p_axis = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, 11)), [1.0]])
+    t_axis = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, 9)) ** 4, [1.0]])
+    grid = ScanGrid(p_axis=p_axis, t_axis=t_axis, direction=(0.0, 0.6, 0.8))
+    cells = scan_bb84(grid)
+    slack = cells.slack.copy()
+    slack[:4] = [[0.0, -0.0, -1.0], [1e-5, -2.5e-7, 3.0], [12.5, -1e17, 0.5], [5e-324, 1e300, 0.1]]
+    cells = ScanResult(grid, cells.feasible, slack, cells.witness)
+    assert len(cells) % 7 == 3
+    want = oracles.emit_csv(cells)
+    for width in (1, 7, len(cells) + 1):
+        monkeypatch.setattr(scans, "_BLOCK", width)
+        assert emit_csv(cells) == want, width
 
 
 def test_emit_svg_is_valid_xml_with_region_cells():
