@@ -25,7 +25,8 @@ The candidate and the slacks are written once, as straight-line
 arithmetic on the registers of a workspace: floats for a single query,
 rows of one array allocated per pass over a batch, which _verdict_blocks
 scores a block of pairs at a time, so a batch makes no temporaries and
-each pair's slacks are bit-identical to its single-query slacks. The
+each pair's slacks are bit-identical to its single-query slacks; boundary
+rows ride in the same blocks, and each block comes with its verdicts. The
 two-time expectations that certify an inverse are read straight from a
 transfer matrix T, <sigma_i, sigma_j> = r_i T[j, 0] + T[j, i]
 (two_time_matrix); two_time_projector keeps the projective-measurement
@@ -512,8 +513,8 @@ def pauli_frame_decision(p: PauliChannel, s: BlochState, tol: float = 1e-9):
     return InverseRecord(a=p.ptm, S=s_scalar, choi=p.choi, kraus=(), report=report, unique=unique)
 
 
-# Interior pairs are scored in blocks of whole rows with at most this many
-# pairs (a row longer than that is a block of its own). The workspace holds
+# Rows are scored in blocks of whole rows with at most this many pairs (a
+# row longer than that is a block of its own). The workspace holds
 # 28 doubles a pair, 1.8 MB at this size, and is allocated once per pass
 # over the rows, so scan_three_entry(8, 1000) makes one for its 11 blocks.
 # A block makes the same 142 ufunc calls whatever its width, and a wider
@@ -561,15 +562,17 @@ def _aligned_empty(shape) -> np.ndarray:
 def _verdict_blocks(lam: np.ndarray, r: np.ndarray, tol: float):
     """Score the Pauli channel lam[i] at the priors r[:, i], for every row i, a block at a time.
 
-    Yields (rows, slack, unscathed): the block's row indices, its (3, k, n)
+    One pass over the rows in order, in blocks of whole rows of up to
+    _PAIR_BLOCK pairs (a row longer than that is a block of its own).
+    Yields (rows, slack, feasible): the block's row indices, its (3, k, n)
     slacks, a view of the one workspace that the next block overwrites,
-    and None or, for a boundary row, its (1, n) unscathed mask. Boundary
-    rows come first, one to a block: an unscathed prior takes the slacks
-    of the Choi matrix of diag(1, lambda), read as PauliChannel.choi reads
-    it, and any other prior (-1, -1, -1). Interior rows follow in blocks
-    of whole rows, up to _PAIR_BLOCK pairs each, built from
-    lambda * _CHOI_ROW_SIGNS. Every operation is elementwise per pair, so
-    a verdict does not depend on its block.
+    and its (k, n) verdicts, every slack >= -tol. An interior row builds
+    its candidate from lambda * _CHOI_ROW_SIGNS. A boundary row builds it
+    at lambda = 0, so S stays 0, and after _slacks its unscathed priors
+    take the slacks of the Choi matrix of diag(1, lambda), read as
+    PauliChannel.choi reads it, and its other priors (-1, -1, -1); its
+    verdicts are its unscathed mask. Every operation is elementwise per
+    pair, so a verdict does not depend on its block.
 
     :param lam: (M, 3) signed eigenvalues, one channel per row.
     :param r: (3, M, n) prior columns, or (3, 1, n) for the same n priors
@@ -580,9 +583,8 @@ def _verdict_blocks(lam: np.ndarray, r: np.ndarray, tol: float):
     """
     n = r.shape[-1]
     boundary = _on_boundary(lam)
-    interior = np.flatnonzero(~boundary)
     step = max(1, _PAIR_BLOCK // max(n, 1))
-    k_max = max(1, min(step, len(interior)))
+    k_max = max(1, min(step, len(lam)))
     # Each register row is padded to a multiple of 8 doubles, so that every
     # row of every block starts on a 64-byte boundary.
     flat = _aligned_empty((_WS_ROWS, -(-k_max * n // 8) * 8))
@@ -590,23 +592,9 @@ def _verdict_blocks(lam: np.ndarray, r: np.ndarray, tol: float):
     shared = r.shape[1] == 1
     if shared:  # _candidate and _slacks never write a prior register
         np.copyto(ws[_PRIOR : _PRIOR + 3], r)
-    slack = ws[_SLACK : _SLACK + 3]
-
-    def checked(rows, k, unscathed=None, residuals=0.0):
-        if not (np.isfinite(slack[:, :k]).all() and np.isfinite(residuals).all()):
-            raise ValueError("non-finite slack or residual: every prior must be finite")
-        return rows, slack[:, :k], unscathed
-
-    for i in np.flatnonzero(boundary):
-        residuals = _unscathed_residuals(lam[i], r[:, 0 if shared else i])
-        unscathed = (residuals <= _UNSCATHED_TOL).any(axis=0)
-        # The channel's own slacks; S only rides along in the report.
-        own = gamel_report(ChannelRep.from_ptm(np.diag([1.0, *lam[i]])).choi, 0.0, tol).slack
-        np.copyto(slack[:, 0], np.where(unscathed, own[:, None], -1.0))
-        yield checked(np.array([i]), 1, unscathed[None], residuals)
-    lam_signed = lam * _CHOI_ROW_SIGNS
-    for start in range(0, len(interior), step):
-        rows = interior[start : start + step]
+    lam_signed = np.where(boundary[:, None], 0.0, lam * _CHOI_ROW_SIGNS)
+    for start in range(0, len(lam), step):
+        rows = np.arange(start, min(start + step, len(lam)))
         k = len(rows)
         np.copyto(ws[_LAM : _LAM + 3, :k], lam_signed[rows].T[:, :, None])
         if not shared:
@@ -614,34 +602,47 @@ def _verdict_blocks(lam: np.ndarray, r: np.ndarray, tol: float):
         w = [*flat[:, : k * n], *_CONSTANTS]
         _candidate(w)
         _slacks(w)
-        yield checked(rows, k)
+        slack = ws[_SLACK : _SLACK + 3, :k]
+        feasible = (slack >= -tol).all(axis=0)
+        finite = np.isfinite(slack).all()
+        for j in np.flatnonzero(boundary[rows]):
+            i = rows[j]
+            residuals = _unscathed_residuals(lam[i], r[:, 0 if shared else i])
+            finite &= np.isfinite(residuals).all()
+            feasible[j] = (residuals <= _UNSCATHED_TOL).any(axis=0)
+            # The channel's own slacks; S only rides along in the report.
+            own = gamel_report(ChannelRep.from_ptm(np.diag([1.0, *lam[i]])).choi, 0.0, tol).slack
+            np.copyto(slack[:, j], np.where(feasible[j], own[:, None], -1.0))
+        if not finite:
+            raise ValueError("non-finite slack or residual: every prior must be finite")
+        yield rows, slack, feasible
 
 
 def _verdict_rows(lam: np.ndarray, r: np.ndarray, tol: float):
     """Verdicts of the Pauli channel lam[i] at the priors r[:, i], for every row i.
 
-    The batched form of :func:`pauli_frame_decision`, read from the blocks
-    of :func:`_verdict_blocks`; lam, r and the errors are as there.
+    The batched form of :func:`pauli_frame_decision`, assembled from the
+    blocks of :func:`_verdict_blocks`; lam, r and the errors are as there.
 
     :return: (feasible, slack, witness) of shapes (M, n), (M, n, 3) and
-        (M, n); witness indexes :data:`WITNESSES`, and a prior that is not
-        unscathed gets slack (-1, -1, -1).
+        (M, n); witness indexes :data:`WITNESSES`: 0 where feasible, else
+        the first slack below -tol or, on a boundary row, "not-unscathed".
     """
     n_rows, n = len(lam), r.shape[-1]
     feasible = np.empty((n_rows, n), dtype=bool)
     slack = np.empty((n_rows, n, 3))
-    witness = np.empty((n_rows, n), dtype=np.int8)
-    for rows, block_slack, unscathed in _verdict_blocks(lam, r, tol):
-        slack[rows] = block_slack.transpose(1, 2, 0)
-        if unscathed is not None:
-            feasible[rows] = unscathed
-            witness[rows] = np.where(unscathed, 0, WITNESSES.index("not-unscathed"))
-            continue
-        first_bad = np.zeros(block_slack.shape[1:], dtype=np.int8)
+    witness = np.zeros((n_rows, n), dtype=np.int8)
+    # "not-unscathed" is the largest code, so it wins over any slack's.
+    unnamed = np.where(_on_boundary(lam), np.int8(WITNESSES.index("not-unscathed")), np.int8(0))
+    for rows, block_slack, block_feasible in _verdict_blocks(lam, r, tol):
+        block = slice(rows[0], rows[-1] + 1)  # the rows come in order
+        slack[block] = block_slack.transpose(1, 2, 0)
+        feasible[block] = block_feasible
+        first_bad = witness[block]
         for j in (2, 1, 0):
             np.copyto(first_bad, j + 1, where=block_slack[j] < -tol)
-        feasible[rows] = first_bad == 0
-        witness[rows] = first_bad
+        np.maximum(first_bad, unnamed[block, None], out=first_bad)
+        np.copyto(first_bad, 0, where=block_feasible)
     return feasible, slack, witness
 
 

@@ -31,7 +31,7 @@ from .errors import (
     NotPSDError,
     NotUnitalError,
 )
-from .linalg import PAULIS, herm_eig, partial_transpose, pauli_expand, pauli_reconstruct
+from .linalg import PAULIS, partial_transpose, pauli_expand, pauli_reconstruct
 from .linalg import _check_hermitian, _pauli_matrix, _pauli_vector
 
 __all__ = [
@@ -280,7 +280,7 @@ def kraus_from_choi(choi: np.ndarray, tol: float = 1e-9) -> list[np.ndarray]:
     if tr <= 0.0:
         raise NotPSDError(f"Choi trace {tr} is not positive")
     c = c * (2.0 / tr)
-    w, v = herm_eig(c)
+    w, v = np.linalg.eigh(c)  # checked above: the rescale keeps c Hermitian
     if w[0] < -tol:
         raise NotPSDError(f"Choi matrix has eigenvalue {w[0]:.3e} < -{tol}")
     ops = []
@@ -334,8 +334,8 @@ def is_cptp(e, tol: float = 1e-9) -> bool:
     """Completely positive and trace preserving, via the Choi spectrum."""
     if not np.abs(e.ptm[0] - np.array([1.0, 0.0, 0.0, 0.0])).max() <= tol:
         return False
-    w, _ = herm_eig(e.choi)
-    return bool(w[0] >= -tol)
+    _check_hermitian(e.choi)
+    return bool(np.linalg.eigvalsh(e.choi)[0] >= -tol)
 
 
 # === Rotation factor extraction ===

@@ -66,16 +66,16 @@ EXIT_NOT_CPTP = 3
 
 
 def _vec(v) -> str:
-    return "[" + ", ".join(_g17(x) for x in v) + "]"
+    return "[" + ", ".join(format(x, ".17g") for x in np.asarray(v, dtype=float).tolist()) + "]"
 
 
 def _print_real_matrix(m) -> None:
-    for row in np.asarray(m, dtype=float):
-        print("  " + "  ".join(_g17(x) for x in row))
+    for row in np.asarray(m, dtype=float).tolist():
+        print("  " + "  ".join(format(x, ".17g") for x in row))
 
 
 def _print_complex_matrix(m) -> None:
-    for row in np.asarray(m, dtype=complex):
+    for row in np.asarray(m, dtype=complex).tolist():
         print("  " + "  ".join(f"{z.real:.17g}{z.imag:+.17g}j" for z in row))
 
 

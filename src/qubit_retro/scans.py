@@ -8,9 +8,9 @@ direction, sit in one table that the scans, :func:`boundary_chi` and the
 CLI read.
 Every batch of verdicts (region scans, the node and midpoint verdicts of
 :func:`boundary_chi`, and all three-entry channels against their Bloch
-samples) is one pass of the block iterator in :mod:`qubit_retro.bayes`
-over rows of signed eigenvalues lambda, which scores interior rows in
-blocks of (channel, prior) pairs and is bit-identical to one
+samples) is one in-order pass of the block iterator in :mod:`qubit_retro.bayes`
+over rows of signed eigenvalues lambda, boundary rows among them, which
+yields each block's slacks and verdicts and is bit-identical to one
 :func:`~qubit_retro.bayes.pauli_frame_verdicts` call per row. Every
 batch reads lambda from a table of probability rows, as PauliChannel.lam
 reads it, and builds no channel to do so. The scans and
@@ -320,8 +320,7 @@ def scan_three_entry(
     off_center = np.linalg.norm(points, axis=1) > 1e-6
     mu_feasible = hits = confirmed = 0
     examples: list[tuple] = []
-    for rows, slack, unscathed in _verdict_blocks(lam, priors.T[:, None], tol):
-        feasible = (slack >= -tol).all(axis=0) if unscathed is None else unscathed
+    for rows, _, feasible in _verdict_blocks(lam, priors.T[:, None], tol):
         mu_feasible += int(feasible[:, 0].sum())
         for i, k in zip(*np.nonzero(feasible[:, 1:] & off_center)):
             hits += 1

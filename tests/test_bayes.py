@@ -391,12 +391,14 @@ def test_verdicts_match_scalar_decision_on_g07_pairs():
         assert pauli_frame_decision(pc, s).report.slack.tobytes() == slack[0].tobytes()
 
 
-def test_single_and_batch_verdicts_agree_at_bisected_boundary_priors():
-    # Bisect the kernel verdict along 300 seeded rays r = t d down to adjacent
-    # floats t, every ray at once with one _verdict_rows call per step. At the
-    # last feasible and the first infeasible prior a slack sits within
-    # roundoff of -tol, so a single query agrees with the batch only if it
-    # runs the same arithmetic on the same inputs.
+@pytest.fixture(scope="module")
+def bisected_priors():
+    """300 seeded rays r = t d, each bisected on its kernel verdict down to adjacent floats t.
+
+    Every ray at once, with one _verdict_rows call per step. Returns the
+    channels, the directions as (3, 300, 1) columns, and the last feasible
+    and first infeasible t of each ray.
+    """
     rng = np.random.default_rng(SEED + 27)
     channels, directions = [], []
     while len(channels) < 300:
@@ -413,12 +415,35 @@ def test_single_and_batch_verdicts_agree_at_bisected_boundary_priors():
         mid = (lo + hi) / 2.0
         feasible = bayes._verdict_rows(lam, d * mid[:, None], 1e-9)[0][:, 0]
         lo, hi = np.where(feasible, mid, lo), np.where(feasible, hi, mid)
+    return channels, d, lo, hi
+
+
+def test_single_and_batch_verdicts_agree_at_bisected_boundary_priors(bisected_priors):
+    # At the last feasible and the first infeasible prior a slack sits within
+    # roundoff of -tol, so a single query agrees with the batch only if it
+    # runs the same arithmetic on the same inputs.
+    channels, d, lo, hi = bisected_priors
+    lam = np.array([pc.lam for pc in channels])
     for t in (lo, hi):
         feasible, slack, _ = bayes._verdict_rows(lam, d * t[:, None], 1e-9)
         for i, pc in enumerate(channels):
             out = pauli_frame_decision(pc, BlochState(d[:, i, 0] * t[i]))
             assert isinstance(out, InverseRecord) == feasible[i, 0], (pc.p, t[i])
             assert out.report.slack.tobytes() == slack[i, 0].tobytes(), (pc.p, t[i])
+
+
+@pytest.mark.xfail(
+    raises=InternalCPViolationError, strict=True,
+    reason="slack3 >= -tol admits candidates whose smallest Choi eigenvalue is below -tol",
+)
+def test_no_query_crashes_at_a_bisected_last_feasible_prior(bisected_priors):
+    # Every prior the kernel admits should give a certified inverse at the
+    # same tol. slack3 is close to the product of the Choi eigenvalues, so
+    # when the other three are small it hides one far below -tol: 157 of
+    # these 300 priors raise, with the smallest eigenvalue at -3.0e-7.
+    channels, d, lo, _ = bisected_priors
+    for i, pc in enumerate(channels):
+        assert isinstance(bayesian_inverse(pc, BlochState(d[:, i, 0] * lo[i])), InverseRecord)
 
 
 def test_verdicts_do_not_depend_on_batch_size():
@@ -513,9 +538,9 @@ def test_kernel_slacks_equal_one_pair_calls(monkeypatch):
 
 
 def test_block_iterator_scores_every_row_in_one_workspace(monkeypatch):
-    # Boundary rows 0, 3 and 6 come first, one to a block; the interior rows
-    # 1, 2, 4 | 5, 7, 8 | 9 follow at three rows of 1,200 priors a block of
-    # 4,096 pairs.
+    # One pass over the rows in order, three rows of 1,200 priors to a block
+    # of 4,096 pairs: the boundary rows 0, 3 and 6 each lead a block of
+    # interior rows, and row 9 is a short last block.
     monkeypatch.setattr(bayes, "_PAIR_BLOCK", 4096)
     rng = np.random.default_rng(SEED + 15)
     priors = np.array([random_bloch(rng).r for _ in range(1200)])
@@ -526,20 +551,66 @@ def test_block_iterator_scores_every_row_in_one_workspace(monkeypatch):
     r, lam = priors.T[:, None], np.array([pc.lam for pc in channels])
     feasible, slack, _ = bayes._verdict_rows(lam, r, 1e-9)
     blocks = [
-        (rows.tolist(), block_slack, unscathed)
-        for rows, block_slack, unscathed in bayes._verdict_blocks(lam, r, 1e-9)
+        (rows.tolist(), block_slack, block_feasible)
+        for rows, block_slack, block_feasible in bayes._verdict_blocks(lam, r, 1e-9)
     ]
     # Every yielded slack is a view of the one workspace, so a block's slacks
     # are read before the next block is scored.
     workspace = blocks[0][1].base
     assert all(b[1].base is workspace for b in blocks)
-    assert [b[0] for b in blocks] == [[0], [3], [6], [1, 2, 4], [5, 7, 8], [9]]
-    assert [b[2] is None for b in blocks] == [False] * 3 + [True] * 3
-    assert [b[1].shape for b in blocks] == [(3, 1, 1200)] * 3 + [(3, 3, 1200)] * 2 + [(3, 1, 1200)]
-    assert blocks[0][2][0, :3].tolist() == [True, True, False]
+    assert [b[0] for b in blocks] == [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9]]
+    assert [b[1].shape for b in blocks] == [(3, 3, 1200)] * 3 + [(3, 1, 1200)]
+    assert [b[2].shape for b in blocks] == [(3, 1200)] * 3 + [(1, 1200)]
+    # A boundary row's verdicts are its unscathed mask: the center and the sigma_1 axis.
+    assert [b[2][0, :3].tolist() for b in blocks[:3]] == [[True, True, False]] * 3
     assert feasible[[0, 3, 6], :3].tolist() == [[True, True, False]] * 3
+    for rows, _, block_feasible in blocks:
+        assert block_feasible.tobytes() == feasible[rows].tobytes()
     # The last block's slacks are still in the workspace.
     assert blocks[-1][1].transpose(1, 2, 0).tobytes() == slack[[9]].tobytes()
+
+
+def test_mixed_blocks_give_each_pair_the_verdict_of_its_own_call(monkeypatch):
+    # At 4,096 pairs a block, 1,000 priors a row put four rows in a block:
+    # rows 0-3 | 4-7 | 8, 9, with the boundary rows 0, 5 and 6 among
+    # interior rows. Each pair must get the feasible, slack and witness of
+    # its own channel's pauli_frame_verdicts call, byte for byte, whether
+    # every row reads the same priors (3, 1, n) or its own (3, M, n).
+    monkeypatch.setattr(bayes, "_PAIR_BLOCK", 4096)
+    rng = np.random.default_rng(SEED + 23)
+    channels = [random_pauli(rng, 1e-3) for _ in range(10)]
+    channels[0] = PauliChannel(np.eye(4)[2])
+    channels[5] = PauliChannel(np.array([0.6, 0.4, 0.0, 0.0]))
+    channels[6] = PauliChannel(np.array([0.0, 0.3, 0.0, 0.7]))
+    lam = np.array([pc.lam for pc in channels])
+    assert np.flatnonzero(bayes._on_boundary(lam)).tolist() == [0, 5, 6]
+    axes = np.vstack([np.zeros(3), 0.5 * np.eye(3)])
+    shared = np.vstack([axes, [random_bloch(rng).r for _ in range(996)]])
+    own = np.array([np.vstack([axes, [random_bloch(rng).r for _ in range(996)]]) for _ in lam])
+    layout = [rows.tolist() for rows, _, _ in bayes._verdict_blocks(lam, shared.T[:, None], 1e-9)]
+    assert layout == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
+    seen = set()
+    runs = ((shared.T[:, None], lambda i: shared), (own.transpose(2, 0, 1), own.__getitem__))
+    for r, priors_of in runs:
+        columns = bayes._verdict_rows(lam, r, 1e-9)
+        for i, pc in enumerate(channels):
+            one = pauli_frame_verdicts(pc, priors_of(i))
+            for got, want in zip(columns, one):
+                assert got[i].tobytes() == want.tobytes(), (i, pc.p)
+        seen.update(WITNESSES[w] for w in np.unique(columns[2]).tolist())
+    assert {None, "not-unscathed"} < seen  # and some failed slack
+    # A boundary row's verdicts are its unscathed mask at any tol, though
+    # its slack (-1, -1, -1) passes a tol of 2.
+    unscathed = bayes._verdict_rows(lam, shared.T[:, None], 1e-9)[0][[0, 5, 6]]
+    assert 0 < unscathed.sum() < unscathed.size
+    for tol in (1e-16, 2.0):
+        feasible = bayes._verdict_rows(lam, shared.T[:, None], tol)[0]
+        assert feasible[[0, 5, 6]].tobytes() == unscathed.tobytes(), tol
+    # A NaN prior of a boundary row, in the block it shares with interior rows.
+    bad = own.transpose(2, 0, 1).copy()
+    bad[:, 5, 7] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        bayes._verdict_rows(lam, bad, 1e-9)
 
 
 def test_kernel_rejects_a_non_finite_slack(monkeypatch):
@@ -861,19 +932,23 @@ def test_queries_use_rotations_and_decompose_once(monkeypatch):
             monkeypatch.setattr(module, name, forbidden, raising=False)
     assert not isinstance(bayesian_inverse(rep, BlochState(np.array([0.1, -0.2, 0.1]))), NoInverse)
 
+    # One factorization of the inverse's Choi matrix (rescaled to trace 2)
+    # is both the CP check and the Kraus extraction.
     calls = []
-    herm_eig = channels.herm_eig
 
-    def counting(m):
-        calls.append(m)
-        return herm_eig(m)
+    def counting(fn):
+        def wrapper(m, *args, **kwargs):
+            calls.append((fn.__name__, m))
+            return fn(m, *args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(channels, "herm_eig", counting)
+    for name in ("eigh", "eigvalsh", "eig", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
     pc = PauliChannel(np.array([0.8, 0.1, 0.06, 0.04]))
     rec = bayesian_inverse(pc, BlochState((0.3, 0.2, -0.4)))
     assert not isinstance(rec, NoInverse)
-    assert len(calls) == 1
-    assert np.abs(calls[0] - rec.choi).max() < 1e-15
+    assert [name for name, _ in calls] == ["eigh"]
+    assert np.abs(calls[0][1] - rec.choi).max() < 1e-15
 
 
 def test_certification_failure_raises_internal_error(monkeypatch):

@@ -191,20 +191,22 @@ def _counting(calls, fn):
 
 
 def test_scan_scores_interior_rows_in_blocks(monkeypatch):
-    # A boundary row takes the slacks of one gamel_report of its own channel;
-    # each block of interior rows makes one _candidate and one _slacks call.
+    # Each block of rows, boundary rows among them, makes one _candidate and
+    # one _slacks call; a boundary row adds the slacks of one gamel_report
+    # of its own channel, which makes one more _slacks call.
     candidates, slacks, boundary_rows = [], [], []
     monkeypatch.setattr(bayes, "_candidate", _counting(candidates, bayes._candidate))
     monkeypatch.setattr(bayes, "_slacks", _counting(slacks, bayes._slacks))
     monkeypatch.setattr(bayes, "gamel_report", _counting(boundary_rows, bayes.gamel_report))
     scan_depolarizing(ScanGrid.uniform(201))
-    # 200 interior rows at 40 rows per block; the identity row p = 0 on its own.
-    assert (len(candidates), len(slacks), len(boundary_rows)) == (5, 6, 1)
+    # 201 rows at 40 rows per block, the last block short; the identity row
+    # p = 0 leads the first block.
+    assert (len(candidates), len(slacks), len(boundary_rows)) == (6, 7, 1)
     for calls in (candidates, slacks, boundary_rows):
         calls.clear()
     scan_bb84(ScanGrid.uniform(201, direction=np.ones(3) / np.sqrt(3.0)))
-    # 199 interior rows, the last block short; p = 0 and p = 1 are boundary channels.
-    assert (len(candidates), len(slacks), len(boundary_rows)) == (5, 7, 2)
+    # The same six blocks; p = 0 and p = 1 are boundary channels.
+    assert (len(candidates), len(slacks), len(boundary_rows)) == (6, 8, 2)
 
 
 def test_verdicts_do_not_depend_on_the_block_width(monkeypatch):
