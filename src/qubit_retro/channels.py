@@ -63,9 +63,9 @@ _LAMBDA_OF_P = np.array(
 def _lambda_rows(probs: np.ndarray) -> np.ndarray:
     """(n, 3) signed eigenvalues of n probability rows, each read as PauliChannel.lam reads it.
 
-    One matrix-vector product a row: an (n, 4) @ (4, 3) product rounds differently.
+    One stacked matrix-vector product a row: an (n, 4) @ (4, 3) product rounds differently.
     """
-    return np.array([_LAMBDA_OF_P @ p for p in probs]).reshape(len(probs), 3)
+    return np.matmul(_LAMBDA_OF_P, probs[:, :, None])[:, :, 0]
 
 
 def _depolarizing_probs(strength):

@@ -39,10 +39,10 @@ from .errors import NotCPTPError, NotPSDError, NotUnitalError, QubitRetroError
 from .scans import (
     _FAMILIES,
     ScanGrid,
+    _csv_chunks,
     _g17,
+    _svg_chunks,
     boundary_chi,
-    emit_csv,
-    emit_svg,
     scan_bb84,
     scan_depolarizing,
     scan_three_entry,
@@ -83,8 +83,9 @@ def _write(out: str, files: dict) -> None:
     """Write each named file into out, and say so.
 
     A dict, or a _JSONText already encoded, is written as a JSON document
-    through dump_json. A callable returns the bytes to
-    write, so that only one rendered file is held at a time.
+    through dump_json. A callable returns an iterable of byte chunks, written
+    as they come, so no rendered file is held whole; a file that an error
+    cuts short is removed before the error propagates.
 
     :raises ValueError: if the directory, made if missing, or a file cannot be written.
     """
@@ -92,10 +93,16 @@ def _write(out: str, files: dict) -> None:
     try:
         Path(out).mkdir(parents=True, exist_ok=True)
         for path, content in zip(paths, files.values()):
-            if callable(content):
-                path.write_bytes(content())
-            else:
+            if not callable(content):
                 dump_json(path, content)
+                continue
+            f = open(path, "wb")
+            try:
+                with f:
+                    f.writelines(content())
+            except BaseException:
+                path.unlink(missing_ok=True)
+                raise
     except OSError as exc:
         raise ValueError(f"cannot write to {out}: {exc}") from None
     print("wrote " + " and ".join(map(str, paths)))
@@ -218,8 +225,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
     print(f"feasible cells: {count}/{len(cells)} ({count / len(cells):.6f})")
     base = f"{args.family}_{args.resolution}"
     _write(args.out, {
-        f"{base}.csv": lambda: emit_csv(cells),
-        f"{base}.svg": lambda: emit_svg(cells, title=args.family),
+        f"{base}.csv": lambda: _csv_chunks(cells),
+        f"{base}.svg": lambda: _svg_chunks(cells, title=args.family),
     })
     if args.family == "depolarizing":
         print("largest feasible t:")

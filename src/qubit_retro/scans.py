@@ -20,15 +20,16 @@ a PauliChannel only for a hit that it re-verifies. A scan
 returns a :class:`ScanResult` of columns, one entry per cell, row-major
 (p outer, t inner), so repeated runs produce byte-identical CSV output.
 
-:func:`emit_csv` renders a scan a block of cells at a time as fixed-width
-records, one per CSV row, whose bytes are the row's text with runs of NUL
-between its fields; each block's NULs are dropped straight into one output
-buffer. A slack's field holds the bytes of ``'%.17g' % x`` in fixed
-places (head, digits, exponent), each written from a lookup table a column
-at a time, so that no byte is moved; the few values the vectorized route
-cannot decide are formatted by ``'%.17g'`` itself. :func:`emit_svg` joins
-each p column's ``<rect>`` lines from its x key and one of two byte tails
-per t, precomputed.
+:func:`emit_csv` and :func:`emit_svg` join the chunks of two generators,
+which the CLI writes to disk as they come, so no rendered file is held
+whole. The CSV renders a block of cells at a time as fixed-width records,
+one per CSV row, whose bytes are the row's text with runs of NUL between
+its fields; each block is a chunk, its NULs dropped. A slack's field
+holds the bytes of ``'%.17g' % x`` in fixed places (head, digits,
+exponent), each written from a lookup table a column at a time, so that
+no byte is moved; the few values the vectorized route cannot decide are
+formatted by ``'%.17g'`` itself. Each SVG p column is a chunk of
+``<rect>`` lines, joined from its x key and one of two byte tails per t.
 """
 
 from __future__ import annotations
@@ -491,7 +492,7 @@ def _items(rows: np.ndarray) -> np.ndarray:
     return rows.view(f"V{rows.shape[1]}").reshape(-1)
 
 
-# Cells rendered per block; bounds the scratch memory of emit_csv.
+# Cells rendered per CSV chunk; bounds the scratch memory of the render.
 _BLOCK = 2048
 
 
@@ -503,11 +504,12 @@ def _blocks(scan: ScanResult):
         yield (cells, *np.divmod(np.arange(cells.start, cells.stop), n_t))
 
 
-def emit_csv(scan: ScanResult) -> bytes:
-    """Render a scan as CSV with 17-significant-digit floats (byte stable)."""
+def _csv_chunks(scan: ScanResult):
+    """emit_csv's bytes in order: the header, then one chunk per block of cells."""
     # A CSV row is one record: p, then ",t,flag" right-aligned, then the
     # slacks' fields, each led by ",", then "\n". Between the texts sit runs
-    # of NUL, dropped a block at a time into one buffer.
+    # of NUL, dropped a block at a time.
+    yield b"p,t,feasible,slack1,slack2,slack3\n"
     p_items = _items(_g17_rows(scan.grid.p_axis))
     t_texts = [row.tobytes().rstrip(b"\0") for row in _g17_rows(scan.grid.t_axis)]
     tf_width = _G17_WIDTH + 3
@@ -521,24 +523,22 @@ def emit_csv(scan: ScanResult) -> bytes:
     ])
     lines = np.empty(min(_BLOCK, len(scan)), dtype=record)
     lines["end"] = ord("\n")
-    header = b"p,t,feasible,slack1,slack2,slack3\n"
-    out = np.empty(len(header) + len(scan) * record.itemsize, dtype=np.uint8)
-    out[: len(header)] = np.frombuffer(header, dtype=np.uint8)
-    end = len(header)
     for cells, i, j in _blocks(scan):
         block = lines[: len(i)]
         block["p"] = p_items[i]
         block["tf"] = tf_items[2 * j + scan.feasible[cells]]
         block["slack"] = _items(_g17_fields(scan.slack[cells], b",").reshape(len(i), -1))
         text = block.view(np.uint8)
-        text = text[text != 0]
-        out[end : end + len(text)] = text
-        end += len(text)
-    return out[:end].tobytes()
+        yield text[text != 0]
 
 
-def emit_svg(scan: ScanResult, title: str = "") -> bytes:
-    """Flat raster of the feasibility region as a standalone SVG document."""
+def emit_csv(scan: ScanResult) -> bytes:
+    """Render a scan as CSV with 17-significant-digit floats (byte stable)."""
+    return b"".join(_csv_chunks(scan))
+
+
+def _svg_chunks(scan: ScanResult, title: str = ""):
+    """emit_svg's bytes in order: the head, one chunk per p column, the tail."""
     n_p, n_t = len(scan.grid.p_axis), len(scan.grid.t_axis)
     plot_w = plot_h = 500.0
     ml, mt, mr, mb = 70.0, 30.0, 20.0, 60.0
@@ -559,24 +559,22 @@ def emit_svg(scan: ScanResult, title: str = "") -> bytes:
             f'<text x="{ml + plot_w / 2:.1f}" y="{mt - 10:.1f}" font-size="16" '
             f'text-anchor="middle">{title}</text>'
         )
-    # Each <rect> line is its p column's x key and a tail, one of two per t
-    # row, at 2 t + flag in one flat list: a p column is x_key + x_key.join(its
-    # tails).
+    yield "".join(f"{part}\n" for part in parts).encode("utf-8")
+    # A <rect> line is its p column's x key and a tail, one of two per t, at
+    # 2 t + flag in one flat list: a p column is x_key + x_key.join(its tails).
     size = f'width="{cw:.2f}" height="{ch:.2f}"'
     tails = [
         f'y="{mt + plot_h - (j + 1) * ch:.2f}" {size} fill="{fill}"/>\n'.encode("ascii")
         for j in range(n_t) for fill in ("#efecf4", "#7b52a8")
     ]
-    picks = scan.feasible.reshape(n_p, n_t) + np.arange(0, 2 * n_t, 2)
-    rects = []
-    for i, row in enumerate(picks.tolist()):
+    evens = np.arange(0, 2 * n_t, 2)
+    for i, column in enumerate(scan.feasible.reshape(n_p, n_t)):
         x_key = b'<rect x="%.2f" ' % (ml + i * cw)
-        rects.append(x_key + x_key.join([tails[k] for k in row]))
+        yield x_key + x_key.join([tails[k] for k in (column + evens).tolist()])
     ax = (
         f'<path d="M {ml:.1f} {mt:.1f} L {ml:.1f} {mt + plot_h:.1f} '
         f'L {ml + plot_w:.1f} {mt + plot_h:.1f}" fill="none" stroke="black" stroke-width="1.5"/>'
     )
-    head = "".join(f"{part}\n" for part in parts)
     parts = [ax]
     for frac, label in ((0.0, "0"), (0.5, "0.5"), (1.0, "1")):
         x = ml + frac * plot_w
@@ -599,4 +597,9 @@ def emit_svg(scan: ScanResult, title: str = "") -> bytes:
         "‖r‖²</text>"
     )
     parts.append("</svg>")
-    return b"".join([head.encode("utf-8"), *rects, "\n".join(parts).encode("utf-8")])
+    yield "\n".join(parts).encode("utf-8")
+
+
+def emit_svg(scan: ScanResult, title: str = "") -> bytes:
+    """Flat raster of the feasibility region as a standalone SVG document."""
+    return b"".join(_svg_chunks(scan, title))

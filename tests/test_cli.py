@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from oracles import json_document
 
-from qubit_retro import ChannelRep, bayes, boundary_chi, cli, dump_json, is_cptp
+from qubit_retro import ChannelRep, bayes, boundary_chi, cli, dump_json, is_cptp, scans
 from qubit_retro.cli import main
 
 
@@ -406,6 +406,28 @@ def test_scan_writes_named_files_and_reruns_identically(tmp_path, capsys):
     assert csv1 == csv2
     assert (out1 / "bb84_11.svg").read_bytes() == (out2 / "bb84_11.svg").read_bytes()
     assert csv1.startswith(b"p,t,feasible,slack1,slack2,slack3\n")
+
+
+def test_scan_error_mid_stream_leaves_no_partial_file(tmp_path, capsys, monkeypatch):
+    # The p and t axes take the first two _g17_fields calls and the first
+    # block of slacks the third, after the CSV is open and its header written.
+    out = tmp_path / "out"
+    csv_open = []
+    g17_fields = scans._g17_fields
+
+    def failing(*args, **kwargs):
+        csv_open.append((out / "bb84_101.csv").exists())
+        if len(csv_open) == 3:
+            raise ValueError("formatting failed")
+        return g17_fields(*args, **kwargs)
+
+    monkeypatch.setattr(scans, "_g17_fields", failing)
+    assert main(["scan", "--family", "bb84", "--resolution", "101", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: formatting failed\n"
+    assert "wrote" not in captured.out
+    assert csv_open == [True, True, True]
+    assert list(out.iterdir()) == []
 
 
 def test_scan_depolarizing_prints_chi_table(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,6 @@
 """Feasibility-region sweeps, boundary location, and file exports."""
 
+import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
 
@@ -27,7 +28,7 @@ from qubit_retro import (
     scan_depolarizing,
     scan_three_entry,
 )
-from qubit_retro import bayes, scans
+from qubit_retro import bayes, cli, scans
 from qubit_retro.channels import _lambda_rows
 
 SEED = 20260825
@@ -243,6 +244,17 @@ def test_region_scans_read_lambda_without_channel_objects(monkeypatch):
         want = np.array([channel_of(q).lam for q in p.tolist()])
         got = _lambda_rows(scans._FAMILIES[family][0](p))
         assert got.tobytes() == want.tobytes(), family
+    # Random simplex rows with one or two zero entries, as the three-entry
+    # search reads.
+    rng = np.random.default_rng(SEED + 3)
+    probs = rng.dirichlet(np.ones(4), size=6000)
+    rows = np.arange(len(probs))
+    probs[rows, rng.integers(0, 4, len(probs))] = 0.0
+    probs[rows[::2], rng.integers(0, 4, len(probs))[::2]] = 0.0
+    probs /= probs.sum(axis=1, keepdims=True)
+    assert ((probs == 0.0).sum(axis=1) >= 1).all()
+    want = np.array([PauliChannel(row).lam for row in probs])
+    assert _lambda_rows(probs).tobytes() == want.tobytes()
     built = []
     monkeypatch.setattr(PauliChannel, "__post_init__", _counting(built, PauliChannel.__post_init__))
     scan_depolarizing(ScanGrid.uniform(201))
@@ -565,11 +577,12 @@ def test_emit_csv_layout_and_determinism():
     assert data.endswith(b"\n")
 
 
-def test_emit_csv_does_not_depend_on_the_block_width(monkeypatch):
+def test_emit_csv_does_not_depend_on_the_block_width(monkeypatch, tmp_path):
     # 13 x 11 = 143 cells on a non-uniform grid: a cell per block, blocks of
     # 7 with a last block of 3, and one block wider than the grid. A block
     # boundary falls inside a p row, and the slacks hold zeros, -1, values
-    # of every decimal form and ones the '%.17g' fallback writes.
+    # of every decimal form and ones the '%.17g' fallback writes. The file
+    # that the CLI streams to disk, a block at a time, holds the same bytes.
     rng = np.random.default_rng(SEED + 7)
     p_axis = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, 11)), [1.0]])
     t_axis = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, 9)) ** 4, [1.0]])
@@ -580,9 +593,34 @@ def test_emit_csv_does_not_depend_on_the_block_width(monkeypatch):
     cells = ScanResult(grid, cells.feasible, slack, cells.witness)
     assert len(cells) % 7 == 3
     want = oracles.emit_csv(cells)
+    uniform = scan_bb84(ScanGrid.uniform(12, direction=scans._FAMILIES["bb84"][1]))
+    want_uniform = oracles.emit_csv(uniform)
     for width in (1, 7, len(cells) + 1):
         monkeypatch.setattr(scans, "_BLOCK", width)
         assert emit_csv(cells) == want, width
+        out = tmp_path / str(width)
+        cli._write(str(out), {"cells.csv": lambda: scans._csv_chunks(cells)})
+        assert (out / "cells.csv").read_bytes() == want, width
+        assert cli.main(["scan", "--family", "bb84", "--resolution", "12", "--out", str(out)]) == 0
+        assert (out / "bb84_12.csv").read_bytes() == want_uniform, width
+
+
+def test_export_chunks_hold_a_bounded_amount_of_memory():
+    # A 401 x 401 scan renders to 15.7 MB of CSV and 11.5 MB of SVG. Drawn
+    # chunk by chunk, each render traces under 4 MB at its peak: no whole
+    # file, and no array over every cell, is held.
+    cells = scan_bb84(ScanGrid.uniform(401, direction=scans._FAMILIES["bb84"][1]))
+    scans._g17_tables()  # built once per process, outside the traced renders
+    for name, chunks in (("csv", lambda: scans._csv_chunks(cells)),
+                         ("svg", lambda: scans._svg_chunks(cells, title="bb84"))):
+        tracemalloc.start()
+        try:
+            size = sum(len(chunk) for chunk in chunks())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert size > 10 << 20, name
+        assert peak < 4 << 20, (name, peak)
 
 
 def test_emit_svg_is_valid_xml_with_region_cells():
