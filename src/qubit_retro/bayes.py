@@ -10,12 +10,13 @@ candidate has closed-form Pauli-pair coefficients; whether that candidate is
 an actual channel reduces to three scalar inequalities on its Choi matrix.
 Boundary channels (some |lambda_i| = 1) are handled by the unscathed test:
 the adjoint map works exactly when some Pauli sigma satisfies
-E(rho) = sigma rho sigma. General unital channels are moved into the
-Pauli frame by the two Bloch rotations of their transfer matrix, inverted
-there, and rotated back. The Pauli-frame verdict has the types of the final
-answer: an InverseRecord (without Kraus operators) or a NoInverse; the
-rotation back keeps its coefficients, S and report and replaces its Choi
-matrix, Kraus operators and residual with the certified ones.
+E(rho) = sigma rho sigma, and the inverse is then the channel itself.
+General unital channels are moved into the Pauli frame by the two Bloch
+rotations of their transfer matrix, inverted there, and rotated back. The
+Pauli-frame verdict has the types of the final answer: an InverseRecord
+(without Kraus operators) or a NoInverse; the rotation back keeps its
+coefficients, S and report and replaces its Choi matrix, Kraus operators
+and residual with the certified ones.
 
 Every Pauli-frame verdict, for one prior or a batch, reads three closed
 forms of (lambda, r): the candidate inverse, its positivity slacks and the
@@ -26,7 +27,9 @@ arithmetic on the registers of a workspace: floats for a single query,
 rows of one array allocated per pass over a batch, which _verdict_blocks
 scores a block of pairs at a time, so a batch makes no temporaries and
 each pair's slacks are bit-identical to its single-query slacks; boundary
-rows ride in the same blocks, and each block comes with its verdicts. The
+rows ride in the same blocks, scored as the candidate at r = 0 (v = 0,
+R = diag(lambda)), and each block comes with its verdicts. No verdict
+reads a Choi matrix: gamel_report is the tests' independent route. The
 two-time expectations that certify an inverse are read straight from a
 transfer matrix T, <sigma_i, sigma_j> = r_i T[j, 0] + T[j, i]
 (two_time_matrix); two_time_projector keeps the projective-measurement
@@ -409,8 +412,8 @@ def gamel_report(choi: np.ndarray, S: float, tol: float = 1e-9) -> FeasibilityRe
 
     The matrix is normalized to unit trace before reading off the Pauli-pair
     coefficient block [[1, v^T], [0, R]]; the scalar S is carried through to
-    the report unchanged. Feasible means every slack >= -tol. The verdicts
-    score a boundary channel with it, and tests check the registers by it.
+    the report unchanged. Feasible means every slack >= -tol. Tests check
+    the registers by it.
 
     :raises NotHermitianError: on a non-Hermitian input.
     :raises ValueError: on a non-finite entry, or if the first coefficient
@@ -488,9 +491,10 @@ def pauli_frame_decision(p: PauliChannel, s: BlochState, tol: float = 1e-9):
     The verdict behind single queries; batches take :func:`_verdict_rows`,
     its form on arrays. A boundary channel (some |lambda_i| = 1) has one
     exactly when the prior is unscathed, and it is then the channel's
-    adjoint, i.e. the channel itself, and gamel_report scores its Choi
-    matrix. Otherwise the closed-form candidate is scored on the kernel's
-    registers, as in a batch.
+    adjoint, i.e. the channel itself, whose record is feasible and holds
+    the slacks of v = 0, R = diag(lambda). Otherwise the closed-form
+    candidate is scored. Both are scored on the kernel's registers, as in
+    a batch.
 
     :return: the inverse in the Pauli frame as an InverseRecord with no
         Kraus operators and residual 0 (on the interior, the record of
@@ -508,7 +512,11 @@ def pauli_frame_decision(p: PauliChannel, s: BlochState, tol: float = 1e-9):
     if not (residuals <= _UNSCATHED_TOL).any():
         return NoInverse(reason="not-unscathed", residuals=residuals)
     s_scalar = float(np.sum(lam * lam * s.r * s.r))
-    report = gamel_report(p.choi, s_scalar, tol)
+    w = _pair_workspace()  # v = 0
+    w[_R : _R + 9] = np.diag(lam * _CHOI_ROW_SIGNS).ravel().tolist()
+    _slacks(w)
+    # The unscathed test decided, as in a batch, whatever the slacks' sign at tol.
+    report = replace(_pair_report(w, s_scalar, tol), feasible=True)
     unique = bool(s_scalar < 1.0 - _BOUNDARY_EPS)
     return InverseRecord(a=p.ptm, S=s_scalar, choi=p.choi, kraus=(), report=report, unique=unique)
 
@@ -568,11 +576,11 @@ def _verdict_blocks(lam: np.ndarray, r: np.ndarray, tol: float):
     slacks, a view of the one workspace that the next block overwrites,
     and its (k, n) verdicts, every slack >= -tol. An interior row builds
     its candidate from lambda * _CHOI_ROW_SIGNS. A boundary row builds it
-    at lambda = 0, so S stays 0, and after _slacks its unscathed priors
-    take the slacks of the Choi matrix of diag(1, lambda), read as
-    PauliChannel.choi reads it, and its other priors (-1, -1, -1); its
-    verdicts are its unscathed mask. Every operation is elementwise per
-    pair, so a verdict does not depend on its block.
+    at lambda = 0, so S stays 0, then takes the channel's own v = 0 and
+    R = diag(lambda * _CHOI_ROW_SIGNS) before _slacks; its verdicts are
+    its unscathed mask, and its other priors get (-1, -1, -1). Every
+    operation is elementwise per pair, so a verdict does not depend on its
+    block.
 
     :param lam: (M, 3) signed eigenvalues, one channel per row.
     :param r: (3, M, n) prior columns, or (3, 1, n) for the same n priors
@@ -601,18 +609,19 @@ def _verdict_blocks(lam: np.ndarray, r: np.ndarray, tol: float):
             np.copyto(ws[_PRIOR : _PRIOR + 3, :k], r[:, rows])
         w = [*flat[:, : k * n], *_CONSTANTS]
         _candidate(w)
+        on_edge = np.flatnonzero(boundary[rows])
+        ws[_V : _R + 9, on_edge] = 0.0  # the channel's own v = 0 and R = diag(lambda)
+        ws[_R : _R + 9 : 4, on_edge] = (lam[rows[on_edge]] * _CHOI_ROW_SIGNS).T[:, :, None]
         _slacks(w)
         slack = ws[_SLACK : _SLACK + 3, :k]
         feasible = (slack >= -tol).all(axis=0)
         finite = np.isfinite(slack).all()
-        for j in np.flatnonzero(boundary[rows]):
+        for j in on_edge:
             i = rows[j]
             residuals = _unscathed_residuals(lam[i], r[:, 0 if shared else i])
             finite &= np.isfinite(residuals).all()
             feasible[j] = (residuals <= _UNSCATHED_TOL).any(axis=0)
-            # The channel's own slacks; S only rides along in the report.
-            own = gamel_report(ChannelRep.from_ptm(np.diag([1.0, *lam[i]])).choi, 0.0, tol).slack
-            np.copyto(slack[:, j], np.where(feasible[j], own[:, None], -1.0))
+            np.copyto(slack[:, j], -1.0, where=~feasible[j])
         if not finite:
             raise ValueError("non-finite slack or residual: every prior must be finite")
         yield rows, slack, feasible
@@ -650,9 +659,9 @@ def pauli_frame_verdicts(p: PauliChannel, r, tol: float = 1e-9):
     """The verdict of :func:`pauli_frame_decision` for one channel and many priors.
 
     The same closed forms on arrays, with no per-prior loop. On a boundary
-    channel an unscathed prior takes the slacks of the channel's own Choi
-    matrix. Every operation is elementwise per prior, so a row's result does
-    not depend on its batch.
+    channel an unscathed prior takes the slacks of v = 0, R = diag(lambda).
+    Every operation is elementwise per prior, so a row's result does not
+    depend on its batch.
 
     :param r: (N, 3) Bloch vectors of the priors in the Pauli frame.
     :return: (feasible, slack, witness), read-only arrays of shapes (N,),

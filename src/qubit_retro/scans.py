@@ -369,7 +369,6 @@ def _g17(x: float) -> str:
 # drops its ".". Values with 1 <= X <= 16 (10 <= |v| < 1e17: a "." among
 # the digits), ties, subnormals, non-finite and out-of-range values are
 # formatted by '%.17g' itself.
-_G17_WIDTH = 24  # len("-1.2345678901234567e-100")
 _G17_FIELD = 32  # bytes of a _g17_fields row
 _G17_RANGE = (1e-270, 1e270)
 _X_MIN = -270  # least decimal exponent X over the fast range
@@ -477,16 +476,6 @@ def _g17_fields(values, lead: bytes = b"") -> np.ndarray:
     return out
 
 
-def _g17_rows(values) -> np.ndarray:
-    """'%.17g' % v for each v of a column, as an (n, 24) uint8 matrix.
-
-    Row k holds the ASCII bytes of value k, left-aligned and padded with NUL.
-    """
-    fields = _g17_fields(values)
-    order = np.argsort(fields == 0, axis=1, kind="stable")[:, :_G17_WIDTH]
-    return np.take_along_axis(fields, order, axis=1)
-
-
 def _items(rows: np.ndarray) -> np.ndarray:
     """A C-contiguous (n, w) uint8 matrix as n items of w bytes."""
     return rows.view(f"V{rows.shape[1]}").reshape(-1)
@@ -506,19 +495,18 @@ def _blocks(scan: ScanResult):
 
 def _csv_chunks(scan: ScanResult):
     """emit_csv's bytes in order: the header, then one chunk per block of cells."""
-    # A CSV row is one record: p, then ",t,flag" right-aligned, then the
-    # slacks' fields, each led by ",", then "\n". Between the texts sit runs
-    # of NUL, dropped a block at a time.
+    # A CSV row is one record: p's _g17_fields row, then ",t,flag" (at most
+    # 26 bytes) right-aligned, then the slacks' fields, each led by ",", then
+    # "\n". Between the texts sit runs of NUL, dropped a block at a time.
     yield b"p,t,feasible,slack1,slack2,slack3\n"
-    p_items = _items(_g17_rows(scan.grid.p_axis))
-    t_texts = [row.tobytes().rstrip(b"\0") for row in _g17_rows(scan.grid.t_axis)]
-    tf_width = _G17_WIDTH + 3
+    p_items = _items(_g17_fields(scan.grid.p_axis))
+    t_texts = [row.tobytes().replace(b"\0", b"") for row in _g17_fields(scan.grid.t_axis, b",")]
     tf_items = np.frombuffer(
-        b"".join((b",%s,%d" % (t, f)).rjust(tf_width, b"\0") for t in t_texts for f in (0, 1)),
-        dtype=f"V{tf_width}",
+        b"".join((b"%s,%d" % (t, f)).rjust(_G17_FIELD, b"\0") for t in t_texts for f in (0, 1)),
+        dtype=f"V{_G17_FIELD}",
     )
     record = np.dtype([
-        ("p", f"V{_G17_WIDTH}"), ("tf", f"V{tf_width}"), ("slack", f"V{3 * _G17_FIELD}"),
+        ("p", f"V{_G17_FIELD}"), ("tf", f"V{_G17_FIELD}"), ("slack", f"V{3 * _G17_FIELD}"),
         ("end", "u1"),
     ])
     lines = np.empty(min(_BLOCK, len(scan)), dtype=record)

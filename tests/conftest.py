@@ -69,9 +69,11 @@ def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
 def scalar_verdict(pc: PauliChannel, s: BlochState, tol: float = 1e-9):
     """(feasible, slack, witness) of one pair by the Choi route.
 
-    The oracle for the register kernel, which single queries share: the
-    slacks are gamel_report's reading of a Choi matrix, the candidate's on
-    the interior and the channel's own on the boundary. An infeasible
+    The oracle for the register kernel, which single queries and batches
+    share: the slacks are gamel_report's reading of a Choi matrix, the
+    candidate's on the interior and the channel's own on the boundary. No
+    verdict of the package reads a Choi matrix, so this is the only Choi
+    route, and it agrees with the registers to a few 1e-15. An infeasible
     interior pair names its first failed slack, a boundary pair that is not
     unscathed gets slack (-1, -1, -1).
     """

@@ -485,10 +485,12 @@ def test_verdicts_contract():
 
 def test_boundary_rows_read_from_lambda_take_the_channels_own_slacks():
     # A boundary row is given only lambda; its unscathed priors must take the
-    # slacks of gamel_report on the PauliChannel's own Choi matrix, byte for
-    # byte, and every other prior (-1, -1, -1). Two-entry channels all sit on
-    # the boundary; the priors hold the center, the three half axes and
-    # random points.
+    # slacks of the channel's own block, byte for byte those of the float
+    # registers at (lambda, r = 0), where the candidate is the channel, and
+    # within 1e-14 of gamel_report on the PauliChannel's own Choi matrix;
+    # every other prior gets (-1, -1, -1). A single query reports the same
+    # bytes. Two-entry channels all sit on the boundary; the priors hold the
+    # center, the three half axes and random points.
     rng = np.random.default_rng(SEED + 19)
     probs = [np.eye(4)[k] for k in range(4)]
     for _ in range(2000):
@@ -502,15 +504,45 @@ def test_boundary_rows_read_from_lambda_take_the_channels_own_slacks():
     feasible, slack, _ = bayes._verdict_rows(lam, priors.T[:, None], 1e-9)
     seen = set()
     for i, pc in enumerate(channels):
-        own = gamel_report(pc.choi, 0.0, 1e-9).slack
+        w = bayes._pair_workspace()
+        w[bayes._LAM : bayes._LAM + 3] = (pc.lam * bayes._CHOI_ROW_SIGNS).tolist()
+        bayes._candidate(w)
+        bayes._slacks(w)
+        own = np.array(w[bayes._SLACK : bayes._SLACK + 3])
+        assert np.abs(own - gamel_report(pc.choi, 0.0, 1e-9).slack).max() <= 1e-14, pc.p
         unscathed = [is_unscathed(pc, BlochState(r)) is not None for r in priors]
         want = np.where(np.array(unscathed)[:, None], own, -1.0)
         assert feasible[i].tolist() == unscathed, pc.p
         assert slack[i].tobytes() == want.tobytes(), pc.p
         one = pauli_frame_verdicts(pc, priors)
         assert (one[0].tobytes(), one[1].tobytes()) == (feasible[i].tobytes(), want.tobytes())
+        rec = pauli_frame_decision(pc, BlochState(priors[unscathed.index(True)]))
+        assert rec.report.slack.tobytes() == own.tobytes(), pc.p
         seen.update(unscathed)
     assert seen == {True, False}
+
+
+def test_boundary_records_report_the_verdict_of_the_batch():
+    # The channel's own slacks may sit a few 1e-16 below 0; the unscathed test
+    # decides a boundary verdict, so every record still reports feasible, as
+    # the batch does. This channel's slack3 is -4.4e-16 at the center.
+    pc = PauliChannel(np.array([0.25241805539539025, 0.0, 0.7475819446046097, 0.0]))
+    center = BlochState.maximally_mixed()
+    rec = pauli_frame_decision(pc, center, 1e-16)
+    assert rec.report.slack.min() < -1e-16
+    assert rec.report.feasible and bayesian_inverse(pc, center, 1e-16).report.feasible
+    rng = np.random.default_rng(SEED + 31)
+    priors = np.vstack([np.zeros(3), 0.5 * np.eye(3), [random_bloch(rng).r for _ in range(2)]])
+    for _ in range(500):
+        p = np.zeros(4)
+        p[rng.choice(4, size=2, replace=False)] = rng.dirichlet(np.ones(2))
+        pc = PauliChannel(p)
+        verdicts = pauli_frame_verdicts(pc, priors, 1e-16)[0]
+        for r, verdict in zip(priors, verdicts.tolist()):
+            for rec in (pauli_frame_decision(pc, BlochState(r), 1e-16),
+                        bayesian_inverse(pc, BlochState(r), 1e-16)):
+                assert isinstance(rec, InverseRecord) == verdict, (p, r)
+                assert not verdict or rec.report.feasible, (p, r)
 
 
 def test_kernel_slacks_equal_one_pair_calls(monkeypatch):

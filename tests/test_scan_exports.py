@@ -1,6 +1,6 @@
 """The byte-matrix exports against '%.17g' and the per-float byte oracle.
 
-`scans._g17_rows` renders '%.17g' for a whole column at once; every test
+`scans._g17_fields` renders '%.17g' for a whole column at once; every test
 here compares its bytes with Python's own formatting, and `emit_csv` /
 `emit_svg` with their per-float implementations kept in `oracles`.
 """
@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import oracles
 from qubit_retro import ScanGrid, emit_csv, emit_svg, scan_bb84, scan_depolarizing
-from qubit_retro.scans import _G17_RANGE, _g17_rows
+from qubit_retro.scans import _G17_RANGE, _g17_fields
 
 SEED = 20261018
 FAMILIES = {
@@ -24,12 +24,9 @@ FAMILIES = {
 
 
 def _lines(values) -> bytes:
-    """The rows of _g17_rows(values), one per line, without their padding."""
-    rows = _g17_rows(values)
-    assert rows.shape == (len(values), 24) and rows.dtype == np.uint8
-    # Padding is trailing: no NUL sits before a text byte.
-    text = rows != 0
-    assert not (np.diff(text.astype(np.int8), axis=1) > 0).any()
+    """The rows of _g17_fields(values), one per line, their NULs dropped as the CSV drops them."""
+    rows = _g17_fields(values)
+    assert rows.shape == (len(values), 32) and rows.dtype == np.uint8
     rows = np.concatenate([rows, np.full((len(rows), 1), ord("\n"), np.uint8)], axis=1)
     return rows[rows != 0].tobytes()
 

@@ -193,21 +193,21 @@ def _counting(calls, fn):
 
 def test_scan_scores_interior_rows_in_blocks(monkeypatch):
     # Each block of rows, boundary rows among them, makes one _candidate and
-    # one _slacks call; a boundary row adds the slacks of one gamel_report
-    # of its own channel, which makes one more _slacks call.
-    candidates, slacks, boundary_rows = [], [], []
+    # one _slacks call; a boundary row is scored on the same registers, with
+    # no gamel_report and no Choi matrix.
+    candidates, slacks, choi_reports = [], [], []
     monkeypatch.setattr(bayes, "_candidate", _counting(candidates, bayes._candidate))
     monkeypatch.setattr(bayes, "_slacks", _counting(slacks, bayes._slacks))
-    monkeypatch.setattr(bayes, "gamel_report", _counting(boundary_rows, bayes.gamel_report))
+    monkeypatch.setattr(bayes, "gamel_report", _counting(choi_reports, bayes.gamel_report))
     scan_depolarizing(ScanGrid.uniform(201))
     # 201 rows at 40 rows per block, the last block short; the identity row
     # p = 0 leads the first block.
-    assert (len(candidates), len(slacks), len(boundary_rows)) == (6, 7, 1)
-    for calls in (candidates, slacks, boundary_rows):
+    assert (len(candidates), len(slacks), len(choi_reports)) == (6, 6, 0)
+    for calls in (candidates, slacks, choi_reports):
         calls.clear()
     scan_bb84(ScanGrid.uniform(201, direction=np.ones(3) / np.sqrt(3.0)))
     # The same six blocks; p = 0 and p = 1 are boundary channels.
-    assert (len(candidates), len(slacks), len(boundary_rows)) == (6, 8, 2)
+    assert (len(candidates), len(slacks), len(choi_reports)) == (6, 6, 0)
 
 
 def test_verdicts_do_not_depend_on_the_block_width(monkeypatch):
