@@ -304,7 +304,7 @@ def _arith(w: list):
 
     def bind(f):
         def op(out, a, b):
-            f(w[a], w[b], out=w[out])
+            f(w[a], w[b], w[out])
         return op
     return tuple(map(bind, (np.add, np.subtract, np.multiply, np.divide)))
 
@@ -601,17 +601,20 @@ def _verdict_blocks(lam: np.ndarray, r: np.ndarray, tol: float):
     if shared:  # _candidate and _slacks never write a prior register
         np.copyto(ws[_PRIOR : _PRIOR + 3], r)
     lam_signed = np.where(boundary[:, None], 0.0, lam * _CHOI_ROW_SIGNS)
+    w = []  # the registers of a block of k rows, rebuilt when k changes
     for start in range(0, len(lam), step):
         rows = np.arange(start, min(start + step, len(lam)))
         k = len(rows)
         np.copyto(ws[_LAM : _LAM + 3, :k], lam_signed[rows].T[:, :, None])
         if not shared:
             np.copyto(ws[_PRIOR : _PRIOR + 3, :k], r[:, rows])
-        w = [*flat[:, : k * n], *_CONSTANTS]
+        if not w or len(w[0]) != k * n:
+            w = [*flat[:, : k * n], *_CONSTANTS]
         _candidate(w)
         on_edge = np.flatnonzero(boundary[rows])
-        ws[_V : _R + 9, on_edge] = 0.0  # the channel's own v = 0 and R = diag(lambda)
-        ws[_R : _R + 9 : 4, on_edge] = (lam[rows[on_edge]] * _CHOI_ROW_SIGNS).T[:, :, None]
+        if on_edge.size:  # the channel's own v = 0 and R = diag(lambda)
+            ws[_V : _R + 9, on_edge] = 0.0
+            ws[_R : _R + 9 : 4, on_edge] = (lam[rows[on_edge]] * _CHOI_ROW_SIGNS).T[:, :, None]
         _slacks(w)
         slack = ws[_SLACK : _SLACK + 3, :k]
         feasible = (slack >= -tol).all(axis=0)

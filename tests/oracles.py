@@ -5,7 +5,8 @@ different route (a pseudo-density matrix instead of the projector formula,
 an eigenbasis solve instead of the closed form, a per-Pauli Kraus sum
 instead of the Choi route, matrix conjugations instead of the closed-form
 unscathed residuals, a probe grid and bisection instead of the roots of
-the slack polynomials along a ray, one '%.17g' per float instead of the
+the slack polynomials along a ray, one np.roots call per polynomial
+instead of one eigvals call per degree, one '%.17g' per float instead of the
 byte-matrix exports, scalar closed forms in (lambda, t) instead of the
 depolarizing candidate's matrices, a density matrix's Pauli coefficients
 instead of its Bloch vector, rational arithmetic instead of float
@@ -327,6 +328,20 @@ def bisection_chi(
         lo[rows[ok]], hi[rows[~ok]] = mid[ok], mid[~ok]
     chi[bisect] = 0.5 * (lo[bisect] + hi[bisect])
     return float(chi[0]) if np.ndim(p) == 0 else chi.tolist()
+
+
+def roots_by_row(coef: np.ndarray) -> np.ndarray:
+    """np.roots of each row of an (m, n + 1) coefficient table, highest first, one call a row.
+
+    Row i holds np.roots(coef[i]) as complex numbers, then zeros where a
+    zero leading coefficient lowers its degree: the layout of
+    scans._poly_roots, which boundary_chi reads.
+    """
+    roots = np.zeros((coef.shape[0], coef.shape[1] - 1), dtype=np.complex128)
+    for row, c in zip(roots, coef):
+        found = np.roots(c)
+        row[: len(found)] = found
+    return roots
 
 
 # === Exports ===

@@ -131,6 +131,20 @@ def test_exports_match_oracle_on_a_non_uniform_grid():
     _assert_exports_match(cells, "a <non-uniform> & grid")
 
 
+def test_exports_match_oracle_on_axes_of_every_field_form():
+    # The CSV keeps only the p byte columns that some p text uses and sizes
+    # ",t,flag" to its widest text, so each axis holds every form a field
+    # takes: 0 and 1, the exponent form (a subnormal among them), 17 digits
+    # after "0." and after "0.000".
+    axis = [0.0, 5e-324, 1e-300, 3e-5, 1.2345678901234567e-4, 0.1, 1.0 / 3.0, 0.5, 1.0]
+    texts = ["%.17g" % x for x in axis[2:5]]
+    assert texts == ["1e-300", "3.0000000000000001e-05", "0.00012345678901234567"]
+    for scan, direction in FAMILIES.values():
+        for p_axis, t_axis in ((axis, axis), (axis, [0.0, 1.0]), ([0.0, 1.0], axis)):
+            grid = ScanGrid(p_axis=p_axis, t_axis=t_axis, direction=direction)
+            _assert_exports_match(scan(grid), "forms")
+
+
 def test_exports_match_oracle_at_a_loose_tolerance():
     cells = scan_depolarizing(ScanGrid.uniform(41), tol=5e-2)
     _assert_exports_match(cells, "")

@@ -401,6 +401,40 @@ def test_five_node_polynomials_match_ray_slacks():
     assert np.abs(fitted - scaled_slacks(t)).max() <= 1e-10
 
 
+def _polynomials(degree: int, rng) -> np.ndarray:
+    """Coefficient rows of one degree: real, complex and zero roots, a zero lead, and random rows."""
+    real = np.poly(rng.uniform(-1.0, 2.0, degree))
+    pair = np.poly([0.3 + 0.4j, 0.3 - 0.4j, *rng.uniform(0.0, 1.0, degree - 2)]).real
+    at_zero = np.poly([0.0, *rng.uniform(0.0, 1.0, degree - 1)])
+    lower = np.concatenate([[0.0], np.poly(rng.uniform(0.0, 1.0, degree - 1))])
+    both = np.concatenate([[0.0], np.poly([0.0, *rng.uniform(0.0, 1.0, degree - 2)])])
+    rows = np.vstack([real, pair, at_zero, lower, both, np.zeros(degree + 1)])
+    return np.vstack([rows, rng.normal(size=(40, degree + 1))])
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4])
+def test_batched_roots_equal_np_roots_row_by_row(degree):
+    # The rows whose leading and constant coefficients are nonzero share one
+    # eigvals call; their roots must be np.roots's own, bit for bit.
+    coef = _polynomials(degree, np.random.default_rng(SEED + degree))
+    got, want = scans._poly_roots(coef), oracles.roots_by_row(coef)
+    assert got.shape == want.shape == (len(coef), degree)
+    assert got.tobytes() == want.tobytes()
+    # Each kind of row is there: complex roots, a root at 0, a lower degree.
+    assert (np.abs(want.imag) > 0.1).any(axis=1)[1]
+    assert (want[2] == 0.0).sum() == 1
+    assert len(np.roots(coef[3])) == degree - 1
+
+
+@pytest.mark.parametrize("family", list(scans._FAMILIES))
+def test_boundary_chi_equals_the_per_row_roots_reference(family, monkeypatch):
+    p = np.linspace(0.0, 1.0, 201)
+    chi = boundary_chi(p, family=family)
+    monkeypatch.setattr(scans, "_poly_roots", oracles.roots_by_row)
+    want = boundary_chi(p, family=family)
+    assert np.array(chi).tobytes() == np.array(want).tobytes()
+
+
 def test_boundary_chi_matches_closed_form_root():
     # The binding constraint for the depolarizing family is the third slack;
     # chi is its root in t, cross-checked here by direct slack evaluation.
