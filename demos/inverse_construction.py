@@ -12,7 +12,6 @@ import numpy as np
 
 from qubit_retro import (
     BlochState,
-    ChannelRep,
     NoInverse,
     PauliChannel,
     apply,
@@ -53,14 +52,13 @@ for k in record.kraus:
 
 # Two sanity checks. First, a Bayesian inverse always recovers the prior
 # from the channel output.
-inverse = ChannelRep.from_choi(record.choi)
 pushed = apply(channel, prior)
-recovered = apply(inverse, pushed)
+recovered = apply(record, pushed)
 print("channel output Bloch vector: ", pushed.r)
 print("recovered prior Bloch vector:", recovered.r)
 
 # Second, the defining identity holds to machine precision, while a wrong
 # candidate (the adjoint, say, which only works for special priors) fails it.
 print()
-print("residual of the constructed inverse:", bayes_residual(channel, prior, inverse))
+print("residual of the constructed inverse:", bayes_residual(channel, prior, record))
 print("residual of the adjoint map:        ", bayes_residual(channel, prior, channel))

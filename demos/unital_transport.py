@@ -58,7 +58,7 @@ print()
 # then undo the rotations around the result.
 prior_rotated = apply(ChannelRep.from_unitary(v), prior)
 record = bayesian_inverse(pc, prior_rotated)
-inverse_manual = transport_inverse(u, v, ChannelRep.from_choi(record.choi))
+inverse_manual = transport_inverse(u, v, record)
 print("Pauli-frame identity residual:", f"{record.residual:.3e}")
 print(
     "transported inverse residual: ",
@@ -67,14 +67,13 @@ print(
 
 # Step 3: the one-call route does the same factoring internally.
 record_direct = bayesian_inverse(channel, prior)
-inverse_direct = ChannelRep.from_choi(record_direct.choi)
-gap = np.abs(inverse_direct.ptm - inverse_manual.ptm).max()
+gap = np.abs(record_direct.ptm - inverse_manual.ptm).max()
 print("one-call vs manual transport: ", f"{gap:.3e}")
 print()
 
 # Step 4: the prior comes back, and two-time statistics run backwards.
 posterior = apply(channel, prior)
-recovered = apply(inverse_direct, posterior)
+recovered = apply(record_direct, posterior)
 print("prior          ", np.round(prior.r, 10))
 print("recovered prior", np.round(recovered.r, 10))
 
@@ -83,7 +82,7 @@ forward = np.array(
 )
 reverse = np.array(
     [
-        [two_time_projector(inverse_direct, posterior, i, j) for j in (1, 2, 3)]
+        [two_time_projector(record_direct, posterior, i, j) for j in (1, 2, 3)]
         for i in (1, 2, 3)
     ]
 )

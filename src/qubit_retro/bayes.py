@@ -14,9 +14,9 @@ E(rho) = sigma rho sigma, and the inverse is then the channel itself.
 General unital channels are moved into the Pauli frame by the two Bloch
 rotations of their transfer matrix, inverted there, and rotated back. The
 Pauli-frame verdict has the types of the final answer: an InverseRecord
-(without Kraus operators) or a NoInverse; the rotation back keeps its
-coefficients, S and report and replaces its Choi matrix, Kraus operators
-and residual with the certified ones.
+(a channel held as its transfer matrix, here without Kraus operators) or a
+NoInverse; the rotation back keeps its coefficients, S and report and
+replaces its transfer matrix, Kraus operators and residual with certified ones.
 
 Every Pauli-frame verdict, for one prior or a batch, reads three closed
 forms of (lambda, r): the candidate inverse, its positivity slacks and the
@@ -48,10 +48,11 @@ import numpy as np
 
 from .channels import (
     BlochState,
-    ChannelRep,
     PauliChannel,
+    _check_tol,
     _readonly,
     _rotation_frame,
+    _TransferReadings,
     adjoint,
     apply_operator,
     jamiolkowski,
@@ -63,8 +64,7 @@ from .errors import (
     NotPSDError,
     SingularSError,
 )
-from .linalg import PAULIS, anticommutator, pauli_expand, pauli_reconstruct, tensor
-from .linalg import _check_hermitian, partial_transpose
+from .linalg import PAULIS, _check_hermitian, anticommutator, pauli_expand, tensor
 
 __all__ = [
     "FeasibilityReport",
@@ -101,12 +101,6 @@ _CONJUGATION_SIGNS = np.array(
 
 _ID2 = np.eye(2, dtype=np.complex128)
 _ID3 = np.eye(3)
-
-
-def _check_tol(tol: float) -> None:
-    """Reject a verdict tolerance unless 0 < tol < inf (NaN included)."""
-    if not 0.0 < tol < np.inf:
-        raise ValueError(f"verdict tolerance must be positive and finite, got {tol}")
 
 
 def _cptp_tol(tol: float) -> float:
@@ -152,12 +146,13 @@ class FeasibilityReport:
 
 
 @dataclass(frozen=True)
-class InverseRecord:
+class InverseRecord(_TransferReadings):
     """A constructed Bayesian inverse plus its certification data.
 
     ``a`` holds the Pauli-frame coefficients in the normalization where
-    a[0, 0] = 1 (twice the actual operator coefficients); ``choi`` and
-    ``kraus`` describe the returned channel in the original frame;
+    a[0, 0] = 1 (twice the actual operator coefficients); ``ptm`` and
+    ``kraus`` describe the returned channel in the original frame, which
+    reads ``jam`` and ``choi`` back from ``ptm`` like any channel;
     ``residual`` is the max-entry defect of the defining two-sided
     anticommutator identity; ``unique`` is False only when E(rho) is pure,
     in which case other solutions exist.
@@ -165,7 +160,7 @@ class InverseRecord:
 
     a: np.ndarray
     S: float
-    choi: np.ndarray
+    ptm: np.ndarray
     kraus: tuple
     report: FeasibilityReport
     unique: bool = True
@@ -173,7 +168,7 @@ class InverseRecord:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "a", _readonly(np.asarray(self.a, dtype=np.float64)))
-        object.__setattr__(self, "choi", _readonly(np.asarray(self.choi, dtype=np.complex128)))
+        object.__setattr__(self, "ptm", _readonly(np.asarray(self.ptm, dtype=np.float64)))
         object.__setattr__(self, "kraus", tuple(_readonly(k) for k in self.kraus))
 
 
@@ -254,7 +249,10 @@ def is_unscathed(p: PauliChannel, s: BlochState, tol: float = _UNSCATHED_TOL):
     """Smallest index k with P(rho) = sigma_k rho sigma_k, or None.
 
     Index 0 means the state passes through the channel untouched.
+
+    :raises ValueError: unless 0 < tol < inf.
     """
+    _check_tol(tol)
     hits = np.flatnonzero(_unscathed_residuals(p.lam, s.r) <= tol)
     return int(hits[0]) if hits.size else None
 
@@ -479,8 +477,7 @@ def analytic_inverse(p: PauliChannel, s: BlochState, tol: float = 1e-9) -> Inver
     a[0] = 1.0, *w[_V : _V + 3]
     a[1:, 1:] = np.reshape(w[_R : _R + 9], (3, 3)) * _CHOI_ROW_SIGNS[:, None]
     a[2, 2] += 0.0  # a cancelling diagonal sums to +0 unsigned, to -0 negated
-    choi = partial_transpose(pauli_reconstruct(a / 2.0))  # the Choi matrix of ptm a^T
-    return InverseRecord(a=a, S=w[_S], choi=choi, kraus=(), report=_pair_report(w, w[_S], tol))
+    return InverseRecord(a=a, S=w[_S], ptm=a.T, kraus=(), report=_pair_report(w, w[_S], tol))
 
 
 # === Full pipeline ===
@@ -518,7 +515,7 @@ def pauli_frame_decision(p: PauliChannel, s: BlochState, tol: float = 1e-9):
     # The unscathed test decided, as in a batch, whatever the slacks' sign at tol.
     report = replace(_pair_report(w, s_scalar, tol), feasible=True)
     unique = bool(s_scalar < 1.0 - _BOUNDARY_EPS)
-    return InverseRecord(a=p.ptm, S=s_scalar, choi=p.choi, kraus=(), report=report, unique=unique)
+    return InverseRecord(a=p.ptm, S=s_scalar, ptm=p.ptm, kraus=(), report=report, unique=unique)
 
 
 # Rows are scored in blocks of whole rows with at most this many pairs (a
@@ -710,7 +707,7 @@ def bayesian_inverse(e, s: BlochState, tol: float = 1e-9):
     t = rec.a.T.copy()  # the frame inverse's transfer matrix, then B2^T t B1^T
     t[1:] = o2t.T @ t[1:]
     t[:, 1:] = t[:, 1:] @ o1.T
-    final = ChannelRep.from_ptm(t)
+    final = replace(rec, ptm=t)
     try:
         kraus = kraus_from_choi(final.choi, cert_tol)
     except NotPSDError as exc:
@@ -718,4 +715,4 @@ def bayesian_inverse(e, s: BlochState, tol: float = 1e-9):
     residual = bayes_residual(e, s, final)
     if residual > cert_tol:
         raise InternalCPViolationError(f"constructed inverse has residual {residual:.3e}")
-    return replace(rec, choi=final.choi, kraus=tuple(kraus), residual=residual)
+    return replace(final, kraus=tuple(kraus), residual=residual)

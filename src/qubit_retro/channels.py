@@ -14,8 +14,8 @@ operators are converted through; jam is only read):
 The Pauli channel sum_i p_i sigma_i w sigma_i gets its own value type since
 most of the inversion machinery works directly with its probability vector
 and signed eigenvalues lambda_i = p_0 + p_i - p_j - p_k; its ptm is
-diag(1, lambda). Both types read jam and choi through the same cached
-properties, so the structure maps below take either, with no type dispatch.
+diag(1, lambda). Both types (and bayes.InverseRecord) read jam and choi
+through one set of cached properties, so the maps below need no type dispatch.
 """
 
 from __future__ import annotations
@@ -74,6 +74,12 @@ def _depolarizing_probs(strength):
     return np.stack([1.0 - strength, q, q, q], axis=-1)
 
 
+def _check_tol(tol: float) -> None:
+    """Reject a verdict, CP or Kraus tolerance unless 0 < tol < inf (NaN included)."""
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"verdict tolerance must be positive and finite, got {tol}")
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     out = np.array(a)
     out.flags.writeable = False
@@ -106,7 +112,7 @@ class BlochState:
 
 
 class _TransferReadings:
-    """jam and choi, read from a read-only transfer matrix ``ptm``."""
+    """jam and choi of every channel type, read from its read-only transfer matrix ``ptm``."""
 
     @cached_property
     def jam(self) -> np.ndarray:
@@ -146,7 +152,9 @@ class PauliChannel(_TransferReadings):
 
         :raises NotCPTPError: when the eigenvalues lie outside the
             completely positive region by more than tol.
+        :raises ValueError: unless 0 < tol < inf.
         """
+        _check_tol(tol)
         l1, l2, l3 = (float(x) for x in np.asarray(lam).reshape(3))
         p = 0.25 * np.array(
             [1 + l1 + l2 + l3, 1 + l1 - l2 - l3, 1 - l1 + l2 - l3, 1 - l1 - l2 + l3]
@@ -273,7 +281,9 @@ def kraus_from_choi(choi: np.ndarray, tol: float = 1e-9) -> list[np.ndarray]:
 
     :raises NotHermitianError: on a non-finite or non-Hermitian input.
     :raises NotPSDError: if an eigenvalue is below -tol after rescaling.
+    :raises ValueError: unless 0 < tol < inf.
     """
+    _check_tol(tol)
     c = np.asarray(choi, dtype=np.complex128)
     _check_hermitian(c, "Choi matrix")  # before the rescale, which an inf makes NaN
     tr = c.trace().real
@@ -331,7 +341,11 @@ def compose(f, g) -> ChannelRep:
 
 
 def is_cptp(e, tol: float = 1e-9) -> bool:
-    """Completely positive and trace preserving, via the Choi spectrum."""
+    """Completely positive and trace preserving, via the Choi spectrum.
+
+    :raises ValueError: unless 0 < tol < inf.
+    """
+    _check_tol(tol)
     if not np.abs(e.ptm[0] - np.array([1.0, 0.0, 0.0, 0.0])).max() <= tol:
         return False
     _check_hermitian(e.choi)

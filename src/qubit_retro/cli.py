@@ -27,14 +27,13 @@ from .bayes import (
     _UNSCATHED_TOL,
     InverseRecord,
     NoInverse,
-    _check_tol,
     _cptp_tol,
     bayesian_inverse,
     is_unscathed,
     two_time_matrix,
     unscathed_residuals,
 )
-from .channels import ChannelRep, PauliChannel, apply, is_cptp, kraus_from_choi
+from .channels import ChannelRep, PauliChannel, _check_tol, apply, is_cptp, kraus_from_choi
 from .errors import NotCPTPError, NotPSDError, NotUnitalError, QubitRetroError
 from .scans import (
     _FAMILIES,

@@ -44,8 +44,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bayes import InverseRecord, _verdict_blocks, _verdict_rows, bayesian_inverse
-from .bayes import _UNSCATHED_TOL, _check_tol, _on_boundary, _unscathed_residuals
-from .channels import BlochState, PauliChannel, _depolarizing_probs, _lambda_rows, _readonly
+from .bayes import _UNSCATHED_TOL, _on_boundary, _unscathed_residuals
+from .channels import BlochState, PauliChannel, _check_tol, _depolarizing_probs, _lambda_rows
+from .channels import _readonly
 from .errors import InternalCPViolationError, MonotonicityWarning
 
 __all__ = [

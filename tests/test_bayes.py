@@ -44,6 +44,7 @@ from qubit_retro import (
     is_cptp,
     is_unscathed,
     jamiolkowski,
+    kraus_from_choi,
     pauli_frame_decision,
     pauli_frame_verdicts,
     pauli_reconstruct,
@@ -737,6 +738,13 @@ _TOL_ENTRY_POINTS = {
     "gamel_report": lambda tol: gamel_report(PauliChannel.depolarizing(0.3).choi, 0.0, tol),
     "bayesian_inverse": lambda tol: bayesian_inverse(
         PauliChannel.depolarizing(0.3), BlochState.maximally_mixed(), tol),
+    # Eigenvalues outside the CP region, a non-CP Choi matrix, a CPTP channel
+    # and an unscathed prior: a NaN tol passed each of them silently.
+    "PauliChannel.from_lambdas": lambda tol: PauliChannel.from_lambdas([1.0, 1.0, -1.0], tol=tol),
+    "kraus_from_choi": lambda tol: kraus_from_choi(np.diag([1.0, 1.0, 1.0, -1.0]), tol),
+    "is_cptp": lambda tol: is_cptp(PauliChannel.depolarizing(0.3), tol),
+    "is_unscathed": lambda tol: is_unscathed(
+        PauliChannel.depolarizing(0.3), BlochState.maximally_mixed(), tol),
 }
 
 
@@ -988,12 +996,25 @@ def test_certification_failure_raises_internal_error(monkeypatch):
     # certification loudly, whatever the caller's tol.
     def decision(p, s, tol):
         a = np.diag([1.0, 0.9, 0.9, -0.9])
-        return InverseRecord(a=a, S=0.0, choi=ChannelRep.from_ptm(a).choi, kraus=(), report=None)
+        return InverseRecord(a=a, S=0.0, ptm=a.T, kraus=(), report=None)
 
     monkeypatch.setattr(bayes, "pauli_frame_decision", decision)
     for tol in (1e-12, 1e-9, 1e-3):
         with pytest.raises(InternalCPViolationError, match="not CP"):
             bayesian_inverse(PauliChannel.depolarizing(0.1), BlochState.maximally_mixed(), tol)
+
+
+def test_residual_above_the_certification_tolerance_raises_internal_error(monkeypatch):
+    # A CP inverse that misses the defining identity by more than max(tol, 1e-9)
+    # fails certification too, and a miss within it is kept as the residual.
+    pc, s = PauliChannel(np.array([0.8, 0.1, 0.06, 0.04])), BlochState((0.3, 0.2, -0.4))
+    for tol in (1e-12, 1e-9, 1e-3):
+        cert_tol = max(tol, 1e-9)
+        monkeypatch.setattr(bayes, "bayes_residual", lambda e, s, f: 2.0 * cert_tol)
+        with pytest.raises(InternalCPViolationError, match="residual"):
+            bayesian_inverse(pc, s, tol)
+        monkeypatch.setattr(bayes, "bayes_residual", lambda e, s, f: cert_tol)
+        assert bayesian_inverse(pc, s, tol).residual == cert_tol
 
 
 def _rotation(axis, angle: float) -> np.ndarray:

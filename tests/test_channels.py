@@ -31,7 +31,8 @@ from qubit_retro import (
     transport_inverse,
     unital_to_pauli,
 )
-from qubit_retro.errors import NotCPTPError, NotHermitianError, NotPSDError, NotUnitalError
+from qubit_retro.errors import InternalCPViolationError, NotCPTPError, NotHermitianError
+from qubit_retro.errors import NotPSDError, NotUnitalError
 
 SEED = 20260825
 
@@ -323,6 +324,21 @@ def test_apply_agrees_with_apply_operator_on_both_channel_types():
         s = random_bloch(rng)
         for e in (pc, rep):
             assert np.abs(apply(e, s).matrix - apply_operator(e, s.matrix)).max() < 1e-12
+
+
+def test_apply_rejects_a_broken_transfer_matrix_and_renormalizes_roundoff():
+    # apply's guards are for a broken channel object: a trace or a Bloch length
+    # off by more than 1e-10 raises, and an overshoot within it is scaled back.
+    pole = BlochState(np.array([1.0, 0.0, 0.0]))
+    trace = np.eye(4)
+    trace[0, 0] += 2e-10
+    with pytest.raises(InternalCPViolationError, match="trace"):
+        apply(ChannelRep.from_ptm(trace), pole)
+    with pytest.raises(InternalCPViolationError, match="length"):
+        apply(ChannelRep.from_ptm(np.diag([1.0, 1.0 + 2e-10, 1.0, 1.0])), pole)
+    out = apply(ChannelRep.from_ptm(np.diag([1.0, 1.0 + 5e-11, 1.0, 1.0])), pole)
+    assert np.linalg.norm(out.r) <= 1.0
+    assert np.abs(out.r - pole.r).max() <= 1e-15
 
 
 def test_adjoint_duality():

@@ -473,6 +473,31 @@ def test_three_entry_command(tmp_path, capsys):
     assert doc["hits_confirmed"] == 0
 
 
+def test_three_entry_command_lists_confirmed_examples(monkeypatch, tmp_path, capsys):
+    # Every real search so far confirms no hit, so the examples come from a stub.
+    examples = (((0.7, 0.2, 0.1, 0.0), (0.25, -0.5, 0.125)), ((0.5, 0.5, 0.0, 0.0), (1.0, 0, 0)))
+    summary = scans.ThreeEntrySummary(
+        resolution=4, seed=7, channels=12, samples_per_channel=1000, queries=12000,
+        mu_feasible=12, hits=3, hits_confirmed=2, examples=examples,
+    )
+    monkeypatch.setattr(cli, "scan_three_entry", lambda *args, **kwargs: summary)
+    assert main(["three-entry", "--resolution", "4", "--seed", "7", "--out", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    at = lines.index("confirmed examples:")
+    assert lines[at : at + 3] == [
+        "confirmed examples:",
+        "  p = [0.69999999999999996, 0.20000000000000001, 0.10000000000000001, 0]"
+        "   r = [0.25, -0.5, 0.125]",
+        "  p = [0.5, 0.5, 0, 0]   r = [1, 0, 0]",
+    ]
+    doc = json.loads((tmp_path / "three-entry_4.json").read_text())
+    assert doc["examples"] == [
+        {"p": [0.7, 0.2, 0.1, 0.0], "r": [0.25, -0.5, 0.125]},
+        {"p": [0.5, 0.5, 0.0, 0.0], "r": [1.0, 0.0, 0.0]},
+    ]
+    assert all(type(x) is float for e in doc["examples"] for x in e["p"] + e["r"])
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_three_entry_file_is_indented_json_dumps(seed, tmp_path, capsys):
     assert main(["three-entry", "--resolution", "5", "--seed", str(seed),
