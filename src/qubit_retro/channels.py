@@ -1,9 +1,9 @@
 """Single-qubit channel representations and structure maps.
 
 Every channel is held as its Pauli transfer matrix and reads the other
-forms back from it (a ChannelRep is built from Kraus operators, a Choi
-matrix or a transfer matrix, and keeps the Choi matrix that Kraus
-operators are converted through; jam is only read):
+forms back from it. A ChannelRep has one constructor per form:
+ChannelRep(ptm), ChannelRep.from_kraus, which keeps the Choi matrix the
+operators are converted through, and ChannelRep.from_choi; jam is only read:
 
     ptm     T[i, j] = Tr[sigma_i N(sigma_j)] / 2
     jam     (id (x) N)(SWAP) = (1/2) sum_ij T[j, i] sigma_i (x) sigma_j
@@ -177,83 +177,82 @@ class PauliChannel(_TransferReadings):
         return _readonly(np.diag(np.concatenate(([1.0], self.lam))))
 
 
+def _finite_4x4(m: np.ndarray, name: str) -> np.ndarray:
+    """m, unless it is not a finite 4x4 matrix; the ValueError names the form."""
+    if m.shape != (4, 4):
+        raise ValueError(f"{name} must be a 4x4 matrix, got {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError(f"{name} must have finite entries")
+    return m
+
+
+def _ptm_of_choi(choi: np.ndarray, what: str) -> np.ndarray:
+    """Transfer matrix of a finite Choi matrix; what ("... is"/"... are") names the form."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = 2.0 * pauli_expand(partial_transpose(choi)).T
+    if not np.isfinite(t).all():  # a finite Choi matrix whose Pauli sums overflow
+        raise ValueError(f"{what} too large: the transfer matrix overflows")
+    return t
+
+
 class ChannelRep(_TransferReadings):
     """A qubit channel held as its Pauli transfer matrix.
 
-    Exactly one of kraus/choi/ptm is supplied and converted to ``ptm`` at
-    construction; ``jam`` is read back from it. Supplied Kraus operators
-    are kept as given, others are extracted on first use. The Choi matrix
-    that Kraus operators are converted through is kept as ``choi``; for a
-    channel given another way it is read back from ``ptm``.
+    ``ChannelRep(ptm)`` takes the real 4x4 transfer matrix; :meth:`from_kraus`
+    and :meth:`from_choi` convert the other two forms to it, and ``jam`` is
+    read back from it. Kraus operators given to :meth:`from_kraus` are kept
+    as given, with the Choi matrix they are converted through; a channel
+    built another way reads ``choi`` back from ``ptm`` and extracts its
+    Kraus operators on first use.
     """
 
-    def __init__(self, *, kraus=None, choi=None, ptm=None):
-        forms = {"kraus": kraus, "choi": choi, "ptm": ptm}
-        given = [(name, value) for name, value in forms.items() if value is not None]
-        if len(given) != 1:
-            raise ValueError("supply exactly one of kraus/choi/ptm")
-        name, value = given[0]
-        if name == "kraus":
-            ops = [np.asarray(k, dtype=np.complex128) for k in value]
-            if not ops or any(k.shape != (2, 2) for k in ops):
-                raise ValueError("kraus must be a non-empty list of 2x2 operators")
-            # Row k is K_k's column-major vec. The Choi matrix sums their outer
-            # products in operator order starting from 0, as a sequential sum
-            # does, so signed zeros and rounding match it bit for bit.
-            vecs = np.array(ops).transpose(0, 2, 1).reshape(-1, 4)
-            with np.errstate(over="ignore", invalid="ignore"):
-                value = (vecs[:, :, None] * vecs[:, None, :].conj()).sum(axis=0, initial=0.0)
-            if not np.isfinite(value).all():
-                if not np.isfinite(vecs).all():
-                    raise ValueError("kraus operators must have finite entries")
-                raise ValueError("kraus operators are too large: their Choi matrix overflows")
-            self.kraus = tuple(_readonly(k) for k in ops)
-            name = "choi"
-        m = np.asarray(value)
-        if name == "ptm" and np.iscomplexobj(m):
+    def __init__(self, ptm):
+        m = np.asarray(ptm)
+        if np.iscomplexobj(m):
             if (m.imag != 0.0).any():
                 raise ValueError("ptm must be a real matrix")
             m = m.real
-        m = m.astype(np.float64 if name == "ptm" else np.complex128)
-        if m.shape != (4, 4):
-            raise ValueError(f"{name} must be a 4x4 matrix, got {m.shape}")
-        if not np.isfinite(m).all():
-            raise ValueError(f"{name} must have finite entries")
-        if name == "choi":
-            _check_hermitian(m, "choi matrix")
-            if kraus is not None:
-                self.choi = _readonly(m)
-            with np.errstate(over="ignore", invalid="ignore"):
-                m = 2.0 * pauli_expand(partial_transpose(m)).T
-            if not np.isfinite(m).all():  # a finite Choi matrix whose Pauli sums overflow
-                what = "kraus operators are" if kraus is not None else "choi matrix is"
-                raise ValueError(f"{what} too large: the transfer matrix overflows")
-        self.ptm = _readonly(m)
+        self.ptm = _readonly(_finite_4x4(m.astype(np.float64), "ptm"))
 
     # --- constructors ---
 
     @classmethod
     def from_kraus(cls, ops) -> "ChannelRep":
-        return cls(kraus=ops)
+        ops = [np.asarray(k, dtype=np.complex128) for k in ops]
+        if not ops or any(k.shape != (2, 2) for k in ops):
+            raise ValueError("kraus must be a non-empty list of 2x2 operators")
+        # Row k is K_k's column-major vec. The Choi matrix sums their outer
+        # products in operator order starting from 0, as a sequential sum
+        # does, so signed zeros and rounding match it bit for bit; the sum is
+        # Hermitian by construction.
+        vecs = np.array(ops).transpose(0, 2, 1).reshape(-1, 4)
+        with np.errstate(over="ignore", invalid="ignore"):
+            choi = (vecs[:, :, None] * vecs[:, None, :].conj()).sum(axis=0, initial=0.0)
+        if not np.isfinite(choi).all():
+            if not np.isfinite(vecs).all():
+                raise ValueError("kraus operators must have finite entries")
+            raise ValueError("kraus operators are too large: their Choi matrix overflows")
+        rep = cls(_ptm_of_choi(choi, "kraus operators are"))
+        rep.kraus = tuple(_readonly(k) for k in ops)
+        rep.choi = _readonly(choi)
+        return rep
 
     @classmethod
     def from_choi(cls, m) -> "ChannelRep":
-        return cls(choi=m)
-
-    @classmethod
-    def from_ptm(cls, t) -> "ChannelRep":
-        return cls(ptm=t)
+        m = _finite_4x4(np.asarray(m).astype(np.complex128), "choi")
+        _check_hermitian(m, "choi matrix")
+        return cls(_ptm_of_choi(m, "choi matrix is"))
 
     @classmethod
     def from_pauli(cls, pc: PauliChannel) -> "ChannelRep":
-        return cls(kraus=[np.sqrt(w) * s for w, s in zip(pc.p, PAULIS) if w > 0.0])
+        return cls.from_kraus([np.sqrt(w) * s for w, s in zip(pc.p, PAULIS) if w > 0.0])
 
     @classmethod
     def from_unitary(cls, u) -> "ChannelRep":
         u = np.asarray(u, dtype=np.complex128)
         if np.abs(u @ u.conj().T - np.eye(2)).max() > 1e-10:
             raise ValueError("matrix is not unitary to 1e-10")
-        return cls(kraus=[u])
+        return cls.from_kraus([u])
 
     @cached_property
     def kraus(self) -> tuple:
@@ -332,12 +331,12 @@ def adjoint(e):
     Transposes the transfer matrix; a Pauli channel's is diagonal, so its
     adjoint has the same transfer matrix.
     """
-    return ChannelRep.from_ptm(e.ptm.T)
+    return ChannelRep(e.ptm.T)
 
 
 def compose(f, g) -> ChannelRep:
     """The channel "f after g"; transfer matrices multiply in the same order."""
-    return ChannelRep.from_ptm(f.ptm @ g.ptm)
+    return ChannelRep(f.ptm @ g.ptm)
 
 
 def is_cptp(e, tol: float = 1e-9) -> bool:

@@ -8,9 +8,9 @@ CPTP tests of verify and kraus run at max(--tol, 1e-9), as invert's do.
 
 Exit codes: 0 success, 1 malformed input, usage error, an output
 directory that cannot be made or written (--out naming a file, say) or
-failed verification, 2 no Bayesian inverse exists, 3 a supplied channel
-(the channel or candidate inverse given to verify, or the channel file given
-to kraus) is not CPTP.
+failed verification, 2 no Bayesian inverse exists / state is not
+unscathed, 3 a supplied channel (the channel or candidate inverse given to
+verify, or the channel file given to kraus) is not CPTP.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .scans import (
     _FAMILIES,
     ScanGrid,
     _csv_chunks,
-    _g17,
     _svg_chunks,
     boundary_chi,
     scan_bb84,
@@ -53,7 +52,6 @@ from .serialize import (
     dump_json,
     load_channel,
     load_state,
-    matrix_to_pairs,
 )
 
 __all__ = ["main"]
@@ -64,13 +62,17 @@ EXIT_NO_INVERSE = 2
 EXIT_NOT_CPTP = 3
 
 
+def _g17(x: float) -> str:
+    return format(float(x), ".17g")
+
+
 def _vec(v) -> str:
-    return "[" + ", ".join(format(x, ".17g") for x in np.asarray(v, dtype=float).tolist()) + "]"
+    return "[" + ", ".join(map(_g17, np.asarray(v, dtype=float).tolist())) + "]"
 
 
 def _print_real_matrix(m) -> None:
     for row in np.asarray(m, dtype=float).tolist():
-        print("  " + "  ".join(format(x, ".17g") for x in row))
+        print("  " + "  ".join(map(_g17, row)))
 
 
 def _print_complex_matrix(m) -> None:
@@ -151,8 +153,7 @@ def cmd_invert(args: argparse.Namespace) -> int:
         _print_complex_matrix(k)
     if args.out:
         # Encoded once, for inverse.json and for the report that embeds it.
-        ops = [matrix_to_pairs(k) for k in rec.kraus]
-        inverse = _JSONText(_json_text({"kind": "kraus", "ops": ops}))
+        inverse = _JSONText(_json_text(channel_to_json(rec)))
         doc = {
             "verdict": "inverse",
             "tol": args.tol,

@@ -30,9 +30,10 @@ exponent), each written from a lookup table a column at a time, so that
 no byte is moved; the few values the vectorized route cannot decide are
 formatted by ``'%.17g'`` itself. A record keeps only the p bytes that some
 p text uses and sizes ",t,flag" to its widest text, so fewer NULs are
-dropped. Each SVG p column is a chunk of ``<rect>`` lines: one gather from
-an object array of two byte tails per t picks the column's tails, joined
-by its x key.
+dropped. The SVG frame (head, axes, tick labels and axis names) is fixed
+bytes, and only the title line and the cell rects are formatted. Each SVG
+p column is a chunk of ``<rect>`` lines: one gather from an object array
+of two byte tails per t picks the column's tails, joined by its x key.
 """
 
 from __future__ import annotations
@@ -87,18 +88,15 @@ class ScanGrid:
                 raise ValueError(f"{name} must be strictly increasing with >= 2 points")
             if ax[0] < 0.0 or ax[-1] > 1.0:
                 raise ValueError(f"{name} must lie inside [0, 1]")
-            ax.flags.writeable = False
-            object.__setattr__(self, name, ax)
-        d = _unit(self.direction)
-        d.flags.writeable = False
-        object.__setattr__(self, "direction", d)
+            object.__setattr__(self, name, _readonly(ax))
+        object.__setattr__(self, "direction", _readonly(_unit(self.direction)))
 
     @classmethod
     def uniform(cls, resolution: int, direction=(1.0, 0.0, 0.0)) -> "ScanGrid":
         if resolution < 2:
             raise ValueError(f"resolution must be >= 2, got {resolution}")
         axis = np.linspace(0.0, 1.0, resolution)
-        return cls(p_axis=axis, t_axis=axis.copy(), direction=np.asarray(direction, float))
+        return cls(p_axis=axis, t_axis=axis, direction=np.asarray(direction, float))
 
 
 def _frozen(a: np.ndarray) -> bool:
@@ -380,10 +378,6 @@ def scan_three_entry(
 
 # === Exports ===
 
-def _g17(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 # _g17_fields writes '%.17g' % v for a column of floats as a byte matrix. A
 # value with 1e-270 <= |v| < 1e270 is scaled by a double-double power of ten
 # to y = |v| 10^(16 - X), X its decimal exponent, and y = p + r with p an
@@ -563,68 +557,55 @@ def emit_csv(scan: ScanResult) -> bytes:
     return b"".join(_csv_chunks(scan))
 
 
+# The fixed 590 x 590 frame around the 500 x 500 plot, whose top left corner
+# sits at (70, 30): the head, and the axes, tick labels and axis names.
+_SVG_HEAD = (
+    b'<?xml version="1.0" encoding="UTF-8"?>\n'
+    b'<svg xmlns="http://www.w3.org/2000/svg" width="590" height="590" viewBox="0 0 590 590">\n'
+    b'<rect x="0" y="0" width="590" height="590" fill="white"/>\n'
+)
+_SVG_TAIL = (
+    '<path d="M 70.0 30.0 L 70.0 530.0 L 570.0 530.0" fill="none" stroke="black" '
+    'stroke-width="1.5"/>\n'
+    '<text x="70.0" y="552.0" font-size="13" text-anchor="middle">0</text>\n'
+    '<text x="60.0" y="534.0" font-size="13" text-anchor="end">0</text>\n'
+    '<text x="320.0" y="552.0" font-size="13" text-anchor="middle">0.5</text>\n'
+    '<text x="60.0" y="284.0" font-size="13" text-anchor="end">0.5</text>\n'
+    '<text x="570.0" y="552.0" font-size="13" text-anchor="middle">1</text>\n'
+    '<text x="60.0" y="34.0" font-size="13" text-anchor="end">1</text>\n'
+    '<text x="320.0" y="575.0" font-size="15" text-anchor="middle">p</text>\n'
+    '<text x="25.0" y="280.0" font-size="15" text-anchor="middle" '
+    'transform="rotate(-90 25.0 280.0)">‖r‖²</text>\n'
+    '</svg>'
+).encode("utf-8")
+
+
 def _svg_chunks(scan: ScanResult, title: str = ""):
     """emit_svg's bytes in order: the head, one chunk per p column, the tail."""
     n_p, n_t = len(scan.grid.p_axis), len(scan.grid.t_axis)
-    plot_w = plot_h = 500.0
-    ml, mt, mr, mb = 70.0, 30.0, 20.0, 60.0
-    width, height = ml + plot_w + mr, mt + plot_h + mb
-    cw, ch = plot_w / n_p, plot_h / n_t
-
-    parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" height="{height:.0f}" '
-        f'viewBox="0 0 {width:.0f} {height:.0f}">',
-        f'<rect x="0" y="0" width="{width:.0f}" height="{height:.0f}" fill="white"/>',
-    ]
+    cw, ch = 500.0 / n_p, 500.0 / n_t
+    head = _SVG_HEAD
     if title:
         # Escaped by hand: xml.sax.saxutils imports urllib.request, which adds
         # ~7 MB to the peak RSS of every process that imports the package.
         title = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-        parts.append(
-            f'<text x="{ml + plot_w / 2:.1f}" y="{mt - 10:.1f}" font-size="16" '
-            f'text-anchor="middle">{title}</text>'
-        )
-    yield "".join(f"{part}\n" for part in parts).encode("utf-8")
+        head += (
+            f'<text x="320.0" y="20.0" font-size="16" text-anchor="middle">{title}</text>\n'
+        ).encode("utf-8")
+    yield head
     # A <rect> line is its p column's x key and a tail, one of two per t, at
     # 2 t + flag in one object array: a p column is x_key + x_key.join(its
     # tails), which one fancy index picks.
     size = f'width="{cw:.2f}" height="{ch:.2f}"'
     tails = np.array([
-        f'y="{mt + plot_h - (j + 1) * ch:.2f}" {size} fill="{fill}"/>\n'.encode("ascii")
+        f'y="{530.0 - (j + 1) * ch:.2f}" {size} fill="{fill}"/>\n'.encode("ascii")
         for j in range(n_t) for fill in ("#efecf4", "#7b52a8")
     ], dtype=object)
     evens = np.arange(0, 2 * n_t, 2)
     for i, column in enumerate(scan.feasible.reshape(n_p, n_t)):
-        x_key = b'<rect x="%.2f" ' % (ml + i * cw)
+        x_key = b'<rect x="%.2f" ' % (70.0 + i * cw)
         yield x_key + x_key.join(tails[column + evens].tolist())
-    ax = (
-        f'<path d="M {ml:.1f} {mt:.1f} L {ml:.1f} {mt + plot_h:.1f} '
-        f'L {ml + plot_w:.1f} {mt + plot_h:.1f}" fill="none" stroke="black" stroke-width="1.5"/>'
-    )
-    parts = [ax]
-    for frac, label in ((0.0, "0"), (0.5, "0.5"), (1.0, "1")):
-        x = ml + frac * plot_w
-        y = mt + plot_h * (1.0 - frac)
-        parts.append(
-            f'<text x="{x:.1f}" y="{mt + plot_h + 22:.1f}" font-size="13" '
-            f'text-anchor="middle">{label}</text>'
-        )
-        parts.append(
-            f'<text x="{ml - 10:.1f}" y="{y + 4:.1f}" font-size="13" '
-            f'text-anchor="end">{label}</text>'
-        )
-    parts.append(
-        f'<text x="{ml + plot_w / 2:.1f}" y="{mt + plot_h + 45:.1f}" font-size="15" '
-        f'text-anchor="middle">p</text>'
-    )
-    parts.append(
-        f'<text x="{ml - 45:.1f}" y="{mt + plot_h / 2:.1f}" font-size="15" '
-        f'text-anchor="middle" transform="rotate(-90 {ml - 45:.1f} {mt + plot_h / 2:.1f})">'
-        "‖r‖²</text>"
-    )
-    parts.append("</svg>")
-    yield "\n".join(parts).encode("utf-8")
+    yield _SVG_TAIL
 
 
 def emit_svg(scan: ScanResult, title: str = "") -> bytes:

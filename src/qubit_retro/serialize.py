@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .bayes import InverseRecord
 from .channels import BlochState, ChannelRep, PauliChannel
 
 __all__ = [
@@ -75,10 +76,14 @@ def matrix_from_pairs(rows, shape=(2, 2)) -> np.ndarray:
 
 
 def channel_to_json(e) -> dict:
-    """Schema document for a channel; Pauli channels keep their kind."""
+    """Schema document for a channel: "pauli" for a PauliChannel, else "kraus".
+
+    :raises TypeError: unless e is a PauliChannel, or a ChannelRep or
+        InverseRecord that carries Kraus operators.
+    """
     if isinstance(e, PauliChannel):
         return {"kind": "pauli", "p": [float(x) for x in e.p]}
-    if isinstance(e, ChannelRep):
+    if isinstance(e, (ChannelRep, InverseRecord)) and e.kraus:
         return {"kind": "kraus", "ops": [matrix_to_pairs(k) for k in e.kraus]}
     raise TypeError(f"cannot serialize {type(e).__name__} as a channel")
 
@@ -122,7 +127,7 @@ def channel_from_json(doc: dict):
         return ChannelRep.from_kraus(kraus)
     if kind == "ptm":
         m = _numbers(doc, "m", 16, '"ptm" channel needs a 16-entry row-major "m" list')
-        return ChannelRep.from_ptm(m.reshape(4, 4))
+        return ChannelRep(m.reshape(4, 4))
     raise ValueError(f"unknown channel kind {kind!r}")
 
 

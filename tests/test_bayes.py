@@ -151,7 +151,7 @@ def test_two_time_matrix_matches_the_projector_formula():
         rep, _, _, _ = random_unital(rng)
         pairs.append((rep, random_bloch(rng)))
         pc, u, v = random_pauli(rng), random_unitary(rng), random_unitary(rng)
-        kraus = ChannelRep(kraus=[u @ k @ v for k in ChannelRep.from_pauli(pc).kraus])
+        kraus = ChannelRep.from_kraus([u @ k @ v for k in ChannelRep.from_pauli(pc).kraus])
         pairs.append((kraus, random_bloch(rng)))
     inverses = 0
     while inverses < 300:
@@ -161,7 +161,7 @@ def test_two_time_matrix_matches_the_projector_formula():
         if isinstance(rec, NoInverse):
             continue
         inverses += 1
-        pairs.append((ChannelRep(kraus=rec.kraus), apply(rep, s)))
+        pairs.append((ChannelRep.from_kraus(rec.kraus), apply(rep, s)))
     for e, s in pairs:
         m = two_time_matrix(e, s)
         assert m.shape == (3, 3)
@@ -298,7 +298,7 @@ def test_analytic_inverse_satisfies_identity_even_when_infeasible():
         pc = random_pauli(rng, 1e-3)
         s = random_bloch(rng)
         rec = analytic_inverse(pc, s)
-        candidate = ChannelRep.from_ptm(rec.a.T)
+        candidate = ChannelRep(rec.a.T)
         assert bayes_residual(pc, s, candidate) < 1e-12
         assert rec.a[0, 0] == 1.0
         assert np.abs(rec.a[1:, 0]).max() == 0.0
@@ -349,7 +349,7 @@ def test_analytic_choi_is_the_reading_of_its_transfer_matrix():
     rng = np.random.default_rng(SEED + 24)
     for _ in range(2000):
         rec = analytic_inverse(random_pauli(rng, 1e-3), random_bloch(rng))
-        assert rec.choi.tobytes() == ChannelRep.from_ptm(rec.a.T).choi.tobytes()
+        assert rec.choi.tobytes() == ChannelRep(rec.a.T).choi.tobytes()
 
 
 def test_pauli_frame_decision_returns_a_frame_record():
@@ -830,10 +830,9 @@ def test_inverting_the_inverse_returns_the_channel():
         rec = bayesian_inverse(e, s)
         if isinstance(rec, NoInverse) or not rec.unique:
             continue
-        f = ChannelRep.from_choi(rec.choi)
         sigma = apply(e, s).matrix
-        rhs = anticommutator(tensor(eye, sigma), jamiolkowski(adjoint(f)))
-        g = solve_anticommutator(apply_operator(f, sigma), rhs)
+        rhs = anticommutator(tensor(eye, sigma), jamiolkowski(adjoint(rec)))
+        g = solve_anticommutator(apply_operator(rec, sigma), rhs)
         assert np.abs(g - jamiolkowski(e)).max() <= 1e-10, (k, s.r)
         done += 1
     assert done >= 100, done
@@ -855,10 +854,9 @@ def test_bayesian_inverse_feasible_pauli_case():
         assert out.unique
         total = sum(k.conj().T @ k for k in out.kraus)
         assert np.abs(total - np.eye(2)).max() < 1e-8
-        f = ChannelRep.from_choi(out.choi)
-        assert is_cptp(f)
+        assert is_cptp(out)
         # A Bayesian inverse recovers the prior from the channel output.
-        assert np.abs(apply(f, apply(pc, s)).r - s.r).max() < 1e-9
+        assert np.abs(apply(out, apply(pc, s)).r - s.r).max() < 1e-9
 
 
 def test_bayesian_inverse_keeps_the_frame_decision_on_pauli_channels(monkeypatch):
@@ -927,9 +925,8 @@ def test_bayesian_inverse_general_unital_channels():
             continue
         done += 1
         assert out.residual <= 1e-9
-        f = ChannelRep.from_choi(out.choi)
-        assert is_cptp(f)
-        assert np.abs(apply(f, apply(rep, s)).r - s.r).max() < 1e-8
+        assert is_cptp(out)
+        assert np.abs(apply(out, apply(rep, s)).r - s.r).max() < 1e-8
 
 
 def test_bayesian_inverse_at_maximally_mixed_is_adjoint():
@@ -957,7 +954,7 @@ def test_rotation_path_matches_unitary_transport():
             continue
         done += 1
         u, _, v = unital_to_pauli(rep)
-        reference = transport_inverse(u, v, ChannelRep.from_ptm(rec.a.T))
+        reference = transport_inverse(u, v, ChannelRep(rec.a.T))
         assert np.abs(rec.choi - reference.choi).max() < 1e-12
 
 
@@ -965,7 +962,7 @@ def test_queries_use_rotations_and_decompose_once(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("unitary route called by a query")
 
-    rep = ChannelRep.from_ptm(random_unital(np.random.default_rng(SEED + 17))[0].ptm)
+    rep = ChannelRep(random_unital(np.random.default_rng(SEED + 17))[0].ptm)
     monkeypatch.setattr(ChannelRep, "from_unitary", classmethod(forbidden))
     for module in (channels, bayes):
         for name in ("compose", "transport_inverse"):
@@ -1045,7 +1042,7 @@ def test_rotation_covariance(weights, axis, angle, r):
     o = _rotation(axis, angle)
     b = np.eye(4)
     b[1:, 1:] = o
-    rotated = ChannelRep.from_ptm(b @ p.ptm @ b.T)
+    rotated = ChannelRep(b @ p.ptm @ b.T)
     ref = bayesian_inverse(p, BlochState(r))
     out = bayesian_inverse(rotated, BlochState(o @ r))
     if np.abs(p.lam).max() < 1.0 - 1e-12:
@@ -1057,7 +1054,7 @@ def test_rotation_covariance(weights, axis, angle, r):
     if isinstance(ref, NoInverse):
         assert out.reason == ref.reason
     else:
-        assert np.abs(ChannelRep.from_choi(out.choi).ptm - b @ ref.a.T @ b.T).max() < 1e-9
+        assert np.abs(out.ptm - b @ ref.a.T @ b.T).max() < 1e-9
     if _margin(ref) > 1e-9:
         assert np.abs(out.report.slack - ref.report.slack).max() < 1e-12
 

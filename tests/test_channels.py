@@ -114,24 +114,23 @@ def test_pauli_readings_match_kraus_built_rep():
 
 # === ChannelRep conversions ===
 
-def test_rep_requires_exactly_one_form():
-    with pytest.raises(ValueError):
-        ChannelRep()
-    with pytest.raises(ValueError):
-        ChannelRep(choi=np.eye(4), ptm=np.eye(4))
-
-
 def test_rep_rejects_non_hermitian_choi_and_jam():
     rng = np.random.default_rng(SEED + 23)
     rep = ChannelRep.from_pauli(random_pauli(rng))
     skew = np.zeros((4, 4), dtype=np.complex128)
     skew[0, 1] = 1e-6
     with pytest.raises(NotHermitianError):
-        ChannelRep(choi=rep.choi + skew)
-    # jam is a reading of the transfer matrix, not an input form.
+        ChannelRep.from_choi(rep.choi + skew)
+    # jam is a reading of the transfer matrix, not an input form; Kraus
+    # operators and Choi matrices enter through their own constructors.
     with pytest.raises(TypeError):
         ChannelRep(jam=rep.jam)
+    with pytest.raises(TypeError):
+        ChannelRep(kraus=rep.kraus)
+    with pytest.raises(TypeError):
+        ChannelRep(choi=rep.choi)
     assert not hasattr(ChannelRep, "from_jam")
+    assert not hasattr(ChannelRep, "from_ptm")
 
 
 def test_rep_rejects_a_choi_matrix_whose_transfer_matrix_overflows():
@@ -141,18 +140,18 @@ def test_rep_rejects_a_choi_matrix_whose_transfer_matrix_overflows():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="choi matrix is too large: the transfer"):
-                ChannelRep(choi=choi)
+                ChannelRep.from_choi(choi)
 
 
 def test_rep_rejects_complex_ptm():
     m = np.eye(4, dtype=np.complex128)
     m[1, 1] = 0.5 + 0.3j
     with pytest.raises(ValueError, match="real"):
-        ChannelRep.from_ptm(m)
+        ChannelRep(m)
     # A complex matrix with zero imaginary parts is the real one.
     m[1, 1] = 0.5
-    assert ChannelRep.from_ptm(m).ptm.dtype == np.float64
-    assert ChannelRep.from_ptm(m).ptm[1, 1] == 0.5
+    assert ChannelRep(m).ptm.dtype == np.float64
+    assert ChannelRep(m).ptm[1, 1] == 0.5
 
 
 def test_conversion_roundtrips():
@@ -160,7 +159,7 @@ def test_conversion_roundtrips():
     for _ in range(30):
         rep = ChannelRep.from_pauli(random_pauli(rng))
         from_choi = ChannelRep.from_choi(rep.choi)
-        from_ptm = ChannelRep.from_ptm(rep.ptm)
+        from_ptm = ChannelRep(rep.ptm)
         for other in (from_choi, from_ptm):
             assert np.abs(other.choi - rep.choi).max() < 1e-10
             assert np.abs(other.ptm - rep.ptm).max() < 1e-10
@@ -189,7 +188,7 @@ def test_kraus_built_rep_keeps_its_choi(monkeypatch):
         assert not rep.choi.flags.writeable
     assert calls == []
     for rep, _ in reps:
-        assert np.abs(ChannelRep.from_ptm(rep.ptm).choi - rep.choi).max() < 1e-12
+        assert np.abs(ChannelRep(rep.ptm).choi - rep.choi).max() < 1e-12
     assert len(calls) == len(reps)
 
 
@@ -205,7 +204,7 @@ def test_stacked_kraus_choi_equals_the_sequential_sum_bit_for_bit():
             ops.real[rng.random(ops.shape) < 0.2] *= -0.0
             ops.imag[rng.random(ops.shape) < 0.2] *= -0.0
         want = sum(np.outer(k.T.ravel(), k.T.ravel().conj()) for k in ops)
-        assert ChannelRep(kraus=list(ops)).choi.tobytes() == want.tobytes(), trial
+        assert ChannelRep.from_kraus(list(ops)).choi.tobytes() == want.tobytes(), trial
 
 
 def test_choi_trace_and_tp_flags():
@@ -333,10 +332,10 @@ def test_apply_rejects_a_broken_transfer_matrix_and_renormalizes_roundoff():
     trace = np.eye(4)
     trace[0, 0] += 2e-10
     with pytest.raises(InternalCPViolationError, match="trace"):
-        apply(ChannelRep.from_ptm(trace), pole)
+        apply(ChannelRep(trace), pole)
     with pytest.raises(InternalCPViolationError, match="length"):
-        apply(ChannelRep.from_ptm(np.diag([1.0, 1.0 + 2e-10, 1.0, 1.0])), pole)
-    out = apply(ChannelRep.from_ptm(np.diag([1.0, 1.0 + 5e-11, 1.0, 1.0])), pole)
+        apply(ChannelRep(np.diag([1.0, 1.0 + 2e-10, 1.0, 1.0])), pole)
+    out = apply(ChannelRep(np.diag([1.0, 1.0 + 5e-11, 1.0, 1.0])), pole)
     assert np.linalg.norm(out.r) <= 1.0
     assert np.abs(out.r - pole.r).max() <= 1e-15
 
@@ -377,7 +376,7 @@ def test_is_cptp_accepts_valid_channels():
 
 
 def test_is_cptp_rejects_transpose_like_map():
-    bad = ChannelRep.from_ptm(np.diag([1.0, 0.9, 0.9, -0.9]))
+    bad = ChannelRep(np.diag([1.0, 0.9, 0.9, -0.9]))
     assert not is_cptp(bad)
 
 
@@ -461,12 +460,12 @@ def test_unital_to_pauli_rejects_nonunital():
         [[1.0, 0.0, 0.0, 0.0], [0.0, root, 0.0, 0.0], [0.0, 0.0, root, 0.0], [g, 0.0, 0.0, 1.0 - g]]
     )
     with pytest.raises(NotUnitalError) as err:
-        unital_to_pauli(ChannelRep.from_ptm(ptm))
+        unital_to_pauli(ChannelRep(ptm))
     assert "0.3" in str(err.value)
 
 
 def test_unital_to_pauli_rejects_noncp():
-    bad = ChannelRep.from_ptm(np.diag([1.0, 0.9, 0.9, -0.9]))
+    bad = ChannelRep(np.diag([1.0, 0.9, 0.9, -0.9]))
     with pytest.raises(NotCPTPError):
         unital_to_pauli(bad)
 

@@ -7,7 +7,19 @@ import numpy as np
 import pytest
 from oracles import json_document
 
-from qubit_retro import ChannelRep, bayes, boundary_chi, cli, dump_json, is_cptp, scans
+from qubit_retro import (
+    ChannelRep,
+    bayes,
+    bayesian_inverse,
+    boundary_chi,
+    channel_to_json,
+    cli,
+    dump_json,
+    is_cptp,
+    load_channel,
+    load_state,
+    scans,
+)
 from qubit_retro.cli import main
 
 
@@ -127,6 +139,22 @@ def test_invert_writes_inverse_and_report(files, capsys):
     assert inverse["kind"] == "kraus" and len(inverse["ops"]) >= 1
 
 
+def test_inverse_json_is_the_channel_document_of_the_record(files, capsys):
+    # invert --out writes inverse.json through channel_to_json, which takes the
+    # record itself; loading the file gives back the record's Kraus operators.
+    assert main(
+        ["invert", "--channel", str(files["channel"]), "--state", str(files["state"]),
+         "--out", str(files["out"])]
+    ) == 0
+    rec = bayesian_inverse(load_channel(files["channel"]), load_state(files["state"]), 1e-9)
+    path = files["out"] / "inverse.json"
+    assert path.read_text() == json.dumps(channel_to_json(rec), indent=2) + "\n"
+    back = load_channel(path)
+    assert len(back.kraus) == len(rec.kraus)
+    for got, want in zip(back.kraus, rec.kraus):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_invert_then_verify_roundtrip(files, capsys):
     assert main(
         ["invert", "--channel", str(files["channel"]), "--state", str(files["state"]),
@@ -222,7 +250,7 @@ def test_invert_certifies_a_rotated_channel_at_tiny_tol(tmp_path, capsys):
          0.0, 0.3420020487106811, 0.04538143155065655, -0.3022872521310274,
          0.0, 0.04538143155065657, 0.21450313110469948, -0.09660584735062651,
          0.0, -0.3022872521310274, -0.09660584735062651, 0.84349482018462]
-    assert not is_cptp(ChannelRep.from_ptm(np.reshape(m, (4, 4))), 1e-17)
+    assert not is_cptp(ChannelRep(np.reshape(m, (4, 4))), 1e-17)
     files = {
         "ptm": ({"kind": "ptm", "m": m},
                 [-0.21065526393158995, -0.06732182759119498, 0.4484329730379934]),

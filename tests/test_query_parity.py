@@ -45,7 +45,7 @@ def _cases(rng: np.random.Generator) -> list:
                       random_bloch(rng, rmax)))
         pc, u, v = random_pauli(rng, 1e-3), random_unitary(rng), random_unitary(rng)
         ops = [u @ op @ v for op in ChannelRep.from_pauli(pc).kraus]
-        ptm = ChannelRep(kraus=ops).ptm
+        ptm = ChannelRep.from_kraus(ops).ptm
         cases.append((f"ptm-{k}", {"kind": "ptm", "m": ptm.reshape(-1).tolist()},
                       random_bloch(rng, rmax)))
         pc, u, v = random_pauli(rng, 1e-3), random_unitary(rng), random_unitary(rng)

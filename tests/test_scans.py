@@ -53,6 +53,20 @@ def test_scan_grid_validation():
             ScanGrid(p_axis=[0.0, 1.0], t_axis=axis, direction=(1.0, 0.0, 0.0))
 
 
+def test_scan_grid_keeps_its_own_copy_of_the_callers_arrays():
+    axis = np.linspace(0.0, 1.0, 5)
+    direction = np.array([1.0, 0.0, 0.0])
+    grid = ScanGrid(axis, axis, direction)
+    axis[1] = 0.95
+    direction[:] = (0.0, 0.0, 5.0)
+    assert grid.p_axis.tolist() == grid.t_axis.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert grid.direction.tolist() == [1.0, 0.0, 0.0]
+    for name in ("p_axis", "t_axis", "direction"):
+        assert not getattr(grid, name).flags.writeable
+    assert scan_depolarizing(grid).feasible.tolist() == scan_depolarizing(
+        ScanGrid.uniform(5)).feasible.tolist()
+
+
 def test_depolarizing_lambda_values():
     assert depolarizing_lambda(0.0) == 1.0
     assert abs(depolarizing_lambda(0.75)) < 1e-15

@@ -14,6 +14,7 @@ from qubit_retro import (
     ChannelRep,
     PauliChannel,
     ScanGrid,
+    analytic_inverse,
     channel_from_json,
     channel_to_json,
     dump_json,
@@ -60,6 +61,16 @@ def test_kraus_channel_roundtrip():
     assert doc["kind"] == "kraus"
     back = channel_from_json(json.loads(json.dumps(doc)))
     assert np.abs(back.choi - rep.choi).max() < 1e-12
+
+
+@pytest.mark.parametrize("thing", [
+    object(),
+    # A record built without Kraus operators has no "kraus" document.
+    analytic_inverse(PauliChannel([0.7, 0.1, 0.1, 0.1]), BlochState.maximally_mixed()),
+], ids=["object", "record-without-kraus"])
+def test_channel_to_json_rejects_what_is_not_a_channel_document(thing):
+    with pytest.raises(TypeError, match="cannot serialize"):
+        channel_to_json(thing)
 
 
 def test_ptm_channel_document():
@@ -203,7 +214,7 @@ def _json_file(tmp_path, text):
         lambda tmp: BlochState(np.array([np.inf, 0.0, 0.0])),
         lambda tmp: PauliChannel(np.array([np.nan, 0.5, 0.25, 0.25])),
         lambda tmp: ChannelRep.from_kraus([np.array([[np.nan, 0.0], [0.0, 1.0]])]),
-        lambda tmp: ChannelRep.from_ptm(np.diag([1.0, np.nan, 1.0, 1.0])),
+        lambda tmp: ChannelRep(np.diag([1.0, np.nan, 1.0, 1.0])),
         lambda tmp: ChannelRep.from_choi(np.full((4, 4), np.inf)),
         lambda tmp: ScanGrid.uniform(3, direction=[np.nan, 0.0, 0.0]),
         lambda tmp: load_state(_json_file(tmp, '{"bloch": [NaN, 0, 0]}')),
