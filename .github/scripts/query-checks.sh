@@ -4,7 +4,9 @@
 set -euo pipefail
 echo '{"kind": "pauli", "p": [0.8, 0.1, 0.06, 0.04]}' > channel.json
 echo '{"bloch": [0.3, 0.2, -0.4]}' > state.json
-qubit-retro invert --channel channel.json --state state.json --out .
+qubit-retro invert --channel channel.json --state state.json --out . | tee invert.txt
+# The files are named as pathlib renders --out: "." adds no prefix.
+test "$(tail -n 1 invert.txt)" = 'wrote inverse.json and invert_report.json'
 # Both files are json.dumps(doc, indent=2) plus a newline, and the
 # report embeds inverse.json's document.
 python - <<'PY'
@@ -16,8 +18,9 @@ for name in ("inverse.json", "invert_report.json"):
     assert text == json.dumps(docs[name], indent=2) + "\n", name
 assert docs["invert_report.json"]["inverse"] == docs["inverse.json"]
 PY
-qubit-retro verify --channel channel.json --state state.json --inverse inverse.json | tee verify.txt
+qubit-retro verify --channel channel.json --state state.json --inverse inverse.json --out . | tee verify.txt
 grep -qx 'verdict: symmetric' verify.txt
+grep -qx 'wrote verify_report.json' verify.txt
 for command in invert unscathed verify scan kraus three-entry; do
   qubit-retro "$command" --help > /dev/null
 done
@@ -32,10 +35,18 @@ test "$code" -eq 2
 # decides a boundary verdict, so the report is feasible at any tol.
 echo '{"kind": "pauli", "p": [0.25241805539539025, 0.0, 0.7475819446046097, 0.0]}' > edge.json
 echo '{"bloch": [0, 0, 0]}' > center.json
-qubit-retro invert --channel edge.json --state center.json --tol 1e-16 --out edge
+qubit-retro invert --channel edge.json --state center.json --tol 1e-16 --out edge | tee edge.txt
+test "$(tail -n 1 edge.txt)" = 'wrote edge/inverse.json and edge/invert_report.json'
 python -c 'import json; r = json.load(open("edge/invert_report.json"))["report"]; assert r["feasible"] is True and r["v"] == [0, 0, 0], r'
 qubit-retro kraus --channel channel.json --out .
 python -c 'import json; d = json.load(open("kraus.json")); assert len(d["ops"]) == 4, d'
+# verify's and kraus's files are json.dumps(doc, indent=2) plus a newline too.
+python - <<'PY'
+import json
+for name in ("verify_report.json", "kraus.json"):
+    text = open(name, encoding="utf-8", newline="").read()
+    assert text == json.dumps(json.loads(text), indent=2) + "\n", name
+PY
 # Usage errors exit 1, since exit 2 means "no inverse".
 code=0; qubit-retro invert --channel channel.json --state state.json --tol 0 || code=$?
 test "$code" -eq 1

@@ -216,7 +216,7 @@ def two_time_matrix(e, s: BlochState) -> np.ndarray:
         M[i-1, j-1] = r_i T[j, 0] + T[j, i]    (i, j in 1..3).
     """
     t = e.ptm
-    return np.outer(s.r, t[1:, 0]) + t[1:, 1:].T
+    return s.r[:, None] * t[1:, 0] + t[1:, 1:].T  # np.outer's product, bit for bit
 
 
 def bayes_residual(e, s: BlochState, f) -> float:
@@ -437,12 +437,12 @@ def gamel_report(choi: np.ndarray, S: float, tol: float = 1e-9) -> FeasibilityRe
 
 
 def _pair_report(w: list, S: float, tol: float) -> FeasibilityReport:
-    """The report of a pair workspace w that _slacks has scored."""
-    slack = np.array(w[_SLACK : _SLACK + 3])
+    """The report of a pair workspace w that _slacks has scored; a NaN slack is infeasible."""
+    s1, s2, s3 = slack = w[_SLACK : _SLACK + 3]
     return FeasibilityReport(
         v=w[_V : _V + 3], R=np.reshape(w[_R : _R + 9], (3, 3)), eta=w[_ETA], detR=w[_DET],
-        normRv2=w[_RV2], normAdjR2=w[_ADJ2], slack=slack, feasible=bool((slack >= -tol).all()),
-        S=float(S),
+        normRv2=w[_RV2], normAdjR2=w[_ADJ2], slack=slack,
+        feasible=bool(s1 >= -tol and s2 >= -tol and s3 >= -tol), S=float(S),
     )
 
 
@@ -469,15 +469,25 @@ def analytic_inverse(p: PauliChannel, s: BlochState, tol: float = 1e-9) -> Inver
         raise EigenvalueOnBoundaryError(
             f"|lambda| = {np.abs(lam).max()}; use the unscathed/adjoint route"
         )
+    return _interior_record(*_interior_report(lam, s.r, tol))
+
+
+def _interior_report(lam: np.ndarray, r: np.ndarray, tol: float) -> tuple:
+    """A pair workspace scored for the closed-form candidate at lambda, r, and its report."""
     w = _pair_workspace()
-    w[_LAM : _LAM + 3], w[_PRIOR : _PRIOR + 3] = (lam * _CHOI_ROW_SIGNS).tolist(), s.r.tolist()
+    w[_LAM : _LAM + 3], w[_PRIOR : _PRIOR + 3] = (lam * _CHOI_ROW_SIGNS).tolist(), r.tolist()
     _candidate(w)
     _slacks(w)
+    return w, _pair_report(w, w[_S], tol)
+
+
+def _interior_record(w: list, report: FeasibilityReport) -> InverseRecord:
+    """The InverseRecord of the workspace and report of _interior_report."""
     a = np.zeros((4, 4))
     a[0] = 1.0, *w[_V : _V + 3]
     a[1:, 1:] = np.reshape(w[_R : _R + 9], (3, 3)) * _CHOI_ROW_SIGNS[:, None]
     a[2, 2] += 0.0  # a cancelling diagonal sums to +0 unsigned, to -0 negated
-    return InverseRecord(a=a, S=w[_S], ptm=a.T, kraus=(), report=_pair_report(w, w[_S], tol))
+    return InverseRecord(a=a, S=w[_S], ptm=a.T, kraus=(), report=report)
 
 
 # === Full pipeline ===
@@ -501,10 +511,10 @@ def pauli_frame_decision(p: PauliChannel, s: BlochState, tol: float = 1e-9):
     _check_tol(tol)
     lam = p.lam
     if not _on_boundary(lam):
-        rec = analytic_inverse(p, s, tol)
-        if not rec.report.feasible:
-            return NoInverse(reason="cp-infeasible", report=rec.report)
-        return rec
+        w, report = _interior_report(lam, s.r, tol)
+        if not report.feasible:  # no record: it would not be returned
+            return NoInverse(reason="cp-infeasible", report=report)
+        return _interior_record(w, report)
     residuals = _unscathed_residuals(lam, s.r)
     if not (residuals <= _UNSCATHED_TOL).any():
         return NoInverse(reason="not-unscathed", residuals=residuals)

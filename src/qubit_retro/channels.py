@@ -96,7 +96,7 @@ class BlochState:
         r = np.asarray(self.r, dtype=np.float64).reshape(-1)
         if r.shape != (3,):
             raise ValueError(f"Bloch vector must have 3 components, got {r.shape}")
-        norm = np.linalg.norm(r)
+        norm = np.sqrt(r.dot(r))  # np.linalg.norm's own formula for a float vector
         if not norm <= 1.0 + 1e-12:
             raise ValueError(f"Bloch vector must be finite with length <= 1, got length {norm}")
         object.__setattr__(self, "r", _readonly(r))
@@ -188,8 +188,7 @@ def _finite_4x4(m: np.ndarray, name: str) -> np.ndarray:
 
 def _ptm_of_choi(choi: np.ndarray, what: str) -> np.ndarray:
     """Transfer matrix of a finite Choi matrix; what ("... is"/"... are") names the form."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        t = 2.0 * pauli_expand(partial_transpose(choi)).T
+    t = 2.0 * pauli_expand(partial_transpose(choi)).T  # under the caller's np.errstate
     if not np.isfinite(t).all():  # a finite Choi matrix whose Pauli sums overflow
         raise ValueError(f"{what} too large: the transfer matrix overflows")
     return t
@@ -228,11 +227,11 @@ class ChannelRep(_TransferReadings):
         vecs = np.array(ops).transpose(0, 2, 1).reshape(-1, 4)
         with np.errstate(over="ignore", invalid="ignore"):
             choi = (vecs[:, :, None] * vecs[:, None, :].conj()).sum(axis=0, initial=0.0)
-        if not np.isfinite(choi).all():
-            if not np.isfinite(vecs).all():
-                raise ValueError("kraus operators must have finite entries")
-            raise ValueError("kraus operators are too large: their Choi matrix overflows")
-        rep = cls(_ptm_of_choi(choi, "kraus operators are"))
+            if not np.isfinite(choi).all():
+                if not np.isfinite(vecs).all():
+                    raise ValueError("kraus operators must have finite entries")
+                raise ValueError("kraus operators are too large: their Choi matrix overflows")
+            rep = cls(_ptm_of_choi(choi, "kraus operators are"))
         rep.kraus = tuple(_readonly(k) for k in ops)
         rep.choi = _readonly(choi)
         return rep
@@ -241,7 +240,8 @@ class ChannelRep(_TransferReadings):
     def from_choi(cls, m) -> "ChannelRep":
         m = _finite_4x4(np.asarray(m).astype(np.complex128), "choi")
         _check_hermitian(m, "choi matrix")
-        return cls(_ptm_of_choi(m, "choi matrix is"))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return cls(_ptm_of_choi(m, "choi matrix is"))
 
     @classmethod
     def from_pauli(cls, pc: PauliChannel) -> "ChannelRep":
@@ -312,7 +312,7 @@ def apply(e, s: BlochState) -> BlochState:
     if abs(out[0] - 1.0) > 1e-10:
         raise InternalCPViolationError(f"channel scaled the trace to {out[0]}")
     r = out[1:]
-    norm = np.linalg.norm(r)
+    norm = np.sqrt(r.dot(r))
     if norm > 1.0 + 1e-10:
         raise InternalCPViolationError(f"output Bloch vector has length {norm}")
     if norm > 1.0:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -46,10 +47,10 @@ from .scans import (
     scan_three_entry,
 )
 from .serialize import (
+    _json_bytes,
     _json_text,
     _JSONText,
     channel_to_json,
-    dump_json,
     load_channel,
     load_state,
 )
@@ -71,42 +72,40 @@ def _vec(v) -> str:
 
 
 def _print_real_matrix(m) -> None:
-    for row in np.asarray(m, dtype=float).tolist():
-        print("  " + "  ".join(map(_g17, row)))
+    print("\n".join(["  " + "  ".join(map(_g17, row)) for row in np.asarray(m, float).tolist()]))
 
 
 def _print_complex_matrix(m) -> None:
-    for row in np.asarray(m, dtype=complex).tolist():
-        print("  " + "  ".join(f"{z.real:.17g}{z.imag:+.17g}j" for z in row))
+    print("\n".join(["  " + "  ".join([f"{z.real:.17g}{z.imag:+.17g}j" for z in row])
+                     for row in np.asarray(m, complex).tolist()]))
 
 
 def _write(out: str, files: dict) -> None:
-    """Write each named file into out, and say so.
+    """Write each named file into out, and say so, naming files as pathlib renders out.
 
-    A dict, or a _JSONText already encoded, is written as a JSON document
-    through dump_json. A callable returns an iterable of byte chunks, written
-    as they come, so no rendered file is held whole; a file that an error
-    cuts short is removed before the error propagates.
+    Every file is opened "wb" and given to writelines: a dict or a _JSONText
+    as the one chunk of _json_bytes, a callable's byte chunks as they come,
+    so no rendered file is held whole. A file that an error cuts short is
+    removed before the error propagates.
 
     :raises ValueError: if the directory, made if missing, or a file cannot be written.
     """
-    paths = [Path(out) / name for name in files]
+    base = Path(out)
+    paths = [str(base / name) for name in files]
     try:
-        Path(out).mkdir(parents=True, exist_ok=True)
+        os.makedirs(base, exist_ok=True)
         for path, content in zip(paths, files.values()):
-            if not callable(content):
-                dump_json(path, content)
-                continue
+            chunks = content() if callable(content) else (_json_bytes(content),)
             f = open(path, "wb")
             try:
                 with f:
-                    f.writelines(content())
+                    f.writelines(chunks)
             except BaseException:
-                path.unlink(missing_ok=True)
+                Path(path).unlink(missing_ok=True)
                 raise
     except OSError as exc:
         raise ValueError(f"cannot write to {out}: {exc}") from None
-    print("wrote " + " and ".join(map(str, paths)))
+    print("wrote " + " and ".join(paths))
 
 
 def _report_doc(report) -> dict:

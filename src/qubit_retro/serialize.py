@@ -11,7 +11,8 @@ States are {"bloch": [r1, r2, r3]}. Complex numbers always serialize as
 
 Every document is written as json.dumps(doc, indent=2) plus a newline, by a
 writer that gives the same bytes without going through json's pure-Python
-indenting encoder.
+indenting encoder, and stored in binary mode as UTF-8 with "\n" line ends.
+A file is read in one read and decoded as UTF-8 with universal newlines.
 """
 
 from __future__ import annotations
@@ -39,9 +40,9 @@ __all__ = [
 
 
 def matrix_to_pairs(m: np.ndarray) -> list:
-    """Nested row-major [re, im] encoding of a complex matrix."""
-    m = np.asarray(m, dtype=np.complex128)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+    """Nested row-major [re, im] encoding of a complex matrix, or of a stack of them."""
+    m = np.ascontiguousarray(m, np.complex128)
+    return m.view(np.float64).reshape(*m.shape, 2).tolist()
 
 
 # The types of a JSON number; exact, so that a bool is not one.
@@ -84,7 +85,7 @@ def channel_to_json(e) -> dict:
     if isinstance(e, PauliChannel):
         return {"kind": "pauli", "p": [float(x) for x in e.p]}
     if isinstance(e, (ChannelRep, InverseRecord)) and e.kraus:
-        return {"kind": "kraus", "ops": [matrix_to_pairs(k) for k in e.kraus]}
+        return {"kind": "kraus", "ops": matrix_to_pairs(e.kraus)}
     raise TypeError(f"cannot serialize {type(e).__name__} as a channel")
 
 
@@ -147,8 +148,9 @@ def _reject_constant(name: str):
 
 def _load(path) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, parse_constant=_reject_constant)
+        with open(path, "rb") as fh:
+            text = fh.read().decode().replace("\r\n", "\n").replace("\r", "\n")
+        return json.loads(text, parse_constant=_reject_constant)
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
     except ValueError as exc:
@@ -223,6 +225,11 @@ def _json_text(value, newline: str = "\n") -> str:
     return json.dumps(value, indent=2).replace("\n", newline)
 
 
+def _json_bytes(doc) -> bytes:
+    """The bytes of a document's file: json.dumps(doc, indent=2) plus a newline, as UTF-8."""
+    return (_json_text(doc) + "\n").encode()
+
+
 def dump_json(path, doc: dict) -> None:
-    """Write doc as json.dumps(doc, indent=2) plus a newline."""
-    Path(path).write_text(_json_text(doc) + "\n", encoding="utf-8")
+    """Write doc as json.dumps(doc, indent=2) plus a newline, in binary mode as UTF-8."""
+    Path(path).write_bytes(_json_bytes(doc))

@@ -1,7 +1,11 @@
 """Command line interface: exit codes, files written, and report contents."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +25,8 @@ from qubit_retro import (
     scans,
 )
 from qubit_retro.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -320,6 +326,45 @@ def test_out_naming_a_file_exits_1_with_an_error_line(files, tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write to ") and str(afile) in err, args[0]
     assert afile.read_text() == "keep"
+
+
+@pytest.mark.parametrize(
+    "out, prefix", [(".", ""), ("dir/", "dir/"), ("./dir", "dir/"), ("dir//sub", "dir/sub/")]
+)
+def test_wrote_line_names_the_files_as_pathlib_renders_out(
+    files, tmp_path, monkeypatch, capsys, out, prefix
+):
+    monkeypatch.chdir(tmp_path)
+    common = ["--channel", str(files["channel"]), "--state", str(files["state"])]
+    assert main(["invert", *common, "--out", out]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last == f"wrote {prefix}inverse.json and {prefix}invert_report.json"
+    assert (tmp_path / prefix / "inverse.json").is_file()
+
+
+# Run as a child process: the file-size limit and the ignored SIGXFSZ (so a
+# write past the limit fails with EFBIG instead of killing the process) act
+# on that process only, after its imports.
+_FILE_SIZE_LIMITED = """\
+import resource, signal, sys
+from qubit_retro.cli import main
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, (300, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_json_file_cut_short_by_a_write_error_is_removed(files, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    argv = ["invert", "--channel", str(files["channel"]), "--state", str(files["state"]),
+            "--out", "out"]
+    proc = subprocess.run([sys.executable, "-c", _FILE_SIZE_LIMITED, *argv], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == "error: cannot write to out: [Errno 27] File too large\n"
+    assert "wrote" not in proc.stdout
+    assert list(files["out"].iterdir()) == []
 
 
 def test_unscathed_exit_codes(files, tmp_path, capsys):

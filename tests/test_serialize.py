@@ -201,6 +201,31 @@ def test_load_errors_mention_the_path(tmp_path):
     assert "bad.json" in str(err.value)
 
 
+# A file is decoded as UTF-8 with universal newlines, as text mode reads it:
+# "\r\n" and "\r" each count as one character in a parse error's position.
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b'{\r\n  "bloch":\r\n  [0.1, x, 0]\r\n}\r\n',
+         "Expecting value: line 3 column 9 (char 21)"),
+        (b'{\r  "bloch":\r  [0.1, x, 0]\r}\r', "Expecting value: line 3 column 9 (char 21)"),
+        (b'\xef\xbb\xbf{"bloch": [0, 0, 0]}\n',
+         "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+        (b'{"bloch": [0, 0, 0], "note": "\xff"}\n',
+         "'utf-8' codec can't decode byte 0xff in position 30: invalid start byte"),
+        (b'{"bloch": [NaN, 0, 0]}\n', "non-finite number NaN is not allowed"),
+    ],
+    ids=["crlf", "cr", "bom", "invalid-utf8", "nan"],
+)
+@pytest.mark.parametrize("load", [load_state, load_channel], ids=["state", "channel"])
+def test_load_error_messages(load, data, message, tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    with pytest.raises(ValueError) as err:
+        load(path)
+    assert str(err.value) == f"{path} is not valid JSON: {message}"
+
+
 def _json_file(tmp_path, text):
     path = tmp_path / "doc.json"
     path.write_text(text)
