@@ -47,6 +47,13 @@ for name in ("verify_report.json", "kraus.json"):
     text = open(name, encoding="utf-8", newline="").read()
     assert text == json.dumps(json.loads(text), indent=2) + "\n", name
 PY
+# A prior of length 1 + 1e-12 is clamped to the unit sphere where it
+# enters, so a rotated channel decides it (exit 0 or 2). Kept as given, the
+# frame rotation took it past the allowance and the query exited 1.
+echo '{"kind": "ptm", "m": [1, 0, 0, 0, 0, 0.385174935082, -0.270903940924, 0.109521213699, 0, 0.259498836452, 0.151886914407, -0.280471707115, 0, 0.044241209482, 0.250916135593, 0.17962899774]}' > rotated.json
+echo '{"bloch": [0.8000000000008001, 0.6000000000006, 0]}' > long.json
+code=0; qubit-retro invert --channel rotated.json --state long.json --out rotated || code=$?
+test "$code" -eq 0 -o "$code" -eq 2
 # Usage errors exit 1, since exit 2 means "no inverse".
 code=0; qubit-retro invert --channel channel.json --state state.json --tol 0 || code=$?
 test "$code" -eq 1

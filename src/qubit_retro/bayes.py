@@ -78,16 +78,11 @@ __all__ = [
     "analytic_inverse",
     "gamel_report",
     "pauli_frame_decision",
-    "pauli_frame_verdicts",
-    "WITNESSES",
     "bayesian_inverse",
 ]
 
 _BOUNDARY_EPS = 1e-12
 _UNSCATHED_TOL = 1e-10
-
-#: Witness codes of :func:`pauli_frame_verdicts`: why a prior has no inverse.
-WITNESSES = (None, "slack-1", "slack-2", "slack-3", "not-unscathed")
 
 # The Choi matrix reads sigma_y^T = -sigma_y on its first factor, so an interior
 # candidate built from lambda * _CHOI_ROW_SIGNS has R as the Choi matrix reads
@@ -238,6 +233,11 @@ def _unscathed_residuals(lam: np.ndarray, r: np.ndarray) -> np.ndarray:
     """
     d = (lam - _CONJUGATION_SIGNS).reshape((4, 3) + (1,) * (np.ndim(r) - 1)) * r
     return np.maximum(np.abs(d[:, 2]), np.hypot(d[:, 0], d[:, 1])) / 2.0
+
+
+def _unscathed(residuals: np.ndarray):
+    """The unscathed rule of every verdict: some residual of (4,) or (4, N) <= _UNSCATHED_TOL."""
+    return (residuals <= _UNSCATHED_TOL).any(axis=0)
 
 
 def unscathed_residuals(p: PauliChannel, s: BlochState) -> np.ndarray:
@@ -436,13 +436,18 @@ def gamel_report(choi: np.ndarray, S: float, tol: float = 1e-9) -> FeasibilityRe
     return _pair_report(w, S, tol)
 
 
+def _admitted(slack, tol: float):
+    """The admission rule of every verdict: each of three slacks >= -tol, so a NaN fails."""
+    return (slack[0] >= -tol) & (slack[1] >= -tol) & (slack[2] >= -tol)
+
+
 def _pair_report(w: list, S: float, tol: float) -> FeasibilityReport:
-    """The report of a pair workspace w that _slacks has scored; a NaN slack is infeasible."""
-    s1, s2, s3 = slack = w[_SLACK : _SLACK + 3]
+    """The report of a pair workspace w that _slacks has scored."""
+    slack = w[_SLACK : _SLACK + 3]
     return FeasibilityReport(
         v=w[_V : _V + 3], R=np.reshape(w[_R : _R + 9], (3, 3)), eta=w[_ETA], detR=w[_DET],
         normRv2=w[_RV2], normAdjR2=w[_ADJ2], slack=slack,
-        feasible=bool(s1 >= -tol and s2 >= -tol and s3 >= -tol), S=float(S),
+        feasible=_admitted(slack, tol), S=float(S),
     )
 
 
@@ -516,7 +521,7 @@ def pauli_frame_decision(p: PauliChannel, s: BlochState, tol: float = 1e-9):
             return NoInverse(reason="cp-infeasible", report=report)
         return _interior_record(w, report)
     residuals = _unscathed_residuals(lam, s.r)
-    if not (residuals <= _UNSCATHED_TOL).any():
+    if not _unscathed(residuals):
         return NoInverse(reason="not-unscathed", residuals=residuals)
     s_scalar = float(np.sum(lam * lam * s.r * s.r))
     w = _pair_workspace()  # v = 0
@@ -581,11 +586,11 @@ def _verdict_blocks(lam: np.ndarray, r: np.ndarray, tol: float):
     _PAIR_BLOCK pairs (a row longer than that is a block of its own).
     Yields (rows, slack, feasible): the block's row indices, its (3, k, n)
     slacks, a view of the one workspace that the next block overwrites,
-    and its (k, n) verdicts, every slack >= -tol. An interior row builds
+    and its (k, n) verdicts, by :func:`_admitted`. An interior row builds
     its candidate from lambda * _CHOI_ROW_SIGNS. A boundary row builds it
     at lambda = 0, so S stays 0, then takes the channel's own v = 0 and
     R = diag(lambda * _CHOI_ROW_SIGNS) before _slacks; its verdicts are
-    its unscathed mask, and its other priors get (-1, -1, -1). Every
+    its :func:`_unscathed` mask, and its other priors get (-1, -1, -1). Every
     operation is elementwise per pair, so a verdict does not depend on its
     block.
 
@@ -624,13 +629,13 @@ def _verdict_blocks(lam: np.ndarray, r: np.ndarray, tol: float):
             ws[_R : _R + 9 : 4, on_edge] = (lam[rows[on_edge]] * _CHOI_ROW_SIGNS).T[:, :, None]
         _slacks(w)
         slack = ws[_SLACK : _SLACK + 3, :k]
-        feasible = (slack >= -tol).all(axis=0)
+        feasible = _admitted(slack, tol)
         finite = np.isfinite(slack).all()
         for j in on_edge:
             i = rows[j]
             residuals = _unscathed_residuals(lam[i], r[:, 0 if shared else i])
             finite &= np.isfinite(residuals).all()
-            feasible[j] = (residuals <= _UNSCATHED_TOL).any(axis=0)
+            feasible[j] = _unscathed(residuals)
             np.copyto(slack[:, j], -1.0, where=~feasible[j])
         if not finite:
             raise ValueError("non-finite slack or residual: every prior must be finite")
@@ -643,52 +648,15 @@ def _verdict_rows(lam: np.ndarray, r: np.ndarray, tol: float):
     The batched form of :func:`pauli_frame_decision`, assembled from the
     blocks of :func:`_verdict_blocks`; lam, r and the errors are as there.
 
-    :return: (feasible, slack, witness) of shapes (M, n), (M, n, 3) and
-        (M, n); witness indexes :data:`WITNESSES`: 0 where feasible, else
-        the first slack below -tol or, on a boundary row, "not-unscathed".
+    :return: (feasible, slack) of shapes (M, n) and (M, n, 3).
     """
-    n_rows, n = len(lam), r.shape[-1]
-    feasible = np.empty((n_rows, n), dtype=bool)
-    slack = np.empty((n_rows, n, 3))
-    witness = np.zeros((n_rows, n), dtype=np.int8)
-    # "not-unscathed" is the largest code, so it wins over any slack's.
-    unnamed = np.where(_on_boundary(lam), np.int8(WITNESSES.index("not-unscathed")), np.int8(0))
+    feasible = np.empty((len(lam), r.shape[-1]), dtype=bool)
+    slack = np.empty(feasible.shape + (3,))
     for rows, block_slack, block_feasible in _verdict_blocks(lam, r, tol):
         block = slice(rows[0], rows[-1] + 1)  # the rows come in order
         slack[block] = block_slack.transpose(1, 2, 0)
         feasible[block] = block_feasible
-        first_bad = witness[block]
-        for j in (2, 1, 0):
-            np.copyto(first_bad, j + 1, where=block_slack[j] < -tol)
-        np.maximum(first_bad, unnamed[block, None], out=first_bad)
-        np.copyto(first_bad, 0, where=block_feasible)
-    return feasible, slack, witness
-
-
-def pauli_frame_verdicts(p: PauliChannel, r, tol: float = 1e-9):
-    """The verdict of :func:`pauli_frame_decision` for one channel and many priors.
-
-    The same closed forms on arrays, with no per-prior loop. On a boundary
-    channel an unscathed prior takes the slacks of v = 0, R = diag(lambda).
-    Every operation is elementwise per prior, so a row's result does not
-    depend on its batch.
-
-    :param r: (N, 3) Bloch vectors of the priors in the Pauli frame.
-    :return: (feasible, slack, witness), read-only arrays of shapes (N,),
-        (N, 3) and (N,). witness indexes :data:`WITNESSES`; a prior that is
-        not unscathed gets slack (-1, -1, -1).
-    :raises ValueError: if some prior is not a finite point of the Bloch ball,
-        or unless 0 < tol < inf.
-    :raises SingularSError: when S = sum lambda_i^2 r_i^2 >= 1 - 1e-12.
-    """
-    _check_tol(tol)
-    r = np.asarray(r, dtype=np.float64)
-    if r.ndim != 2 or r.shape[1] != 3:
-        raise ValueError(f"priors must have shape (N, 3), got {r.shape}")
-    x, y, z = r.T
-    if not (np.sqrt(x * x + y * y + z * z) <= 1.0 + 1e-12).all():
-        raise ValueError("every prior must be a finite Bloch vector with length <= 1")
-    return tuple(_readonly(col[0]) for col in _verdict_rows(p.lam[None], r.T[:, None], tol))
+    return feasible, slack
 
 
 def bayesian_inverse(e, s: BlochState, tol: float = 1e-9):
@@ -711,7 +679,11 @@ def bayesian_inverse(e, s: BlochState, tol: float = 1e-9):
     _check_tol(tol)
     cert_tol = _cptp_tol(tol)
     o1, pch, o2t = (_ID3, e, _ID3) if isinstance(e, PauliChannel) else _rotation_frame(e, cert_tol)
-    rec = pauli_frame_decision(pch, BlochState(o2t @ s.r), tol)
+    # The frame prior as computed: BlochState would clamp a length that the
+    # rotation's roundoff took past 1, and move the verdict's last bits.
+    frame = object.__new__(BlochState)
+    object.__setattr__(frame, "r", _readonly(o2t @ s.r))
+    rec = pauli_frame_decision(pch, frame, tol)
     if isinstance(rec, NoInverse):
         return rec
     t = rec.a.T.copy()  # the frame inverse's transfer matrix, then B2^T t B1^T

@@ -99,6 +99,8 @@ class BlochState:
         norm = np.sqrt(r.dot(r))  # np.linalg.norm's own formula for a float vector
         if not norm <= 1.0 + 1e-12:
             raise ValueError(f"Bloch vector must be finite with length <= 1, got length {norm}")
+        if norm > 1.0:  # a length the roundoff allowance admits is clamped to 1
+            r = r / norm
         object.__setattr__(self, "r", _readonly(r))
 
     @property
@@ -315,7 +317,7 @@ def apply(e, s: BlochState) -> BlochState:
     norm = np.sqrt(r.dot(r))
     if norm > 1.0 + 1e-10:
         raise InternalCPViolationError(f"output Bloch vector has length {norm}")
-    if norm > 1.0:
+    if norm > 1.0 + 1e-12:  # BlochState clamps a smaller excess by the same norm
         r = r / norm
     return BlochState(r)
 

@@ -11,14 +11,14 @@ Every batch of verdicts (region scans, the node and midpoint verdicts of
 samples) is one in-order pass of the block iterator in :mod:`qubit_retro.bayes`
 over rows of signed eigenvalues lambda, boundary rows among them, which
 yields each block's slacks and verdicts and is bit-identical to one
-:func:`~qubit_retro.bayes.pauli_frame_verdicts` call per row. Every
-batch reads lambda from a table of probability rows, as PauliChannel.lam
-reads it, and builds no channel to do so. The scans and
-:func:`boundary_chi` take the verdicts as assembled columns. The
-three-entry search reads each block's feasibility as it comes, and builds
-a PauliChannel only for a hit that it re-verifies. A scan
-returns a :class:`ScanResult` of columns, one entry per cell, row-major
-(p outer, t inner), so repeated runs produce byte-identical CSV output.
+``_verdict_rows`` call per row. Every batch reads lambda from a table of
+probability rows, as PauliChannel.lam reads it, and builds no channel to
+do so. The scans and :func:`boundary_chi` take the verdicts as assembled
+columns. The three-entry search reads each block's feasibility as it
+comes, and builds a PauliChannel only for a hit that it re-verifies. A
+scan returns a :class:`ScanResult` of two columns, feasible and slack, one
+entry per cell, row-major (p outer, t inner), so repeated runs produce
+byte-identical CSV output.
 
 :func:`emit_csv` and :func:`emit_svg` join the chunks of two generators,
 which the CLI writes to disk as they come, so no rendered file is held
@@ -111,23 +111,22 @@ class ScanResult:
     """Verdicts of a region scan as columns, one entry per cell, row-major.
 
     Cell k sits at p = grid.p_axis[k // len(grid.t_axis)] and
-    t = grid.t_axis[k % len(grid.t_axis)]; witness indexes
-    :data:`~qubit_retro.bayes.WITNESSES`. A column is kept as given when it
-    is frozen (read-only, as is every array it views), and copied to a
-    read-only array otherwise.
+    t = grid.t_axis[k % len(grid.t_axis)]. An infeasible cell's slacks say
+    why: on an interior row some slack is below -tol, and a boundary row's
+    prior that is not unscathed has slack (-1, -1, -1). A column is kept as
+    given when it is frozen (read-only, as is every array it views), and
+    copied to a read-only array otherwise.
     """
 
     grid: ScanGrid
     feasible: np.ndarray
     slack: np.ndarray
-    witness: np.ndarray
 
     def __post_init__(self) -> None:
         n = len(self.grid.p_axis) * len(self.grid.t_axis)
         for name, dtype, shape in (
             ("feasible", bool, (n,)),
             ("slack", np.float64, (n, 3)),
-            ("witness", np.int8, (n,)),
         ):
             col = np.asarray(getattr(self, name), dtype=dtype)
             if col.shape != shape:
@@ -174,10 +173,10 @@ def _scan_family(grid: ScanGrid, family: str, tol: float) -> ScanResult:
     _check_tol(tol)
     lam = _lambda_rows(_FAMILIES[family][0](grid.p_axis))
     r = (grid.direction[:, None] * np.sqrt(grid.t_axis))[:, None]
-    feasible, slack, witness = _verdict_rows(lam, r, tol)
-    for col in (feasible, slack, witness):
+    feasible, slack = _verdict_rows(lam, r, tol)
+    for col in (feasible, slack):
         col.flags.writeable = False  # fresh, so the result keeps them uncopied
-    return ScanResult(grid, feasible.ravel(), slack.reshape(-1, 3), witness.ravel())
+    return ScanResult(grid, feasible.ravel(), slack.reshape(-1, 3))
 
 
 def scan_depolarizing(grid: ScanGrid, tol: float = 1e-9) -> ScanResult:
@@ -263,7 +262,7 @@ def boundary_chi(
         chi[i] = (_UNSCATHED_TOL / max(_unscathed_residuals(lam[i], d).min(), _UNSCATHED_TOL)) ** 2
     rows = np.flatnonzero(~boundary)
     inner, ray = lam[rows], d[:, None, None]
-    at_nodes, slack, _ = _verdict_rows(inner, ray * np.sqrt(_CHI_NODES), tol)
+    at_nodes, slack = _verdict_rows(inner, ray * np.sqrt(_CHI_NODES), tol)
     D = 1.0 - ((inner * d) ** 2).sum(axis=1)[:, None, None] * _CHI_NODES[:, None]
     values = (slack + tol) * D ** np.arange(2, 5)
     # The inverse Vandermonde matrix maps the values to the coefficients. It is

@@ -60,19 +60,18 @@ def _complex(entry) -> complex:
     raise ValueError(f"entries must be [re, im] pairs of JSON numbers, got {json.dumps(entry)}")
 
 
-def matrix_from_pairs(rows, shape=(2, 2)) -> np.ndarray:
-    """A complex matrix from its nested row-major [re, im] encoding.
+def matrix_from_pairs(rows) -> np.ndarray:
+    """A complex 2x2 matrix from its nested row-major [re, im] encoding.
 
     :raises ValueError: unless every entry is a list of two JSON numbers
-        (no bools, strings or nulls) that fit a float, and the matrix has
-        the given shape.
+        (no bools, strings or nulls) that fit a float, and the matrix is 2x2.
     """
     try:
         m = np.array([[_complex(entry) for entry in row] for row in rows], dtype=np.complex128)
     except TypeError as exc:
         raise ValueError(f"malformed complex matrix encoding: {exc}") from None
-    if m.shape != shape:
-        raise ValueError(f"matrix has shape {m.shape}, expected {shape}")
+    if m.shape != (2, 2):
+        raise ValueError(f"matrix has shape {m.shape}, expected (2, 2)")
     return m
 
 

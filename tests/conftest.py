@@ -67,21 +67,18 @@ def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def scalar_verdict(pc: PauliChannel, s: BlochState, tol: float = 1e-9):
-    """(feasible, slack, witness) of one pair by the Choi route.
+    """(feasible, slack) of one pair by the Choi route.
 
     The oracle for the register kernel, which single queries and batches
     share: the slacks are gamel_report's reading of a Choi matrix, the
     candidate's on the interior and the channel's own on the boundary. No
     verdict of the package reads a Choi matrix, so this is the only Choi
-    route, and it agrees with the registers to a few 1e-15. An infeasible
-    interior pair names its first failed slack, a boundary pair that is not
-    unscathed gets slack (-1, -1, -1).
+    route, and it agrees with the registers to a few 1e-15. A boundary pair
+    that is not unscathed gets slack (-1, -1, -1).
     """
     if np.abs(pc.lam).max() >= 1.0 - 1e-12:
         if is_unscathed(pc, s) is None:
-            return False, np.full(3, -1.0), "not-unscathed"
-        return True, gamel_report(pc.choi, 0.0, tol).slack, None
+            return False, np.full(3, -1.0)
+        return True, gamel_report(pc.choi, 0.0, tol).slack
     report = gamel_report(analytic_inverse(pc, s).choi, 0.0, tol)
-    if report.feasible:
-        return True, report.slack, None
-    return False, report.slack, f"slack-{int(np.argmax(report.slack < -tol)) + 1}"
+    return report.feasible, report.slack

@@ -259,6 +259,14 @@ def solve_anticommutator(m: np.ndarray, b: np.ndarray) -> np.ndarray:
     return basis @ xt @ basis.conj().T
 
 
+# === One channel's batched verdicts ===
+
+def channel_verdicts(p: PauliChannel, r, tol: float = 1e-9):
+    """(feasible, slack) of one Pauli channel at the (N, 3) priors r, by one _verdict_rows row."""
+    feasible, slack = _verdict_rows(p.lam[None], np.asarray(r, dtype=np.float64).T[:, None], tol)
+    return feasible[0], slack[0]
+
+
 # === Boundary location ===
 
 def bisection_chi(

@@ -53,6 +53,15 @@ def test_bloch_state_rejects_long_vectors():
         BlochState(np.array([1.0, 0.1, 0.0]))
 
 
+def test_bloch_state_clamps_a_roundoff_length_to_one():
+    # A length in (1, 1 + 1e-12] is stored as r / |r|; one within 1 is kept as given.
+    assert BlochState(np.array([1.0 + 1e-12, 0.0, 0.0])).r.tolist() == [1.0, 0.0, 0.0]
+    r = np.array([0.6, 0.0, 0.8]) * (1.0 + 5e-13)
+    assert BlochState(r).r.tobytes() == (r / np.sqrt(r.dot(r))).tobytes()
+    inside = np.array([0.6, 0.0, 0.8])
+    assert BlochState(inside).r.tobytes() == inside.tobytes()
+
+
 def test_maximally_mixed():
     mu = BlochState.maximally_mixed()
     assert np.abs(mu.matrix - np.eye(2) / 2.0).max() == 0.0
@@ -338,6 +347,26 @@ def test_apply_rejects_a_broken_transfer_matrix_and_renormalizes_roundoff():
     out = apply(ChannelRep(np.diag([1.0, 1.0 + 5e-11, 1.0, 1.0])), pole)
     assert np.linalg.norm(out.r) <= 1.0
     assert np.abs(out.r - pole.r).max() <= 1e-15
+
+
+def test_apply_scales_an_output_past_the_sphere_once():
+    # A unitary channel takes some unit priors an ulp past 1. apply and
+    # BlochState divide by the same norm, so the output is v / |v| once,
+    # never again by the length of v / |v|.
+    rng = np.random.default_rng(SEED + 29)
+    over = 0
+    for _ in range(600):
+        e = ChannelRep.from_unitary(random_unitary(rng))
+        r = rng.normal(size=3)
+        r /= np.linalg.norm(r)
+        if np.sqrt(r.dot(r)) > 1.0:
+            continue
+        v = (e.ptm @ np.concatenate(([1.0], r)))[1:]
+        norm = np.sqrt(v.dot(v))
+        over += norm > 1.0 and np.sqrt((v / norm).dot(v / norm)) > 1.0
+        want = v / norm if norm > 1.0 else v
+        assert apply(e, BlochState(r)).r.tobytes() == want.tobytes()
+    assert over
 
 
 def test_adjoint_duality():

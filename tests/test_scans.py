@@ -8,7 +8,7 @@ import numpy as np
 import oracles
 import pytest
 from conftest import scalar_verdict
-from oracles import bisection_chi, depolarizing_quantities
+from oracles import bisection_chi, channel_verdicts, depolarizing_quantities
 
 from qubit_retro import (
     BlochState,
@@ -16,14 +16,12 @@ from qubit_retro import (
     PauliChannel,
     ScanGrid,
     ScanResult,
-    WITNESSES,
     analytic_inverse,
     bb84_channel,
     boundary_chi,
     depolarizing_lambda,
     emit_csv,
     emit_svg,
-    pauli_frame_verdicts,
     scan_bb84,
     scan_depolarizing,
     scan_three_entry,
@@ -123,9 +121,6 @@ def test_depolarizing_scan_small_grid():
     assert feasible[0].all()        # identity column, p = 0
     assert feasible[15].all()       # lambda = 0 column, p = 0.75
     assert feasible[:, 0].all()     # central-state row, t = 0
-    # Witnesses from these families only ever name a failed slack.
-    names = {WITNESSES[w] for w in result.witness.tolist()}
-    assert None in names and all(n is None or n.startswith("slack-") for n in names)
 
 
 def test_depolarizing_scan_columns_are_monotone_in_t():
@@ -154,18 +149,47 @@ def test_scans_match_scalar_decision_cell_by_cell():
         result = scan(grid)
         for k in range(len(result)):
             p, t = float(grid.p_axis[k // 21]), float(grid.t_axis[k % 21])
-            feasible, slack, witness = scalar_verdict(
-                channel_of(p), BlochState(np.sqrt(t) * grid.direction)
-            )
-            assert (result.feasible[k], WITNESSES[result.witness[k]]) == (feasible, witness), (p, t)
+            feasible, slack = scalar_verdict(channel_of(p), BlochState(np.sqrt(t) * grid.direction))
+            assert result.feasible[k] == feasible, (p, t)
             assert np.abs(result.slack[k] - slack).max() <= 1e-12, (p, t)
 
 
+def _reasons_seen(lam, feasible, slack, tol=1e-9):
+    """Check that each (M, n) verdict's slacks say why; name the kinds of row and verdict seen."""
+    boundary = bayes._on_boundary(lam)
+    inner, inner_slack = feasible[~boundary], slack[~boundary]
+    assert (inner_slack[~inner] < -tol).any(axis=-1).all()
+    assert (inner_slack[inner] >= -tol).all()
+    assert (slack[boundary][~feasible[boundary]] == -1.0).all()
+    kinds = (("interior feasible", inner.any()), ("interior infeasible", not inner.all()),
+             ("boundary infeasible", not feasible[boundary].all()))
+    return {name for name, hit in kinds if hit}
+
+
+def test_slack_column_carries_the_reason_of_each_verdict():
+    # A scan keeps no reason column: an infeasible interior cell has some
+    # slack below -tol, a feasible one has none, and an infeasible cell of
+    # a boundary row (a prior that is not unscathed) has slack (-1, -1, -1).
+    seen = set()
+    for family, scan in (("depolarizing", scan_depolarizing), ("bb84", scan_bb84)):
+        probs_of, direction = scans._FAMILIES[family]
+        grid = ScanGrid.uniform(51, direction=direction)
+        result = scan(grid)
+        lam = _lambda_rows(probs_of(grid.p_axis))
+        seen |= _reasons_seen(lam, result.feasible.reshape(51, 51), result.slack.reshape(51, 51, 3))
+    # The families' boundary channels are Pauli unitaries, which leave every
+    # prior unscathed; a two-entry channel in the last grid's batch does not.
+    assert seen == {"interior feasible", "interior infeasible"}
+    lam = np.vstack([lam, PauliChannel([0.6, 0.4, 0.0, 0.0]).lam])
+    r = grid.direction[:, None, None] * np.sqrt(grid.t_axis)
+    assert len(_reasons_seen(lam, *bayes._verdict_rows(lam, r, 1e-9))) == 3
+
+
 def _row_by_row(grid, channel_of, tol=1e-9):
-    """Scan columns from one pauli_frame_verdicts call per grid row."""
+    """Scan columns from one channel_verdicts call per grid row."""
     priors = np.sqrt(grid.t_axis)[:, None] * grid.direction
-    rows = [pauli_frame_verdicts(channel_of(float(p)), priors, tol) for p in grid.p_axis]
-    return [np.concatenate([row[k] for row in rows]) for k in range(3)]
+    rows = [channel_verdicts(channel_of(float(p)), priors, tol) for p in grid.p_axis]
+    return [np.concatenate([row[k] for row in rows]) for k in range(2)]
 
 
 @pytest.mark.parametrize(
@@ -191,10 +215,9 @@ def _row_by_row(grid, channel_of, tol=1e-9):
 )
 def test_blocked_scan_equals_row_by_row_verdicts(scan, channel_of, grid):
     result = scan(grid)
-    feasible, slack, witness = _row_by_row(grid, channel_of)
+    feasible, slack = _row_by_row(grid, channel_of)
     assert result.feasible.tobytes() == feasible.tobytes()
     assert result.slack.tobytes() == slack.tobytes()
-    assert result.witness.tobytes() == witness.tobytes()
 
 
 def _counting(calls, fn):
@@ -242,7 +265,7 @@ def test_verdicts_do_not_depend_on_the_block_width(monkeypatch):
         columns = [
             getattr(result, name).tobytes()
             for result in (scan(grid) for scan, grid in grids.items())
-            for name in ("feasible", "slack", "witness")
+            for name in ("feasible", "slack")
         ]
         runs[width] = (columns, scan_three_entry(8, 1000))
     assert all(run == runs[8192] for run in runs.values())
@@ -286,22 +309,22 @@ def test_scan_result_rejects_non_finite_slack_and_bad_shapes():
         slack = good.slack.copy()
         slack[4, 1] = value
         with pytest.raises(ValueError):
-            ScanResult(grid, good.feasible, slack, good.witness)
+            ScanResult(grid, good.feasible, slack)
     with pytest.raises(ValueError):
-        ScanResult(grid, good.feasible[:-1], good.slack, good.witness)
+        ScanResult(grid, good.feasible[:-1], good.slack)
 
 
 def test_scan_result_copies_only_columns_a_caller_can_write():
     grid = ScanGrid.uniform(3)
     good = scan_depolarizing(grid)
     # A scan's own columns are frozen, so a result keeps them as they are.
-    kept = ScanResult(grid, good.feasible, good.slack, good.witness)
-    assert all(getattr(kept, n) is getattr(good, n) for n in ("feasible", "slack", "witness"))
+    kept = ScanResult(grid, good.feasible, good.slack)
+    assert all(getattr(kept, n) is getattr(good, n) for n in ("feasible", "slack"))
     # A writeable array, or a read-only view of one, is copied: writing it changes no result.
     slack = good.slack.copy()
     view = slack[:]
     view.flags.writeable = False
-    copied = [ScanResult(grid, good.feasible, col, good.witness) for col in (slack, view)]
+    copied = [ScanResult(grid, good.feasible, col) for col in (slack, view)]
     slack[0, 0] += 1.0
     for result in copied:
         assert not result.slack.flags.writeable
@@ -368,7 +391,7 @@ def test_boundary_chi_warns_once_per_non_monotone_p(monkeypatch):
             if round(0.75 * (1.0 - row[0]), 12) in zigzag:
                 poly[i, :, 0] = (t[i] - 0.3) * (t[i] - 0.6)
         slack = poly / D[..., None] ** np.arange(2, 5) - tol
-        return ~(slack < -tol).any(axis=-1), slack, None
+        return ~(slack < -tol).any(axis=-1), slack
 
     monkeypatch.setattr(scans, "_verdict_rows", fake_verdicts)
     with pytest.warns(MonotonicityWarning) as record:
@@ -508,7 +531,7 @@ def test_three_entry_search_counts_and_determinism():
 
 
 def test_three_entry_scores_each_channel_in_one_kernel_call(monkeypatch):
-    candidates, frame_verdicts, passes, blocks = [], [], [], []
+    candidates, passes, blocks = [], [], []
 
     def kernel(lam, r, tol):
         passes.append((lam.shape, r.shape))
@@ -522,9 +545,6 @@ def test_three_entry_scores_each_channel_in_one_kernel_call(monkeypatch):
     monkeypatch.setattr(bayes, "_candidate", _counting(candidates, bayes._candidate))
     monkeypatch.setattr(scans, "_verdict_blocks", kernel)
     monkeypatch.setattr(scans, "_verdict_rows", no_rows)
-    per_channel = _counting(frame_verdicts, bayes.pauli_frame_verdicts)
-    for module in (bayes, scans):
-        monkeypatch.setattr(module, "pauli_frame_verdicts", per_channel, raising=False)
     summary = scan_three_entry(resolution=8, samples=1000)
     # One pass over the 84 channels against the same 1,001 priors: ten blocks
     # of eight channels and a short last block of four, one _candidate call
@@ -532,7 +552,7 @@ def test_three_entry_scores_each_channel_in_one_kernel_call(monkeypatch):
     assert (summary.channels, summary.hits) == (84, 0)
     assert passes == [((84, 3), (3, 1, 1001))]
     assert blocks == [8] * 10 + [4]
-    assert (len(candidates), len(frame_verdicts)) == (11, 0)
+    assert len(candidates) == 11
 
 
 def test_three_entry_builds_a_channel_only_for_a_hit_it_reverifies(monkeypatch):
@@ -550,7 +570,7 @@ def test_three_entry_builds_a_channel_only_for_a_hit_it_reverifies(monkeypatch):
 @pytest.mark.parametrize("tol", [1e-9, 0.3])
 def test_three_entry_counts_match_per_channel_verdicts(tol):
     # The same counts from an independent route: the channels enumerated
-    # here, each scored by its own pauli_frame_verdicts call over the
+    # here, each scored by its own channel_verdicts call over the
     # search's priors. At tol = 0.3 most off-center priors pass.
     resolution, samples, seed = 5, 50, 0
     summary = scan_three_entry(resolution, samples, seed, tol)
@@ -562,7 +582,7 @@ def test_three_entry_counts_match_per_channel_verdicts(tol):
             for j in range(1, resolution - i):
                 vec = np.zeros(4)
                 vec[support] = np.array([i, j, resolution - i - j]) / resolution
-                feasible = pauli_frame_verdicts(PauliChannel(vec), priors, tol)[0]
+                feasible = channel_verdicts(PauliChannel(vec), priors, tol)[0]
                 mu_feasible += int(feasible[0])
                 hits += [(tuple(vec), tuple(points[k])) for k in np.flatnonzero(feasible[1:])]
     assert summary.channels == 24
@@ -638,7 +658,7 @@ def test_emit_csv_does_not_depend_on_the_block_width(monkeypatch, tmp_path):
     cells = scan_bb84(grid)
     slack = cells.slack.copy()
     slack[:4] = [[0.0, -0.0, -1.0], [1e-5, -2.5e-7, 3.0], [12.5, -1e17, 0.5], [5e-324, 1e300, 0.1]]
-    cells = ScanResult(grid, cells.feasible, slack, cells.witness)
+    cells = ScanResult(grid, cells.feasible, slack)
     assert len(cells) % 7 == 3
     want = oracles.emit_csv(cells)
     uniform = scan_bb84(ScanGrid.uniform(12, direction=scans._FAMILIES["bb84"][1]))
