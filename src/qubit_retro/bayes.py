@@ -22,12 +22,13 @@ Every Pauli-frame verdict, for one prior or a batch, reads three closed
 forms of (lambda, r): the candidate inverse, its positivity slacks and the
 unscathed residuals. A batch is given as arrays, an (M, 3) table of signed
 eigenvalues lambda and the priors of each row, with no channel objects.
-The candidate and the slacks are written once, as straight-line
-arithmetic on the registers of a workspace: floats for a single query,
-rows of one array allocated per pass over a batch, which _verdict_blocks
-scores a block of pairs at a time, so a batch makes no temporaries and
-each pair's slacks are bit-identical to its single-query slacks; boundary
-rows ride in the same blocks, scored as the candidate at r = 0 (v = 0,
+The candidate and the slacks are written once, as plain arithmetic
+(_candidate_s, _candidate, _slacks) that a single query runs on floats
+and a batch runs as the ufunc program traced from it (_program), on the
+rows of one array that _verdict_blocks allocates per pass and scores a
+block of pairs at a time. So a batch makes no temporaries and each pair's
+slacks are bit-identical to its single-query slacks; boundary rows ride
+in the same blocks, scored as the candidate at r = 0 (v = 0,
 R = diag(lambda)), and each block comes with its verdicts. No verdict
 reads a Choi matrix: gamel_report is the tests' independent route. The
 two-time expectations that certify an inverse are read straight from a
@@ -41,8 +42,9 @@ anticommutator solver) live with the tests, in tests/oracles.py.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, replace
+from functools import cache, reduce
+from operator import add
 
 import numpy as np
 
@@ -259,20 +261,6 @@ def is_unscathed(p: PauliChannel, s: BlochState, tol: float = _UNSCATHED_TOL):
 
 # === Feasibility of the interior candidate ===
 
-# Registers of a verdict workspace w, a list: the inputs lambda and r, the
-# candidate's S, v and R (row-major), the slack terms eta, det R, |R v|^2
-# and |adj R|^2, two scratch registers, the three slacks, then constants.
-# For one (channel, prior) pair the registers are floats; for a block of
-# pairs they are rows of one array, one pair per column. _candidate and
-# _slacks write every result into a register, so a block makes no
-# temporary, and a pair's result does not depend on the block it is in.
-_LAM, _PRIOR, _S, _V, _R = 0, 3, 6, 7, 10
-_ETA, _DET, _RV2, _ADJ2, _X, _Y = range(19, 25)
-_SLACK = 25
-_WS_ROWS = 28
-_CONSTANTS = (-1.0, 1.0, 2.0, 3.0, 4.0, 8.0)
-_MINUS_ONE, _ONE, _TWO, _THREE, _FOUR, _EIGHT = range(_WS_ROWS, _WS_ROWS + len(_CONSTANTS))
-
 # The adjugate of R, row-major, as R[a] R[b] - R[c] R[d] up to sign (flat
 # indices into R). Entries 0, 3 and 6 are the minors of R's first row.
 _ADJUGATE = (
@@ -282,136 +270,62 @@ _ADJUGATE = (
 )
 
 
-def _pair_workspace() -> list:
-    """A workspace of float registers for one pair."""
-    return [0.0] * _WS_ROWS + list(_CONSTANTS)
+def _candidate_s(lam, r):
+    """S = sum lambda_i^2 r_i^2 of the Pauli channel lambda at the prior r."""
+    return reduce(add, (x * x * y * y for x, y in zip(lam, r)))
 
 
-def _arith(w: list):
-    """add, sub, mul, div on the registers of w: op(out, a, b) sets w[out] = w[a] op w[b].
-
-    Float and array registers round each operation alike (IEEE binary64);
-    any other number type (fractions.Fraction, say) takes its own operators.
-    """
-    if not isinstance(w[0], np.ndarray):
-        def bind(f):
-            def op(out, a, b):
-                w[out] = f(w[a], w[b])
-            return op
-        return tuple(map(bind, (operator.add, operator.sub, operator.mul, operator.truediv)))
-
-    def bind(f):
-        def op(out, a, b):
-            f(w[a], w[b], w[out])
-        return op
-    return tuple(map(bind, (np.add, np.subtract, np.multiply, np.divide)))
+def _nonsingular(S):
+    """S, or SingularSError when some S >= 1 - 1e-12: the candidate divides by 1 - S."""
+    if np.any(S >= 1.0 - _BOUNDARY_EPS):
+        raise SingularSError(f"S = {np.max(S)} is too close to 1")
+    return S
 
 
-def _candidate(w: list) -> None:
+def _candidate(lam, r, S):
     """Closed-form candidate inverse of the Pauli channel lambda at the prior r.
 
-    Reads lambda and r from the registers of the workspace w and writes S,
-    v and R there: the candidate's a[0, 0]-normalized Pauli-frame
-    coefficients are [[1, v^T], [0, R]] with v = r (1 - lambda^2) / (1 - S),
-    R = diag(lambda) - (lambda r) v^T and S = sum lambda_i^2 r_i^2.
-
-    :raises SingularSError: when some S >= 1 - 1e-12.
+    The candidate's a[0, 0]-normalized Pauli-frame coefficients are
+    [[1, v^T], [0, R]] with v = r (1 - lambda^2) / (1 - S) and
+    R = diag(lambda) - (lambda r) v^T. lam and r are three numbers each, or
+    three rows of a batch; returns v and R (row-major), 3 and 9 of them.
     """
-    add, sub, mul, div = _arith(w)
-    lam, r, v, x = _LAM, _PRIOR, _V, _X
-    for i in range(3):  # lambda_i^2, held in v until v is formed
-        mul(v + i, lam + i, lam + i)
-    mul(_S, v, r)
-    mul(_S, _S, r)
-    for i in (1, 2):
-        mul(x, v + i, r + i)
-        mul(x, x, r + i)
-        add(_S, _S, x)
-    s, limit = w[_S], 1.0 - _BOUNDARY_EPS
-    if np.any(s >= limit) if isinstance(s, np.ndarray) else (s >= limit):
-        raise SingularSError(f"S = {np.max(s)} is too close to 1")
-    sub(x, _ONE, _S)
+    d = 1 - S
+    v = [(1 - x * x) * y / d for x, y in zip(lam, r)]
+    R = []
     for i in range(3):
-        sub(v + i, _ONE, v + i)
-        mul(v + i, v + i, r + i)
-        div(v + i, v + i, x)
-    for i in range(3):  # R[i, j] = -lambda_i r_i v_j, then lambda_i on the diagonal
-        mul(x, _MINUS_ONE, lam + i)
-        mul(x, x, r + i)
-        for j in range(3):
-            mul(_R + 3 * i + j, x, v + j)
-        add(_R + 4 * i, _R + 4 * i, lam + i)
+        c = -lam[i] * r[i]
+        row = [c * u for u in v]
+        row[i] = row[i] + lam[i]
+        R += row
+    return v, R
 
 
-def _slacks(w: list) -> None:
+def _slacks(v, R):
     """Positivity slacks of the coefficient block [[1, v^T], [0, R]].
 
-    Reads v and R from the registers of the workspace w and writes eta,
-    det R, |R v|^2, |adj R|^2 and the three slacks there. Every sum runs in
-    one fixed order.
+    Returns eta, det R, |R v|^2, |adj R|^2 and the three slacks. det R is
+    R00 M00 - R01 M01 + R02 M02 over the first-row minors of the adjugate.
+    Every operation, each sum too, has one fixed order, left to right,
+    which the batch program keeps, so floats round alike in both.
     """
-    add, sub, mul, _ = _arith(w)
-    v, R, x, y = _V, _R, _X, _Y
-    # eta = |v|^2 + |R|^2
-    mul(_ETA, v, v)
-    for k in (1, 2):
-        mul(x, v + k, v + k)
-        add(_ETA, _ETA, x)
-    mul(y, R, R)
-    for k in range(1, 9):
-        mul(x, R + k, R + k)
-        add(y, y, x)
-    add(_ETA, _ETA, y)
-    for i in range(3):  # |R v|^2, one entry of R v at a time
-        mul(x, R + 3 * i, v)
-        for j in (1, 2):
-            mul(y, R + 3 * i + j, v + j)
-            add(x, x, y)
-        if i:
-            mul(x, x, x)
-            add(_RV2, _RV2, x)
-        else:
-            mul(_RV2, x, x)
-    # |adj R|^2, and det R = R00 M00 - R01 M01 + R02 M02 over the minors
-    # M0j that the adjugate loop makes at k = 0, 3 and 6.
-    for k, (a, b, c, d) in enumerate(_ADJUGATE):
-        mul(x, R + a, R + b)
-        mul(y, R + c, R + d)
-        sub(x, x, y)
-        if k == 0:
-            mul(_DET, R, x)
-        elif k == 3:
-            mul(y, R + 1, x)
-            sub(_DET, _DET, y)
-        elif k == 6:
-            mul(y, R + 2, x)
-            add(_DET, _DET, y)
-        if k:
-            mul(x, x, x)
-            add(_ADJ2, _ADJ2, x)
-        else:
-            mul(_ADJ2, x, x)
-    s1, s2, s3 = range(_SLACK, _SLACK + 3)
-    sub(s1, _THREE, _ETA)
-    mul(s2, _DET, _TWO)
-    sub(s2, _ONE, s2)
-    sub(s2, s2, _ETA)
-    sub(s3, _ETA, _ONE)
-    mul(s3, s3, s3)
-    mul(x, _DET, _EIGHT)
-    sub(s3, s3, x)
-    add(x, _RV2, _ADJ2)
-    mul(x, x, _FOUR)
-    sub(s3, s3, x)
+    eta = reduce(add, (x * x for x in v)) + reduce(add, (x * x for x in R))
+    rows = (reduce(add, (a * b for a, b in zip(R[i : i + 3], v))) for i in (0, 3, 6))
+    rv2 = reduce(add, (x * x for x in rows))
+    minors = [R[a] * R[b] - R[c] * R[d] for a, b, c, d in _ADJUGATE]
+    det = R[0] * minors[0] - R[1] * minors[3] + R[2] * minors[6]
+    adj2 = reduce(add, (m * m for m in minors))
+    e = eta - 1
+    slack = [3 - eta, 1 - det * 2 - eta, e * e - det * 8 - (rv2 + adj2) * 4]
+    return eta, det, rv2, adj2, slack
 
 
-def gamel_report(choi: np.ndarray, S: float, tol: float = 1e-9) -> FeasibilityReport:
+def gamel_report(choi: np.ndarray, tol: float = 1e-9) -> FeasibilityReport:
     """Positivity test for a trace-preserving candidate's Choi matrix.
 
     The matrix is normalized to unit trace before reading off the Pauli-pair
-    coefficient block [[1, v^T], [0, R]]; the scalar S is carried through to
-    the report unchanged. Feasible means every slack >= -tol. Tests check
-    the registers by it.
+    coefficient block [[1, v^T], [0, R]]; the report's S is 0. Feasible
+    means every slack >= -tol. Tests check the verdict kernel by it.
 
     :raises NotHermitianError: on a non-Hermitian input.
     :raises ValueError: on a non-finite entry, or if the first coefficient
@@ -429,11 +343,7 @@ def gamel_report(choi: np.ndarray, S: float, tol: float = 1e-9) -> FeasibilityRe
     block = coeff / coeff[0, 0]
     if np.abs(block[1:, 0]).max() > 1e-8:
         raise ValueError("candidate is not trace preserving (first coefficient column nonzero)")
-    w = _pair_workspace()
-    w[_V : _V + 3] = block[0, 1:].tolist()
-    w[_R : _R + 9] = block[1:, 1:].ravel().tolist()
-    _slacks(w)
-    return _pair_report(w, S, tol)
+    return _pair_report(block[0, 1:].tolist(), block[1:, 1:].ravel().tolist(), 0.0, tol)
 
 
 def _admitted(slack, tol: float):
@@ -441,13 +351,12 @@ def _admitted(slack, tol: float):
     return (slack[0] >= -tol) & (slack[1] >= -tol) & (slack[2] >= -tol)
 
 
-def _pair_report(w: list, S: float, tol: float) -> FeasibilityReport:
-    """The report of a pair workspace w that _slacks has scored."""
-    slack = w[_SLACK : _SLACK + 3]
+def _pair_report(v, R, S, tol: float) -> FeasibilityReport:
+    """The report of one candidate block v, R (floats), scored here."""
+    eta, det, rv2, adj2, slack = _slacks(v, R)
     return FeasibilityReport(
-        v=w[_V : _V + 3], R=np.reshape(w[_R : _R + 9], (3, 3)), eta=w[_ETA], detR=w[_DET],
-        normRv2=w[_RV2], normAdjR2=w[_ADJ2], slack=slack,
-        feasible=_admitted(slack, tol), S=float(S),
+        v=v, R=np.reshape(R, (3, 3)), eta=eta, detR=det, normRv2=rv2, normAdjR2=adj2,
+        slack=slack, feasible=_admitted(slack, tol), S=float(S),
     )
 
 
@@ -462,37 +371,37 @@ def analytic_inverse(p: PauliChannel, s: BlochState, tol: float = 1e-9) -> Inver
     """Closed-form candidate inverse for a strictly contracting Pauli channel.
 
     The defining identity is satisfied exactly by construction; the report,
-    scored on float registers as a batch scores it, says whether the
+    scored on floats by the formulas a batch runs, says whether the
     candidate is completely positive. ``kraus`` is empty: :func:`bayesian_inverse`
     builds Kraus operators for the certified result.
 
+    :raises ValueError: unless 0 < tol < inf.
     :raises EigenvalueOnBoundaryError: when some |lambda_i| >= 1 - 1e-12.
     :raises SingularSError: when S = sum lambda_i^2 r_i^2 >= 1 - 1e-12.
     """
+    _check_tol(tol)
     lam = p.lam
     if _on_boundary(lam):
         raise EigenvalueOnBoundaryError(
             f"|lambda| = {np.abs(lam).max()}; use the unscathed/adjoint route"
         )
-    return _interior_record(*_interior_report(lam, s.r, tol))
+    return _interior_record(_interior_report(lam, s.r, tol))
 
 
-def _interior_report(lam: np.ndarray, r: np.ndarray, tol: float) -> tuple:
-    """A pair workspace scored for the closed-form candidate at lambda, r, and its report."""
-    w = _pair_workspace()
-    w[_LAM : _LAM + 3], w[_PRIOR : _PRIOR + 3] = (lam * _CHOI_ROW_SIGNS).tolist(), r.tolist()
-    _candidate(w)
-    _slacks(w)
-    return w, _pair_report(w, w[_S], tol)
+def _interior_report(lam: np.ndarray, r: np.ndarray, tol: float) -> FeasibilityReport:
+    """The report of the closed-form candidate at lambda, r, scored on floats."""
+    lam, r = (lam * _CHOI_ROW_SIGNS).tolist(), r.tolist()
+    S = _nonsingular(_candidate_s(lam, r))
+    return _pair_report(*_candidate(lam, r, S), S, tol)
 
 
-def _interior_record(w: list, report: FeasibilityReport) -> InverseRecord:
-    """The InverseRecord of the workspace and report of _interior_report."""
+def _interior_record(report: FeasibilityReport) -> InverseRecord:
+    """The InverseRecord of a report of _interior_report."""
     a = np.zeros((4, 4))
-    a[0] = 1.0, *w[_V : _V + 3]
-    a[1:, 1:] = np.reshape(w[_R : _R + 9], (3, 3)) * _CHOI_ROW_SIGNS[:, None]
+    a[0] = 1.0, *report.v
+    a[1:, 1:] = report.R * _CHOI_ROW_SIGNS[:, None]
     a[2, 2] += 0.0  # a cancelling diagonal sums to +0 unsigned, to -0 negated
-    return InverseRecord(a=a, S=w[_S], ptm=a.T, kraus=(), report=report)
+    return InverseRecord(a=a, S=report.S, ptm=a.T, kraus=(), report=report)
 
 
 # === Full pipeline ===
@@ -505,8 +414,7 @@ def pauli_frame_decision(p: PauliChannel, s: BlochState, tol: float = 1e-9):
     exactly when the prior is unscathed, and it is then the channel's
     adjoint, i.e. the channel itself, whose record is feasible and holds
     the slacks of v = 0, R = diag(lambda). Otherwise the closed-form
-    candidate is scored. Both are scored on the kernel's registers, as in
-    a batch.
+    candidate is scored. Both are scored by the formulas a batch runs.
 
     :return: the inverse in the Pauli frame as an InverseRecord with no
         Kraus operators and residual 0 (on the interior, the record of
@@ -516,29 +424,113 @@ def pauli_frame_decision(p: PauliChannel, s: BlochState, tol: float = 1e-9):
     _check_tol(tol)
     lam = p.lam
     if not _on_boundary(lam):
-        w, report = _interior_report(lam, s.r, tol)
+        report = _interior_report(lam, s.r, tol)
         if not report.feasible:  # no record: it would not be returned
             return NoInverse(reason="cp-infeasible", report=report)
-        return _interior_record(w, report)
+        return _interior_record(report)
     residuals = _unscathed_residuals(lam, s.r)
     if not _unscathed(residuals):
         return NoInverse(reason="not-unscathed", residuals=residuals)
     s_scalar = float(np.sum(lam * lam * s.r * s.r))
-    w = _pair_workspace()  # v = 0
-    w[_R : _R + 9] = np.diag(lam * _CHOI_ROW_SIGNS).ravel().tolist()
-    _slacks(w)
+    R = np.diag(lam * _CHOI_ROW_SIGNS).ravel().tolist()
     # The unscathed test decided, as in a batch, whatever the slacks' sign at tol.
-    report = replace(_pair_report(w, s_scalar, tol), feasible=True)
+    report = replace(_pair_report([0.0] * 3, R, s_scalar, tol), feasible=True)
     unique = bool(s_scalar < 1.0 - _BOUNDARY_EPS)
     return InverseRecord(a=p.ptm, S=s_scalar, ptm=p.ptm, kraus=(), report=report, unique=unique)
 
 
+# === The verdict program of a batch ===
+
+def _binary(ufunc):
+    """A traced value's operator and reflected operator for ufunc."""
+    return (lambda a, b: a._op(ufunc, a, b)), (lambda a, b: a._op(ufunc, b, a))
+
+
+class _Traced:
+    """A value of the formulas while they are traced: its index on a tape of (ufunc, operands)."""
+
+    def __init__(self, tape: list, index: int) -> None:
+        self.tape, self.index = tape, index
+
+    def _op(self, ufunc, *operands) -> _Traced:
+        self.tape.append((ufunc, [x.index if isinstance(x, _Traced) else float(x) for x in operands]))
+        return _Traced(self.tape, len(self.tape) - 1)
+
+    def __neg__(self) -> _Traced:
+        return self._op(np.negative, self)
+
+    __add__, __radd__ = _binary(np.add)
+    __sub__, __rsub__ = _binary(np.subtract)
+    __mul__, __rmul__ = _binary(np.multiply)
+    __truediv__, __rtruediv__ = _binary(np.divide)
+
+
+@dataclass(frozen=True)
+class _Program:
+    """The verdict formulas as ufunc calls on the rows of a workspace.
+
+    segments holds three tuples of (ufunc, (operand, ..., out row)): S,
+    then v and R, then the slacks. No call writes lambda and r, rows 0-5;
+    the slacks take the last three rows. S is the row of S after the first
+    segment, and candidate the rows of v and R (row-major) after the second.
+    """
+
+    segments: tuple
+    rows: int
+    S: int
+    candidate: tuple
+
+    def bind(self, w: np.ndarray) -> list:
+        """Each segment's calls on the rows of w, a (rows, width) array."""
+        w = list(w)
+        return [[(f, [w[x] if type(x) is int else x for x in args]) for f, args in calls]
+                for calls in self.segments]
+
+
+def _run(calls) -> None:
+    """One segment of the program, bound by _Program.bind."""
+    for f, args in calls:
+        f(*args)
+
+
+@cache
+def _program() -> _Program:
+    """Trace the verdict formulas once, and give each value a workspace row.
+
+    A linear scan frees the rows of the operands an operation reads last,
+    then gives its result a free row, so it may write over such an operand.
+    Built on first use, not at import.
+    """
+    tape = [(None, [])] * 6  # lambda and r
+    lam, r = [_Traced(tape, i) for i in range(3)], [_Traced(tape, i) for i in range(3, 6)]
+    S = _candidate_s(lam, r)
+    cuts = [6, len(tape)]
+    v, R = _candidate(lam, r, S)
+    cuts.append(len(tape))
+    slack = _slacks(v, R)[-1]
+    cuts.append(len(tape))
+    last = {x: t for t, (_, args) in enumerate(tape) for x in args if type(x) is int}
+    row, free = list(range(6)), []
+    for t, (_, args) in enumerate(tape[6:], 6):
+        # The inputs are never freed; a value read twice frees its row once.
+        free += sorted({row[x] for x in args if type(x) is int and x >= 6 and last[x] == t})
+        row.append(free.pop() if free else max(row) + 1)
+    out = [row[x.index] for x in slack]
+    order = [i for i in range(max(row) + 1) if i not in out] + out  # the slacks last
+    row = [order.index(i) for i in row]
+    calls = [(f, (*(row[x] if type(x) is int else x for x in args), row[t]))
+             for t, (f, args) in enumerate(tape)]
+    segments = tuple(tuple(calls[a:b]) for a, b in zip(cuts, cuts[1:]))
+    return _Program(segments, len(order), row[S.index], tuple(row[x.index] for x in v + R))
+
+
 # Rows are scored in blocks of whole rows with at most this many pairs (a
 # row longer than that is a block of its own). The workspace holds
-# 28 doubles a pair, 1.8 MB at this size, and is allocated once per pass
-# over the rows, so scan_three_entry(8, 1000) makes one for its 11 blocks.
-# A block makes the same 142 ufunc calls whatever its width, and a wider
-# block raises the peak. Median time of scan_three_entry(8, 1000) and of a
+# _program().rows = 23 doubles a pair, 1.5 MB at this size, and is allocated
+# once per pass over the rows, so scan_three_entry(8, 1000) makes one for
+# its 11 blocks. A block makes the same 145 ufunc calls whatever its width,
+# and a wider block raises the peak. Measured on the earlier kernel of 28
+# rows and 142 calls: median time of scan_three_entry(8, 1000) and of a
 # 201 x 201 depolarizing and bb84 scan pair (widths alternated, 20 rounds
 # of 5 calls each, one process), and peak MB above the import (a fresh
 # process per width and workload, 3 calls):
@@ -586,10 +578,12 @@ def _verdict_blocks(lam: np.ndarray, r: np.ndarray, tol: float):
     _PAIR_BLOCK pairs (a row longer than that is a block of its own).
     Yields (rows, slack, feasible): the block's row indices, its (3, k, n)
     slacks, a view of the one workspace that the next block overwrites,
-    and its (k, n) verdicts, by :func:`_admitted`. An interior row builds
-    its candidate from lambda * _CHOI_ROW_SIGNS. A boundary row builds it
-    at lambda = 0, so S stays 0, then takes the channel's own v = 0 and
-    R = diag(lambda * _CHOI_ROW_SIGNS) before _slacks; its verdicts are
+    and its (k, n) verdicts, by :func:`_admitted`. A block runs the three
+    segments of :func:`_program`: S, checked before the division; v and R;
+    the slacks. An interior row builds its candidate from
+    lambda * _CHOI_ROW_SIGNS. A boundary row builds it at lambda = 0, so S
+    stays 0, then takes the channel's own v = 0 and
+    R = diag(lambda * _CHOI_ROW_SIGNS) before the slacks; its verdicts are
     its :func:`_unscathed` mask, and its other priors get (-1, -1, -1). Every
     operation is elementwise per pair, so a verdict does not depend on its
     block.
@@ -602,33 +596,38 @@ def _verdict_blocks(lam: np.ndarray, r: np.ndarray, tol: float):
         non-finite unscathed residual, before its block is yielded.
     """
     n = r.shape[-1]
+    program = _program()
     boundary = _on_boundary(lam)
     step = max(1, _PAIR_BLOCK // max(n, 1))
     k_max = max(1, min(step, len(lam)))
     # Each register row is padded to a multiple of 8 doubles, so that every
     # row of every block starts on a 64-byte boundary.
-    flat = _aligned_empty((_WS_ROWS, -(-k_max * n // 8) * 8))
-    ws = flat[:, : k_max * n].reshape(_WS_ROWS, k_max, n)
+    flat = _aligned_empty((program.rows, -(-k_max * n // 8) * 8))
+    ws = flat[:, : k_max * n].reshape(program.rows, k_max, n)
     shared = r.shape[1] == 1
-    if shared:  # _candidate and _slacks never write a prior register
-        np.copyto(ws[_PRIOR : _PRIOR + 3], r)
+    if shared:  # the program never writes a prior row
+        np.copyto(ws[3:6], r)
     lam_signed = np.where(boundary[:, None], 0.0, lam * _CHOI_ROW_SIGNS)
-    w = []  # the registers of a block of k rows, rebuilt when k changes
+    edge_rows = np.array(program.candidate)
+    width = None  # the program is bound to the rows of a block of k rows when k changes
     for start in range(0, len(lam), step):
         rows = np.arange(start, min(start + step, len(lam)))
         k = len(rows)
-        np.copyto(ws[_LAM : _LAM + 3, :k], lam_signed[rows].T[:, :, None])
+        np.copyto(ws[:3, :k], lam_signed[rows].T[:, :, None])
         if not shared:
-            np.copyto(ws[_PRIOR : _PRIOR + 3, :k], r[:, rows])
-        if not w or len(w[0]) != k * n:
-            w = [*flat[:, : k * n], *_CONSTANTS]
-        _candidate(w)
+            np.copyto(ws[3:6, :k], r[:, rows])
+        if width != k * n:
+            width = k * n
+            s_calls, candidate_calls, slack_calls = program.bind(flat[:, :width])
+        _run(s_calls)
+        _nonsingular(ws[program.S, :k])
+        _run(candidate_calls)
         on_edge = np.flatnonzero(boundary[rows])
         if on_edge.size:  # the channel's own v = 0 and R = diag(lambda)
-            ws[_V : _R + 9, on_edge] = 0.0
-            ws[_R : _R + 9 : 4, on_edge] = (lam[rows[on_edge]] * _CHOI_ROW_SIGNS).T[:, :, None]
-        _slacks(w)
-        slack = ws[_SLACK : _SLACK + 3, :k]
+            ws[edge_rows[:, None], on_edge] = 0.0
+            ws[edge_rows[3::4, None], on_edge] = (lam[rows[on_edge]] * _CHOI_ROW_SIGNS).T[:, :, None]
+        _run(slack_calls)
+        slack = ws[-3:, :k]
         feasible = _admitted(slack, tol)
         finite = np.isfinite(slack).all()
         for j in on_edge:

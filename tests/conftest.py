@@ -69,16 +69,16 @@ def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
 def scalar_verdict(pc: PauliChannel, s: BlochState, tol: float = 1e-9):
     """(feasible, slack) of one pair by the Choi route.
 
-    The oracle for the register kernel, which single queries and batches
+    The oracle for the verdict kernel, which single queries and batches
     share: the slacks are gamel_report's reading of a Choi matrix, the
     candidate's on the interior and the channel's own on the boundary. No
     verdict of the package reads a Choi matrix, so this is the only Choi
-    route, and it agrees with the registers to a few 1e-15. A boundary pair
+    route, and it agrees with the kernel to a few 1e-15. A boundary pair
     that is not unscathed gets slack (-1, -1, -1).
     """
     if np.abs(pc.lam).max() >= 1.0 - 1e-12:
         if is_unscathed(pc, s) is None:
             return False, np.full(3, -1.0)
-        return True, gamel_report(pc.choi, 0.0, tol).slack
-    report = gamel_report(analytic_inverse(pc, s).choi, 0.0, tol)
+        return True, gamel_report(pc.choi, tol).slack
+    report = gamel_report(analytic_inverse(pc, s).choi, tol)
     return report.feasible, report.slack

@@ -35,8 +35,8 @@ from qubit_retro import (
     partial_transpose,
     tensor,
 )
-from qubit_retro.bayes import _CHOI_ROW_SIGNS, _CONSTANTS, _LAM, _PRIOR, _SLACK, _WS_ROWS
-from qubit_retro.bayes import _candidate, _slacks, _verdict_rows
+from qubit_retro.bayes import _CHOI_ROW_SIGNS, _candidate, _candidate_s, _nonsingular, _slacks
+from qubit_retro.bayes import _verdict_rows
 from qubit_retro.channels import _lambda_rows, _readonly
 from qubit_retro.errors import (
     MonotonicityWarning,
@@ -206,16 +206,13 @@ def depolarizing_quantities(lam: float, t: float) -> DepolarizingQuantities:
 def exact_slacks(lam, r) -> list[Fraction]:
     """The three positivity slacks of the interior candidate at (lam, r), exactly.
 
-    Every float64 is a dyadic rational, so the kernel's own straight-line
-    arithmetic on Fraction registers gives the exact slacks for the given
-    floats. lambda's sigma_y entry is negated, as the batched kernel reads R.
+    Every float64 is a dyadic rational, so the kernel's own formulas, run on
+    Fractions, give the exact slacks for the given floats. lambda's sigma_y
+    entry is negated, as the batched kernel reads R.
     """
-    w = [Fraction(0)] * _WS_ROWS + list(map(Fraction, _CONSTANTS))
-    w[_LAM : _LAM + 3] = map(Fraction, (np.asarray(lam) * _CHOI_ROW_SIGNS).tolist())
-    w[_PRIOR : _PRIOR + 3] = map(Fraction, np.asarray(r, dtype=np.float64).tolist())
-    _candidate(w)
-    _slacks(w)
-    return w[_SLACK : _SLACK + 3]
+    lam = [Fraction(x) for x in (np.asarray(lam) * _CHOI_ROW_SIGNS).tolist()]
+    r = [Fraction(x) for x in np.asarray(r, dtype=np.float64).tolist()]
+    return _slacks(*_candidate(lam, r, _nonsingular(_candidate_s(lam, r))))[-1]
 
 
 # === Linear-algebra route to the interior inverse ===

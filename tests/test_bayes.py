@@ -61,6 +61,7 @@ from qubit_retro.errors import (
     NotPSDError,
     SingularSError,
 )
+from qubit_retro.linalg import PAULIS
 
 SEED = 20260825
 
@@ -243,7 +244,7 @@ def test_adjoint_is_inverse_matches_direct_residual():
 
 def test_gamel_report_of_identity_channel_is_marginal():
     choi = ChannelRep.from_pauli(PauliChannel(np.array([1.0, 0.0, 0.0, 0.0]))).choi
-    report = gamel_report(choi, 0.0)
+    report = gamel_report(choi)
     assert np.abs(report.slack).max() < 1e-12
     assert report.feasible
     assert abs(report.eta - 3.0) < 1e-12
@@ -263,19 +264,19 @@ def test_gamel_report_eta_consistency():
 
 def test_gamel_report_validation():
     with pytest.raises(NotHermitianError):
-        gamel_report(np.triu(np.ones((4, 4))), 0.0)
+        gamel_report(np.triu(np.ones((4, 4))))
     # A non-trace-preserving candidate: first coefficient column nonzero.
     bad = pauli_reconstruct(np.array([[1.0, 0, 0, 0], [0.3, 0.5, 0, 0], [0, 0, 0.5, 0], [0, 0, 0, 0.5]]) / 2.0)
     with pytest.raises(ValueError):
-        gamel_report(bad, 0.0)
+        gamel_report(bad)
     # Non-finite entries pass the Hermiticity test, so they are rejected first.
     for value in (np.nan, np.inf):
         choi = PauliChannel.depolarizing(0.3).choi.copy()
         choi[1, 2] = value
         with pytest.raises(ValueError, match="finite"):
-            gamel_report(choi, 0.0)
+            gamel_report(choi)
     with pytest.raises(ValueError, match="finite"):
-        gamel_report(np.full((4, 4), np.nan), 0.0)
+        gamel_report(np.full((4, 4), np.nan))
 
 
 def test_complete_depolarizing_slacks_closed_form():
@@ -322,13 +323,11 @@ def test_analytic_inverse_reads_a_back_from_the_kernel_registers():
               for p in ([0.25, 0.25, 0.25, 0.25], [0.5, 0.25, 0.0, 0.25])  # lambda_2 = 0
               for r in ([0.0, 0.4, 0.0], [0.2, -0.3, 0.1], [-0.0, -0.0, -0.0])]
     for pc, s in pairs:
-        w = bayes._pair_workspace()
-        w[bayes._LAM : bayes._LAM + 3] = pc.lam.tolist()
-        w[bayes._PRIOR : bayes._PRIOR + 3] = s.r.tolist()
-        bayes._candidate(w)
+        lam, r = pc.lam.tolist(), s.r.tolist()
+        v, R = bayes._candidate(lam, r, bayes._candidate_s(lam, r))
         a = analytic_inverse(pc, s).a
-        assert a[0, 1:].tobytes() == np.array(w[bayes._V : bayes._V + 3]).tobytes()
-        assert a[1:, 1:].tobytes() == np.reshape(w[bayes._R : bayes._R + 9], (3, 3)).tobytes()
+        assert a[0, 1:].tobytes() == np.array(v).tobytes()
+        assert a[1:, 1:].tobytes() == np.reshape(R, (3, 3)).tobytes()
 
 
 def test_analytic_inverse_boundary_raises():
@@ -485,7 +484,7 @@ def test_verdicts_contract():
 def test_boundary_rows_read_from_lambda_take_the_channels_own_slacks():
     # A boundary row is given only lambda; its unscathed priors must take the
     # slacks of the channel's own block, byte for byte those of the float
-    # registers at (lambda, r = 0), where the candidate is the channel, and
+    # formulas at (lambda, r = 0), where the candidate is the channel, and
     # within 1e-14 of gamel_report on the PauliChannel's own Choi matrix;
     # every other prior gets (-1, -1, -1). A single query reports the same
     # bytes. Two-entry channels all sit on the boundary; the priors hold the
@@ -503,12 +502,10 @@ def test_boundary_rows_read_from_lambda_take_the_channels_own_slacks():
     feasible, slack = bayes._verdict_rows(lam, priors.T[:, None], 1e-9)
     seen = set()
     for i, pc in enumerate(channels):
-        w = bayes._pair_workspace()
-        w[bayes._LAM : bayes._LAM + 3] = (pc.lam * bayes._CHOI_ROW_SIGNS).tolist()
-        bayes._candidate(w)
-        bayes._slacks(w)
-        own = np.array(w[bayes._SLACK : bayes._SLACK + 3])
-        assert np.abs(own - gamel_report(pc.choi, 0.0, 1e-9).slack).max() <= 1e-14, pc.p
+        lam_signed, center = (pc.lam * bayes._CHOI_ROW_SIGNS).tolist(), [0.0] * 3
+        candidate = bayes._candidate(lam_signed, center, bayes._candidate_s(lam_signed, center))
+        own = np.array(bayes._slacks(*candidate)[-1])
+        assert np.abs(own - gamel_report(pc.choi, 1e-9).slack).max() <= 1e-14, pc.p
         unscathed = [is_unscathed(pc, BlochState(r)) is not None for r in priors]
         want = np.where(np.array(unscathed)[:, None], own, -1.0)
         assert feasible[i].tolist() == unscathed, pc.p
@@ -680,7 +677,8 @@ def test_verdict_workspace_starts_on_a_64_byte_boundary():
     # Its register rows then suit 32-byte vector loads wherever the heap
     # placed the buffer; the blocks of scan_three_entry(8, 1000) and of the
     # 201 x 201 scans are (8, 1001) and (40, 201).
-    for shape in ((bayes._WS_ROWS, 8, 1001), (bayes._WS_ROWS, 40, 201), (bayes._WS_ROWS, 1, 1)):
+    rows = bayes._program().rows
+    for shape in ((rows, 8, 1001), (rows, 40, 201), (rows, 1, 1)):
         for _ in range(8):
             ws = bayes._aligned_empty(shape)
             assert ws.shape == shape and ws.dtype == np.float64
@@ -702,8 +700,51 @@ def test_every_register_row_starts_on_a_64_byte_boundary(monkeypatch):
     assert shapes == [(3, 4, 1001), (3, 2, 1001)]
 
 
+def test_program_segments_equal_the_formulas_on_floats():
+    # A batch runs the verdict program traced from _candidate_s, _candidate
+    # and _slacks. Each of its segments must leave in every column the bytes
+    # that the formulas give on that column's floats: S after the first, v
+    # and R after the second, the slacks after the third. Boundary columns
+    # read lambda = 0 and take v = 0, R = diag(lambda) before the third, as
+    # _verdict_blocks does. No call writes the input rows.
+    rng = np.random.default_rng(SEED + 40)
+    signed_zeros = [[0.0, 0.0, 0.0], [-0.0, -0.0, -0.0], [-0.0, 0.5, 0.0], [0.3, -0.0, -0.6]]
+    lam = [random_pauli(rng, 1e-3).lam for _ in range(400)]
+    r = [random_bloch(rng).r for _ in range(400)]
+    for channel in (random_pauli(rng, 1e-3), PauliChannel.depolarizing(0.75)):  # lambda = 0
+        lam += [channel.lam] * len(signed_zeros)
+        r += signed_zeros
+    edges = [PauliChannel(np.array(p)).lam
+             for p in ([0.6, 0.4, 0.0, 0.0], [0.0, 0.3, 0.0, 0.7], [0.0, 0.0, 1.0, 0.0])]
+    lam_signed = np.array(lam) * bayes._CHOI_ROW_SIGNS
+    lam_signed = np.vstack([lam_signed, np.zeros((len(edges), 3))])
+    r = np.vstack([r, [random_bloch(rng).r for _ in edges]])
+    program = bayes._program()
+    w = np.full((program.rows, len(r)), np.nan)
+    w[:3], w[3:6] = lam_signed.T, r.T
+    inputs = w[:6].copy()
+    s_calls, candidate_calls, slack_calls = program.bind(w)
+    bayes._run(s_calls)
+    S = [bayes._candidate_s(x, y) for x, y in zip(lam_signed.tolist(), r.tolist())]
+    assert np.array(S).tobytes() == w[program.S].tobytes()
+    bayes._run(candidate_calls)  # it may write over S
+    candidates = []
+    for j, (x, y) in enumerate(zip(lam_signed.tolist(), r.tolist())):
+        v, R = bayes._candidate(x, y, S[j])
+        assert np.array(v + R).tobytes() == w[program.candidate, j].tobytes(), j
+        candidates.append((v, R))
+    for j, edge in enumerate(edges, len(lam)):
+        R = np.diag(edge * bayes._CHOI_ROW_SIGNS)
+        w[program.candidate, j] = [0.0] * 3 + R.ravel().tolist()
+        candidates[j] = [0.0] * 3, R.ravel().tolist()
+    bayes._run(slack_calls)
+    for j, (v, R) in enumerate(candidates):
+        assert np.array(bayes._slacks(v, R)[-1]).tobytes() == w[-3:, j].tobytes(), j
+    assert w[:6].tobytes() == inputs.tobytes()
+
+
 def test_kernel_slack_signs_match_exact_rational_slacks():
-    # The kernel's own arithmetic on Fraction registers gives the exact
+    # The kernel's own formulas, run on Fractions, give the exact
     # slacks of the given floats; away from 0 every float slack has its sign.
     rng = np.random.default_rng(SEED + 31)
     pairs = [(random_pauli(rng, 1e-3), random_bloch(rng)) for _ in range(300)]
@@ -735,7 +776,10 @@ def test_singular_s_is_raised_from_inside_a_multi_row_block():
 _TOL_ENTRY_POINTS = {
     "pauli_frame_decision": lambda tol: pauli_frame_decision(
         PauliChannel.depolarizing(0.3), BlochState.maximally_mixed(), tol),
-    "gamel_report": lambda tol: gamel_report(PauliChannel.depolarizing(0.3).choi, 0.0, tol),
+    "gamel_report": lambda tol: gamel_report(PauliChannel.depolarizing(0.3).choi, tol),
+    # A feasible candidate, which a NaN or negative tol read as infeasible.
+    "analytic_inverse": lambda tol: analytic_inverse(
+        PauliChannel([0.7, 0.1, 0.1, 0.1]), BlochState([0.3, 0.0, 0.0]), tol),
     "bayesian_inverse": lambda tol: bayesian_inverse(
         PauliChannel.depolarizing(0.3), BlochState.maximally_mixed(), tol),
     # Eigenvalues outside the CP region, a non-CP Choi matrix, a CPTP channel
@@ -1128,3 +1172,42 @@ def test_kernel_slacks_do_not_change_under_joint_axis_permutations(weights, r, p
     p, r = np.array(weights), np.array(r) / max(1.0, np.linalg.norm(r))
     permuted = _kernel_slack(np.concatenate((p[:1], p[1:][perm])), r[perm])
     assert np.abs(permuted - _kernel_slack(p, r)).max() <= 1e-12
+
+
+def _bloch_rotations(us: np.ndarray) -> np.ndarray:
+    """R[n, i, j] = Tr[sigma_i u_n sigma_j u_n^dag] / 2 for (N, 2, 2) unitaries."""
+    sigma = np.array(PAULIS[1:])
+    return np.einsum("iab,nbc,jcd,nad->nij", sigma, us, sigma, us.conj()).real / 2.0
+
+
+def test_retrodiction_composes_along_a_chain():
+    # Wherever both steps of a chain E2 . E1 have an inverse, F1 at the
+    # prior r and F2 at E1(r), the chain has one at r and it is F1 . F2:
+    # the compositionality axiom of retrodiction (Parzygnat & Buscemi,
+    # Quantum 7, 1013 (2023)). The steps are drawn as random_unital draws
+    # them, and built from their transfer matrices.
+    rng = np.random.default_rng(SEED + 42)
+    chains = 5000
+    cores, unitaries, priors = [], [], []
+    for _ in range(chains):
+        for _ in range(2):
+            cores.append(random_pauli(rng, 1e-3).ptm)
+            unitaries += [random_unitary(rng), random_unitary(rng)]
+        priors.append(random_bloch(rng))
+    rot = np.tile(np.eye(4), (2 * len(cores), 1, 1))
+    rot[:, 1:, 1:] = _bloch_rotations(np.array(unitaries))
+    steps = (rot[0::2] @ np.array(cores) @ rot[1::2]).reshape(chains, 2, 4, 4)
+    both = 0
+    for (t1, t2), s in zip(steps, priors):
+        e1 = ChannelRep(t1)
+        f1 = bayesian_inverse(e1, s)
+        if isinstance(f1, NoInverse):
+            continue
+        f2 = bayesian_inverse(ChannelRep(t2), apply(e1, s))
+        if isinstance(f2, NoInverse):
+            continue
+        both += 1
+        chain = bayesian_inverse(ChannelRep(t2 @ t1), s)
+        assert isinstance(chain, InverseRecord), (t1, t2, s.r)
+        assert np.abs(chain.ptm - f1.ptm @ f2.ptm).max() <= 1e-12, (t1, t2, s.r)
+    assert both > chains // 4

@@ -43,3 +43,19 @@ def test_import_builds_no_export_table():
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.split() == ["0"]
+
+
+def test_import_traces_no_verdict_program():
+    # The batch's verdict program is traced from the formulas on the first
+    # batch: importing the package and its CLI leaves its cache empty.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    code = (
+        "import qubit_retro, qubit_retro.cli\n"
+        "print(qubit_retro.bayes._program.cache_info().currsize)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == ["0"]

@@ -229,22 +229,25 @@ def _counting(calls, fn):
 
 
 def test_scan_scores_interior_rows_in_blocks(monkeypatch):
-    # Each block of rows, boundary rows among them, makes one _candidate and
-    # one _slacks call; a boundary row is scored on the same registers, with
-    # no gamel_report and no Choi matrix.
-    candidates, slacks, choi_reports = [], [], []
-    monkeypatch.setattr(bayes, "_candidate", _counting(candidates, bayes._candidate))
-    monkeypatch.setattr(bayes, "_slacks", _counting(slacks, bayes._slacks))
+    # Each block of rows, boundary rows among them, runs the three segments
+    # of the verdict program once: S, then v and R, then the slacks. A
+    # boundary row is scored in the same segments, with no gamel_report, no
+    # Choi matrix and no call of the formulas on floats.
+    bayes._program()
+    runs, formulas, choi_reports = [], [], []
+    monkeypatch.setattr(bayes, "_run", _counting(runs, bayes._run))
+    monkeypatch.setattr(bayes, "_candidate", _counting(formulas, bayes._candidate))
+    monkeypatch.setattr(bayes, "_slacks", _counting(formulas, bayes._slacks))
     monkeypatch.setattr(bayes, "gamel_report", _counting(choi_reports, bayes.gamel_report))
     scan_depolarizing(ScanGrid.uniform(201))
     # 201 rows at 40 rows per block, the last block short; the identity row
     # p = 0 leads the first block.
-    assert (len(candidates), len(slacks), len(choi_reports)) == (6, 6, 0)
-    for calls in (candidates, slacks, choi_reports):
+    assert (len(runs), len(formulas), len(choi_reports)) == (6 * 3, 0, 0)
+    for calls in (runs, formulas, choi_reports):
         calls.clear()
     scan_bb84(ScanGrid.uniform(201, direction=np.ones(3) / np.sqrt(3.0)))
     # The same six blocks; p = 0 and p = 1 are boundary channels.
-    assert (len(candidates), len(slacks), len(choi_reports)) == (6, 6, 0)
+    assert (len(runs), len(formulas), len(choi_reports)) == (6 * 3, 0, 0)
 
 
 def test_verdicts_do_not_depend_on_the_block_width(monkeypatch):
@@ -531,7 +534,7 @@ def test_three_entry_search_counts_and_determinism():
 
 
 def test_three_entry_scores_each_channel_in_one_kernel_call(monkeypatch):
-    candidates, passes, blocks = [], [], []
+    runs, passes, blocks = [], [], []
 
     def kernel(lam, r, tol):
         passes.append((lam.shape, r.shape))
@@ -542,17 +545,17 @@ def test_three_entry_scores_each_channel_in_one_kernel_call(monkeypatch):
     def no_rows(*args):
         raise AssertionError("the search reads blocks, not assembled rows")
 
-    monkeypatch.setattr(bayes, "_candidate", _counting(candidates, bayes._candidate))
+    monkeypatch.setattr(bayes, "_run", _counting(runs, bayes._run))
     monkeypatch.setattr(scans, "_verdict_blocks", kernel)
     monkeypatch.setattr(scans, "_verdict_rows", no_rows)
     summary = scan_three_entry(resolution=8, samples=1000)
     # One pass over the 84 channels against the same 1,001 priors: ten blocks
-    # of eight channels and a short last block of four, one _candidate call
-    # each; no hit is re-checked.
+    # of eight channels and a short last block of four, each one run of the
+    # verdict program's three segments; no hit is re-checked.
     assert (summary.channels, summary.hits) == (84, 0)
     assert passes == [((84, 3), (3, 1, 1001))]
     assert blocks == [8] * 10 + [4]
-    assert len(candidates) == 11
+    assert len(runs) == 11 * 3
 
 
 def test_three_entry_builds_a_channel_only_for_a_hit_it_reverifies(monkeypatch):
