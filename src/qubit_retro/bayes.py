@@ -26,10 +26,11 @@ The candidate and the slacks are written once, as plain arithmetic
 (_candidate_s, _candidate, _slacks) that a single query runs on floats
 and a batch runs as the ufunc program traced from it (_program), on the
 rows of one array that _verdict_blocks allocates per pass and scores a
-block of pairs at a time. So a batch makes no temporaries and each pair's
-slacks are bit-identical to its single-query slacks; boundary rows ride
-in the same blocks, scored as the candidate at r = 0 (v = 0,
-R = diag(lambda)), and each block comes with its verdicts. No verdict
+block of pairs at a time, in two segments: S, checked before the division
+by 1 - S, then v, R and the slacks. So a batch makes no temporaries and
+each pair's slacks are bit-identical to its single-query slacks; boundary
+rows ride in the same blocks, scored as the candidate at r = 0 (which is
+v = 0, R = diag(lambda)), and each block comes with its verdicts. No verdict
 reads a Choi matrix: gamel_report is the tests' independent route. The
 two-time expectations that certify an inverse are read straight from a
 transfer matrix T, <sigma_i, sigma_j> = r_i T[j, 0] + T[j, i]
@@ -431,12 +432,12 @@ def pauli_frame_decision(p: PauliChannel, s: BlochState, tol: float = 1e-9):
     residuals = _unscathed_residuals(lam, s.r)
     if not _unscathed(residuals):
         return NoInverse(reason="not-unscathed", residuals=residuals)
-    s_scalar = float(np.sum(lam * lam * s.r * s.r))
+    S = _candidate_s(lam.tolist(), s.r.tolist())
     R = np.diag(lam * _CHOI_ROW_SIGNS).ravel().tolist()
     # The unscathed test decided, as in a batch, whatever the slacks' sign at tol.
-    report = replace(_pair_report([0.0] * 3, R, s_scalar, tol), feasible=True)
-    unique = bool(s_scalar < 1.0 - _BOUNDARY_EPS)
-    return InverseRecord(a=p.ptm, S=s_scalar, ptm=p.ptm, kraus=(), report=report, unique=unique)
+    report = replace(_pair_report([0.0] * 3, R, S, tol), feasible=True)
+    unique = S < 1.0 - _BOUNDARY_EPS
+    return InverseRecord(a=p.ptm, S=S, ptm=p.ptm, kraus=(), report=report, unique=unique)
 
 
 # === The verdict program of a batch ===
@@ -469,16 +470,15 @@ class _Traced:
 class _Program:
     """The verdict formulas as ufunc calls on the rows of a workspace.
 
-    segments holds three tuples of (ufunc, (operand, ..., out row)): S,
-    then v and R, then the slacks. No call writes lambda and r, rows 0-5;
-    the slacks take the last three rows. S is the row of S after the first
-    segment, and candidate the rows of v and R (row-major) after the second.
+    segments holds two tuples of (ufunc, (operand, ..., out row)): S, then
+    v, R and the slacks, so that S can be checked before the division by
+    1 - S. No call writes lambda and r, rows 0-5; the slacks take the last
+    three rows. S is the row of S after the first segment.
     """
 
     segments: tuple
     rows: int
     S: int
-    candidate: tuple
 
     def bind(self, w: np.ndarray) -> list:
         """Each segment's calls on the rows of w, a (rows, width) array."""
@@ -504,11 +504,8 @@ def _program() -> _Program:
     tape = [(None, [])] * 6  # lambda and r
     lam, r = [_Traced(tape, i) for i in range(3)], [_Traced(tape, i) for i in range(3, 6)]
     S = _candidate_s(lam, r)
-    cuts = [6, len(tape)]
-    v, R = _candidate(lam, r, S)
-    cuts.append(len(tape))
-    slack = _slacks(v, R)[-1]
-    cuts.append(len(tape))
+    cut = len(tape)
+    slack = _slacks(*_candidate(lam, r, S))[-1]
     last = {x: t for t, (_, args) in enumerate(tape) for x in args if type(x) is int}
     row, free = list(range(6)), []
     for t, (_, args) in enumerate(tape[6:], 6):
@@ -520,8 +517,7 @@ def _program() -> _Program:
     row = [order.index(i) for i in row]
     calls = [(f, (*(row[x] if type(x) is int else x for x in args), row[t]))
              for t, (f, args) in enumerate(tape)]
-    segments = tuple(tuple(calls[a:b]) for a, b in zip(cuts, cuts[1:]))
-    return _Program(segments, len(order), row[S.index], tuple(row[x.index] for x in v + R))
+    return _Program((tuple(calls[6:cut]), tuple(calls[cut:])), len(order), row[S.index])
 
 
 # Rows are scored in blocks of whole rows with at most this many pairs (a
@@ -578,15 +574,14 @@ def _verdict_blocks(lam: np.ndarray, r: np.ndarray, tol: float):
     _PAIR_BLOCK pairs (a row longer than that is a block of its own).
     Yields (rows, slack, feasible): the block's row indices, its (3, k, n)
     slacks, a view of the one workspace that the next block overwrites,
-    and its (k, n) verdicts, by :func:`_admitted`. A block runs the three
-    segments of :func:`_program`: S, checked before the division; v and R;
-    the slacks. An interior row builds its candidate from
-    lambda * _CHOI_ROW_SIGNS. A boundary row builds it at lambda = 0, so S
-    stays 0, then takes the channel's own v = 0 and
-    R = diag(lambda * _CHOI_ROW_SIGNS) before the slacks; its verdicts are
-    its :func:`_unscathed` mask, and its other priors get (-1, -1, -1). Every
-    operation is elementwise per pair, so a verdict does not depend on its
-    block.
+    and its (k, n) verdicts, by :func:`_admitted`. A block runs the two
+    segments of :func:`_program`: S, checked before the division; then v,
+    R and the slacks. Every row builds its candidate from
+    lambda * _CHOI_ROW_SIGNS. A boundary row is scored at r = 0, which
+    gives S = 0 and the channel's own v = 0 and R = diag(lambda *
+    _CHOI_ROW_SIGNS); its verdicts are its :func:`_unscathed` mask, and
+    its other priors get (-1, -1, -1). Every operation is elementwise per
+    pair, so a verdict does not depend on its block.
 
     :param lam: (M, 3) signed eigenvalues, one channel per row.
     :param r: (3, M, n) prior columns, or (3, 1, n) for the same n priors
@@ -607,8 +602,7 @@ def _verdict_blocks(lam: np.ndarray, r: np.ndarray, tol: float):
     shared = r.shape[1] == 1
     if shared:  # the program never writes a prior row
         np.copyto(ws[3:6], r)
-    lam_signed = np.where(boundary[:, None], 0.0, lam * _CHOI_ROW_SIGNS)
-    edge_rows = np.array(program.candidate)
+    lam_signed = lam * _CHOI_ROW_SIGNS
     width = None  # the program is bound to the rows of a block of k rows when k changes
     for start in range(0, len(lam), step):
         rows = np.arange(start, min(start + step, len(lam)))
@@ -616,17 +610,16 @@ def _verdict_blocks(lam: np.ndarray, r: np.ndarray, tol: float):
         np.copyto(ws[:3, :k], lam_signed[rows].T[:, :, None])
         if not shared:
             np.copyto(ws[3:6, :k], r[:, rows])
+        on_edge = np.flatnonzero(boundary[rows])
+        ws[3:6, on_edge] = 0.0  # the candidate at r = 0: v = 0, R = diag(lambda)
         if width != k * n:
             width = k * n
-            s_calls, candidate_calls, slack_calls = program.bind(flat[:, :width])
+            s_calls, slack_calls = program.bind(flat[:, :width])
         _run(s_calls)
         _nonsingular(ws[program.S, :k])
-        _run(candidate_calls)
-        on_edge = np.flatnonzero(boundary[rows])
-        if on_edge.size:  # the channel's own v = 0 and R = diag(lambda)
-            ws[edge_rows[:, None], on_edge] = 0.0
-            ws[edge_rows[3::4, None], on_edge] = (lam[rows[on_edge]] * _CHOI_ROW_SIGNS).T[:, :, None]
         _run(slack_calls)
+        if shared:  # the next block reads these prior rows
+            ws[3:6, on_edge] = r
         slack = ws[-3:, :k]
         feasible = _admitted(slack, tol)
         finite = np.isfinite(slack).all()

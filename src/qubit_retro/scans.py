@@ -509,14 +509,6 @@ def _items(rows: np.ndarray) -> np.ndarray:
 _BLOCK = 2048
 
 
-def _blocks(scan: ScanResult):
-    """The scan's cells in row-major blocks: a slice, and its p and t indices."""
-    n_t = len(scan.grid.t_axis)
-    for start in range(0, len(scan), _BLOCK):
-        cells = slice(start, min(start + _BLOCK, len(scan)))
-        yield (cells, *np.divmod(np.arange(cells.start, cells.stop), n_t))
-
-
 def _csv_chunks(scan: ScanResult):
     """emit_csv's bytes in order: the header, then one chunk per block of cells."""
     # A CSV row is one record: p's _g17_fields row without the byte columns
@@ -543,7 +535,9 @@ def _csv_chunks(scan: ScanResult):
     ])
     lines = np.empty(min(_BLOCK, len(scan)), dtype=record)
     lines["end"] = ord("\n")
-    for cells, i, j in _blocks(scan):
+    for start in range(0, len(scan), _BLOCK):  # row-major blocks of cells
+        cells = slice(start, min(start + _BLOCK, len(scan)))
+        i, j = np.divmod(np.arange(cells.start, cells.stop), len(scan.grid.t_axis))
         block = lines[: len(i)]
         block["p"] = p_items[i]
         block["tf"] = tf_items[2 * j + scan.feasible[cells]]

@@ -153,8 +153,10 @@ def test_two_time_matrix_matches_the_projector_formula():
         pc, u, v = random_pauli(rng), random_unitary(rng), random_unitary(rng)
         kraus = ChannelRep.from_kraus([u @ k @ v for k in ChannelRep.from_pauli(pc).kraus])
         pairs.append((kraus, random_bloch(rng)))
-    inverses = 0
+    inverses = draws = 0
     while inverses < 300:
+        draws += 1  # 368 draws give the 300 inverses
+        assert draws <= 1000, "no 300 inverses in 1,000 draws"
         rep, _, _, _ = random_unital(rng)
         s = random_bloch(rng, 0.6)
         rec = bayesian_inverse(rep, s)
@@ -399,8 +401,10 @@ def bisected_priors():
     and first infeasible t of each ray.
     """
     rng = np.random.default_rng(SEED + 27)
-    channels, directions = [], []
+    channels, directions, draws = [], [], 0
     while len(channels) < 300:
+        draws += 1  # every one of the first 300 draws is kept
+        assert draws <= 1000, "no 300 infeasible directions in 1,000 draws"
         pc, d = random_pauli(rng, 1e-3), rng.normal(size=3)
         d /= np.linalg.norm(d)
         if not channel_verdicts(pc, d[None])[0][0]:
@@ -702,11 +706,12 @@ def test_every_register_row_starts_on_a_64_byte_boundary(monkeypatch):
 
 def test_program_segments_equal_the_formulas_on_floats():
     # A batch runs the verdict program traced from _candidate_s, _candidate
-    # and _slacks. Each of its segments must leave in every column the bytes
-    # that the formulas give on that column's floats: S after the first, v
-    # and R after the second, the slacks after the third. Boundary columns
-    # read lambda = 0 and take v = 0, R = diag(lambda) before the third, as
-    # _verdict_blocks does. No call writes the input rows.
+    # and _slacks. Each of its two segments must leave in every column the
+    # bytes that the formulas give on that column's floats: S after the
+    # first, the slacks after the second. Boundary columns are fed their
+    # signed lambda and r = 0, as _verdict_blocks feeds them, with nothing
+    # written between the segments; there the formulas give the channel's
+    # own block v = 0, R = diag(lambda). No call writes the input rows.
     rng = np.random.default_rng(SEED + 40)
     signed_zeros = [[0.0, 0.0, 0.0], [-0.0, -0.0, -0.0], [-0.0, 0.5, 0.0], [0.3, -0.0, -0.6]]
     lam = [random_pauli(rng, 1e-3).lam for _ in range(400)]
@@ -716,30 +721,23 @@ def test_program_segments_equal_the_formulas_on_floats():
         r += signed_zeros
     edges = [PauliChannel(np.array(p)).lam
              for p in ([0.6, 0.4, 0.0, 0.0], [0.0, 0.3, 0.0, 0.7], [0.0, 0.0, 1.0, 0.0])]
-    lam_signed = np.array(lam) * bayes._CHOI_ROW_SIGNS
-    lam_signed = np.vstack([lam_signed, np.zeros((len(edges), 3))])
-    r = np.vstack([r, [random_bloch(rng).r for _ in edges]])
+    lam_signed = np.array(lam + edges) * bayes._CHOI_ROW_SIGNS
+    r = np.vstack([r, np.zeros((len(edges), 3))])
     program = bayes._program()
     w = np.full((program.rows, len(r)), np.nan)
     w[:3], w[3:6] = lam_signed.T, r.T
     inputs = w[:6].copy()
-    s_calls, candidate_calls, slack_calls = program.bind(w)
+    s_calls, slack_calls = program.bind(w)
     bayes._run(s_calls)
     S = [bayes._candidate_s(x, y) for x, y in zip(lam_signed.tolist(), r.tolist())]
     assert np.array(S).tobytes() == w[program.S].tobytes()
-    bayes._run(candidate_calls)  # it may write over S
-    candidates = []
+    bayes._run(slack_calls)  # it may write over S
     for j, (x, y) in enumerate(zip(lam_signed.tolist(), r.tolist())):
-        v, R = bayes._candidate(x, y, S[j])
-        assert np.array(v + R).tobytes() == w[program.candidate, j].tobytes(), j
-        candidates.append((v, R))
-    for j, edge in enumerate(edges, len(lam)):
-        R = np.diag(edge * bayes._CHOI_ROW_SIGNS)
-        w[program.candidate, j] = [0.0] * 3 + R.ravel().tolist()
-        candidates[j] = [0.0] * 3, R.ravel().tolist()
-    bayes._run(slack_calls)
-    for j, (v, R) in enumerate(candidates):
-        assert np.array(bayes._slacks(v, R)[-1]).tobytes() == w[-3:, j].tobytes(), j
+        slack = bayes._slacks(*bayes._candidate(x, y, S[j]))[-1]
+        assert np.array(slack).tobytes() == w[-3:, j].tobytes(), j
+    for j, edge in enumerate(lam_signed[len(lam):], len(lam)):
+        own = bayes._slacks([0.0] * 3, np.diag(edge).ravel().tolist())[-1]
+        assert np.array(own).tobytes() == w[-3:, j].tobytes(), j
     assert w[:6].tobytes() == inputs.tobytes()
 
 
@@ -886,8 +884,10 @@ def test_inverting_the_inverse_returns_the_channel():
 
 def test_bayesian_inverse_feasible_pauli_case():
     rng = np.random.default_rng(SEED + 13)
-    done = 0
+    done = draws = 0
     while done < 20:
+        draws += 1  # 46 draws give the 20 inverses
+        assert draws <= 200, "no 20 inverses in 200 draws"
         pc = random_pauli(rng, 1e-3)
         s = random_bloch(rng)
         out = bayesian_inverse(pc, s)
@@ -1006,8 +1006,10 @@ def test_bayesian_inverse_boundary_not_unscathed():
 
 def test_bayesian_inverse_general_unital_channels():
     rng = np.random.default_rng(SEED + 14)
-    done = 0
+    done = draws = 0
     while done < 15:
+        draws += 1  # 34 draws give the 15 inverses
+        assert draws <= 200, "no 15 inverses in 200 draws"
         rep, _, _, _ = random_unital(rng)
         s = random_bloch(rng)
         out = bayesian_inverse(rep, s)
@@ -1035,8 +1037,10 @@ def test_rotation_path_matches_unitary_transport():
     # rotations; the SU(2) route of unital_to_pauli and transport_inverse
     # must give the same channel.
     rng = np.random.default_rng(SEED + 16)
-    done = 0
+    done = draws = 0
     while done < 200:
+        draws += 1  # 530 draws give the 200 inverses
+        assert draws <= 2000, "no 200 inverses in 2,000 draws"
         rep, _, _, _ = random_unital(rng)
         s = random_bloch(rng)
         rec = bayesian_inverse(rep, s)

@@ -229,10 +229,10 @@ def _counting(calls, fn):
 
 
 def test_scan_scores_interior_rows_in_blocks(monkeypatch):
-    # Each block of rows, boundary rows among them, runs the three segments
-    # of the verdict program once: S, then v and R, then the slacks. A
-    # boundary row is scored in the same segments, with no gamel_report, no
-    # Choi matrix and no call of the formulas on floats.
+    # Each block of rows, boundary rows among them, runs the two segments
+    # of the verdict program once: S, then v, R and the slacks. A boundary
+    # row is scored in the same segments, as the candidate at r = 0, with no
+    # gamel_report, no Choi matrix and no call of the formulas on floats.
     bayes._program()
     runs, formulas, choi_reports = [], [], []
     monkeypatch.setattr(bayes, "_run", _counting(runs, bayes._run))
@@ -242,12 +242,12 @@ def test_scan_scores_interior_rows_in_blocks(monkeypatch):
     scan_depolarizing(ScanGrid.uniform(201))
     # 201 rows at 40 rows per block, the last block short; the identity row
     # p = 0 leads the first block.
-    assert (len(runs), len(formulas), len(choi_reports)) == (6 * 3, 0, 0)
+    assert (len(runs), len(formulas), len(choi_reports)) == (6 * 2, 0, 0)
     for calls in (runs, formulas, choi_reports):
         calls.clear()
     scan_bb84(ScanGrid.uniform(201, direction=np.ones(3) / np.sqrt(3.0)))
     # The same six blocks; p = 0 and p = 1 are boundary channels.
-    assert (len(runs), len(formulas), len(choi_reports)) == (6 * 3, 0, 0)
+    assert (len(runs), len(formulas), len(choi_reports)) == (6 * 2, 0, 0)
 
 
 def test_verdicts_do_not_depend_on_the_block_width(monkeypatch):
@@ -551,11 +551,11 @@ def test_three_entry_scores_each_channel_in_one_kernel_call(monkeypatch):
     summary = scan_three_entry(resolution=8, samples=1000)
     # One pass over the 84 channels against the same 1,001 priors: ten blocks
     # of eight channels and a short last block of four, each one run of the
-    # verdict program's three segments; no hit is re-checked.
+    # verdict program's two segments; no hit is re-checked.
     assert (summary.channels, summary.hits) == (84, 0)
     assert passes == [((84, 3), (3, 1, 1001))]
     assert blocks == [8] * 10 + [4]
-    assert len(runs) == 11 * 3
+    assert len(runs) == 11 * 2
 
 
 def test_three_entry_builds_a_channel_only_for_a_hit_it_reverifies(monkeypatch):
